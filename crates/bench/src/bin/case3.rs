@@ -75,7 +75,7 @@ fn main() {
         let spec = version
             .parameter_space()
             .calibration_from_pairs(&[("node_speed", 1.0)]);
-        let errs = family.turnaround_errors(version, &spec);
+        let errs = evaluate_on(family.case(), &version, family.test(), &spec).samples;
         let (avg, min, max) = summarize(&errs);
         let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
         t.row(vec![

@@ -80,7 +80,7 @@ fn main() {
             ("disk_bandwidth", 100.0),
             ("hit_ratio", 0.5),
         ]);
-        let errs = family.turnaround_errors(version, &spec);
+        let errs = evaluate_on(family.case(), &version, family.test(), &spec).samples;
         let (avg, min, max) = summarize(&errs);
         let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
         t.row(vec![

@@ -21,8 +21,9 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::{makespan_errors, summarize};
+use lodcal_bench::case1::summarize;
 use lodcal_bench::report::{pct, Table};
+use lodsel::families::wf::WfCase;
 use lodsel::prelude::*;
 use wfsim::prelude::*;
 
@@ -33,7 +34,7 @@ fn main() {
     for s in family.splits() {
         obs::diag!(
             "{}: {} train / {} test records",
-            s.app,
+            s.name,
             s.train.len(),
             s.test.len()
         );
@@ -77,11 +78,11 @@ fn main() {
         let calib = spec_calibration(version);
         let mut per_app = Vec::new();
         for s in family.splits() {
-            let errs = makespan_errors(version, &calib, &s.test);
+            let errs = evaluate_on(&WfCase, &version, &s.test, &calib).samples;
             per_app.push(numeric::mean(&errs));
             obs::diag!(
                 "uncalibrated / {}: {:.0}%",
-                s.app,
+                s.name,
                 numeric::mean(&errs) * 100.0
             );
         }

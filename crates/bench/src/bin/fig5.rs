@@ -24,7 +24,7 @@
 
 use lodcal_bench::args::ExpArgs;
 use lodcal_bench::case1::summarize;
-use lodcal_bench::case2::{node_counts, rate_errors};
+use lodcal_bench::case2::node_counts;
 use lodcal_bench::report::{pct, Table};
 use lodsel::prelude::*;
 use mpisim::prelude::*;
@@ -72,7 +72,7 @@ fn main() {
     if args.uncalibrated {
         let version = MpiSimulatorVersion::lowest_detail();
         let calib = spec_calibration(version);
-        let errs = rate_errors(version, &calib, family.scenarios());
+        let errs = evaluate_on(family.case(), &version, family.scenarios(), &calib).samples;
         let (avg, min, max) = summarize(&errs);
         let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
         t.row(vec![

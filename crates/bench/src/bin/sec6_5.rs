@@ -15,8 +15,9 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case2::{calibrate_version_best_of, emulator_config, node_counts, rate_errors};
+use lodcal_bench::case2::{calibrate_version_best_of, emulator_config, node_counts};
 use lodcal_bench::report::{pct, Table};
+use lodsel::families::{evaluate_on, mpi::MpiCase};
 use mpisim::prelude::*;
 use simcal::prelude::*;
 
@@ -37,8 +38,12 @@ fn main() {
     let from_stencil =
         calibrate_version_best_of(version, &stencil, loss.clone(), args.budget, args.seed, 5);
 
-    let err_cross = numeric::mean(&rate_errors(version, &from_p2p.calibration, &stencil));
-    let err_self = numeric::mean(&rate_errors(version, &from_stencil.calibration, &stencil));
+    // Mean held-out rate error of a calibration on a scenario set.
+    let rate_error = |result: &CalibrationResult, scenarios: &[MpiScenario]| {
+        numeric::mean(&evaluate_on(&MpiCase, &version, scenarios, &result.calibration).samples)
+    };
+    let err_cross = rate_error(&from_p2p, &stencil);
+    let err_self = rate_error(&from_stencil, &stencil);
 
     println!("§6.5 part 1: Stencil at {base} nodes, by calibration source\n");
     let mut t1 = Table::new(&["calibration source", "Stencil avg err %"]);
@@ -60,7 +65,7 @@ fn main() {
         let mut cells = vec![benchmark.name().to_string()];
         for &n in &scales {
             let test = dataset(&[benchmark], &[n], &cfg, args.seed);
-            let err = numeric::mean(&rate_errors(version, &from_p2p.calibration, &test));
+            let err = rate_error(&from_p2p, &test);
             cells.push(pct(err));
             eprintln!("{} @ {n} nodes: {:.1}%", benchmark.name(), err * 100.0);
         }

@@ -32,8 +32,9 @@
 //! used (reused across runs, demonstrating cross-run reuse).
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case2::{cache_fingerprint, emulator_config, node_counts, rate_errors};
+use lodcal_bench::case2::{cache_fingerprint, emulator_config, node_counts};
 use lodcal_bench::report::{pct, Table};
+use lodsel::families::{evaluate_on, mpi::MpiCase};
 use mpisim::prelude::*;
 use simcal::prelude::*;
 use std::path::PathBuf;
@@ -128,8 +129,11 @@ fn main() {
             };
             let fmt = |at: Option<usize>| at.map_or("-".into(), |n| n.to_string());
 
-            let cold_err = numeric::mean(&rate_errors(version, &cold.calibration, &datasets[ti]));
-            let warm_err = numeric::mean(&rate_errors(version, &warmed.calibration, &datasets[ti]));
+            let rate_error = |result: &CalibrationResult| {
+                let eval = evaluate_on(&MpiCase, &version, &datasets[ti], &result.calibration);
+                numeric::mean(&eval.samples)
+            };
+            let (cold_err, warm_err) = (rate_error(&cold), rate_error(&warmed));
             table.row(vec![
                 format!("{} -> {}", scales[si], scales[ti]),
                 warm.len().to_string(),

@@ -26,22 +26,6 @@ pub fn calibrate_version(
     Calibrator::bo_gp(budget, seed).calibrate(&obj)
 }
 
-/// Percent relative makespan error of `calibration` on each scenario.
-pub fn makespan_errors(
-    version: SimulatorVersion,
-    calibration: &Calibration,
-    scenarios: &[WfScenario],
-) -> Vec<f64> {
-    let sim = WorkflowSimulator::new(version);
-    scenarios
-        .iter()
-        .map(|s| {
-            let out = sim.simulate(&s.workflow, s.n_workers, calibration);
-            relative_error(s.gt_makespan, out.makespan)
-        })
-        .collect()
-}
-
 /// Loss of a fixed calibration on a scenario set, under a loss function.
 pub fn fixed_loss(
     version: SimulatorVersion,

@@ -53,17 +53,3 @@ pub fn calibrate_version_best_of(
     let obj = objective(&sim, train, loss).with_cache_fingerprint(fingerprint);
     lodsel::multistart::calibrate_best_of(&obj, budget, seed, restarts)
 }
-
-/// Percent relative transfer-rate error (averaged over message sizes) of
-/// `calibration` on each scenario.
-pub fn rate_errors(
-    version: MpiSimulatorVersion,
-    calibration: &Calibration,
-    scenarios: &[MpiScenario],
-) -> Vec<f64> {
-    let sim = MpiSimulator::new(version);
-    scenarios
-        .iter()
-        .map(|s| mean_relative_rate_error(&sim, s, calibration))
-        .collect()
-}

@@ -208,12 +208,19 @@ struct Shared {
 }
 
 impl Shared {
+    /// Append one event to `jobs.jsonl`. A failed append must not take
+    /// the daemon down (the job still runs; only its durability across a
+    /// restart degrades), but it is reported, never swallowed.
     fn log_event(&self, event: &JobEvent) {
-        if let Ok(line) = serde_json::to_string(event) {
-            let mut file = self.jobs_log.lock().expect("jobs log lock");
-            let _ = file.write_all(line.as_bytes());
-            let _ = file.write_all(b"\n");
-            let _ = file.flush();
+        let appended = serde_json::to_string(event)
+            .map_err(|e| io::Error::other(e.to_string()))
+            .and_then(|line| {
+                let mut file = self.jobs_log.lock().expect("jobs log lock");
+                file.write_all(format!("{line}\n").as_bytes())?;
+                file.flush()
+            });
+        if let Err(e) = appended {
+            obs::diag!("jobs.jsonl append failed: {e}");
         }
     }
 }
@@ -267,11 +274,23 @@ impl Daemon {
             quotas.set_limit(tenant, *limit);
         }
         let log_path = config.data_dir.join("jobs.jsonl");
-        let registry = replay(&log_path, &quotas)?;
-        let jobs_log = OpenOptions::new()
+        let text = match std::fs::read_to_string(&log_path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+            Err(e) => return Err(e),
+        };
+        let registry = replay(&text, &quotas);
+        let mut jobs_log = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&log_path)?;
+        // Heal a torn tail (a kill mid-append leaves no trailing newline):
+        // the next record must start on a line of its own, or the lenient
+        // replay would drop it together with the torn one.
+        if !text.is_empty() && !text.ends_with('\n') {
+            jobs_log.write_all(b"\n")?;
+            jobs_log.flush()?;
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -297,15 +316,10 @@ impl Daemon {
     }
 }
 
-/// Rebuild the registry from the job log, re-applying quota charges and
+/// Rebuild the registry from the job log's text, re-applying quota charges and
 /// refunds, and re-queue every non-terminal job in id order.
-fn replay(log_path: &Path, quotas: &QuotaBook) -> io::Result<Registry> {
+fn replay(text: &str, quotas: &QuotaBook) -> Registry {
     let mut registry = Registry::default();
-    let text = match std::fs::read_to_string(log_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let Ok(event) = serde_json::from_str::<JobEvent>(line) else {
             continue; // torn tail or foreign line: lenient, like the ledger
@@ -366,7 +380,7 @@ fn replay(log_path: &Path, quotas: &QuotaBook) -> io::Result<Registry> {
     for (id, tenant) in pending {
         registry.queue.push(&tenant, id);
     }
-    Ok(registry)
+    registry
 }
 
 /// Instantiate the family a spec names.

@@ -233,6 +233,48 @@ fn cancelled_jobs_survive_restart_as_cancelled() {
 }
 
 #[test]
+fn job_submitted_after_a_torn_log_tail_survives_restart() {
+    // A kill mid-append leaves `jobs.jsonl` ending in a partial line.
+    // Regression: the log was reopened in append mode as-is, so the next
+    // `Submitted` record was glued onto the torn line and the lenient
+    // replay dropped both — the job vanished on the following restart.
+    let dir = tmp_dir("torn-tail");
+    let id = {
+        let handle = Daemon::start(config(&dir, 0)).unwrap();
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        let id = client.submit(toy_spec(3, 2, "frank")).unwrap();
+        handle.stop();
+        id
+    };
+    let log = dir.join("jobs.jsonl");
+    let mut file = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+    file.write_all(br#"{"Submitted":{"id":99,"spec":{"fam"#)
+        .unwrap();
+    drop(file);
+
+    let after_tear = {
+        let handle = Daemon::start(config(&dir, 0)).unwrap();
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        let after_tear = client.submit(toy_spec(4, 2, "frank")).unwrap();
+        handle.stop();
+        after_tear
+    };
+    assert_ne!(after_tear, id);
+
+    let handle = Daemon::start(config(&dir, 0)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    let ids: Vec<u64> = client
+        .status(None)
+        .unwrap()
+        .iter()
+        .map(|status| status.job)
+        .collect();
+    assert_eq!(ids, vec![id, after_tear], "the torn record alone is lost");
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn handshake_enforces_the_trace_versioning_contract() {
     let dir = tmp_dir("hello");
     let handle = Daemon::start(config(&dir, 0)).unwrap();

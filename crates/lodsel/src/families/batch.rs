@@ -7,25 +7,62 @@
 //! total work and hide it). A sweep unit is one version, and its summary
 //! samples are the per-trace mean turnaround errors.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
+use super::{mean_relative_error, CaseStudy, SimFamily, Split};
 use batchsim::prelude::{
-    dataset, objective, BatchEmulatorConfig, BatchScenario, BatchSimulator, BatchVersion,
-    WorkloadSpec,
+    dataset, BatchEmulatorConfig, BatchScenario, BatchSimulator, BatchVersion, WorkloadSpec,
 };
-use simcal::prelude::{
-    relative_error, Agg, Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator,
-    ElementMix, Fidelity, StructuredLoss, SubsampledObjective,
-};
+use simcal::prelude::{Agg, Calibration, ElementMix, ParameterSpace, StructuredLoss};
+
+/// Case study #3 as a [`CaseStudy`].
+pub struct BatchCase {
+    /// Cluster size the traces were generated for.
+    pub total_nodes: u32,
+}
+
+impl CaseStudy for BatchCase {
+    type Version = BatchVersion;
+    type Sim = BatchSimulator;
+    type Loss = StructuredLoss;
+
+    fn name(&self) -> &str {
+        "batch"
+    }
+
+    fn label(&self, version: &BatchVersion) -> String {
+        version.label()
+    }
+
+    fn space(&self, version: &BatchVersion) -> ParameterSpace {
+        version.parameter_space()
+    }
+
+    fn simulator(&self, version: &BatchVersion) -> BatchSimulator {
+        BatchSimulator::new(*version, self.total_nodes)
+    }
+
+    fn header(&self) -> String {
+        format!("batch|nodes={}", self.total_nodes)
+    }
+
+    fn describe(&self, tag: &str, s: &BatchScenario, parts: &mut Vec<String>) {
+        parts.push(format!(
+            "{tag}|jobs={}|makespan={:016x}",
+            s.jobs.len(),
+            s.makespan.to_bits()
+        ));
+    }
+
+    fn judge(&self, sim: &BatchSimulator, s: &BatchScenario, c: &Calibration) -> (f64, u64) {
+        let out = sim.simulate(&s.jobs, c);
+        (
+            mean_relative_error(&s.turnarounds, &out.turnarounds),
+            out.sim_events,
+        )
+    }
+}
 
 /// The batch simulator family: 4 versions × one unit each.
-pub struct BatchFamily {
-    versions: Vec<BatchVersion>,
-    total_nodes: u32,
-    train: Vec<BatchScenario>,
-    test: Vec<BatchScenario>,
-    loss: StructuredLoss,
-    fingerprint: u64,
-}
+pub type BatchFamily = SimFamily<BatchCase>;
 
 impl BatchFamily {
     /// Build from explicit versions, cluster size, train/test traces, and
@@ -38,29 +75,15 @@ impl BatchFamily {
         loss: StructuredLoss,
         loss_label: &str,
     ) -> Self {
-        assert!(
-            !versions.is_empty() && !train.is_empty() && !test.is_empty(),
-            "empty family"
-        );
-        let mut parts = vec![format!("batch|nodes={total_nodes}|loss={loss_label}")];
-        for (tag, set) in [("train", &train), ("test", &test)] {
-            for s in set.iter() {
-                parts.push(format!(
-                    "{tag}|jobs={}|makespan={:016x}",
-                    s.jobs.len(),
-                    s.makespan.to_bits()
-                ));
-            }
-        }
-        let fingerprint = super::fingerprint_of(parts);
-        Self {
+        assert!(!test.is_empty(), "empty family");
+        let splits = vec![Split::single(train, test)];
+        Self::from_splits(
+            BatchCase { total_nodes },
             versions,
-            total_nodes,
-            train,
-            test,
+            splits,
             loss,
-            fingerprint,
-        }
+            loss_label,
+        )
     }
 
     /// The family the case-study-3 experiment sweeps: short-to-medium
@@ -94,182 +117,5 @@ impl BatchFamily {
             loss,
             "L3",
         )
-    }
-
-    /// The training traces.
-    pub fn train(&self) -> &[BatchScenario] {
-        &self.train
-    }
-
-    /// The held-out test traces.
-    pub fn test(&self) -> &[BatchScenario] {
-        &self.test
-    }
-
-    /// Cluster size the traces were generated for.
-    pub fn total_nodes(&self) -> u32 {
-        self.total_nodes
-    }
-
-    /// Mean relative per-job turnaround error of `calibration` on each
-    /// test trace (also used by the uncalibrated baseline).
-    pub fn turnaround_errors(&self, version: BatchVersion, calibration: &Calibration) -> Vec<f64> {
-        let sim = BatchSimulator::new(version, self.total_nodes);
-        self.test
-            .iter()
-            .map(|s| {
-                let out = sim.simulate(&s.jobs, calibration);
-                let errs: Vec<f64> = s
-                    .turnarounds
-                    .iter()
-                    .zip(&out.turnarounds)
-                    .map(|(&gt, &m)| relative_error(gt, m))
-                    .collect();
-                numeric::mean(&errs)
-            })
-            .collect()
-    }
-}
-
-impl VersionFamily for BatchFamily {
-    fn name(&self) -> &str {
-        "batch"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn version_labels(&self) -> Vec<String> {
-        self.versions.iter().map(|v| v.label()).collect()
-    }
-
-    fn dim(&self, version: usize) -> usize {
-        self.versions[version].parameter_space().dim()
-    }
-
-    fn units(&self) -> Vec<SweepUnit> {
-        self.versions
-            .iter()
-            .enumerate()
-            .map(|(vi, v)| SweepUnit {
-                version: vi,
-                slot: 0,
-                label: v.label(),
-            })
-            .collect()
-    }
-
-    fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
-        let sim = BatchSimulator::new(self.versions[unit.version], self.total_nodes);
-        let obj = objective(&sim, &self.train, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("batch", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
-    }
-
-    fn calibrate_at(
-        &self,
-        unit: &SweepUnit,
-        budget: Budget,
-        seed: u64,
-        fidelity: &Fidelity,
-    ) -> CalibrationResult {
-        if fidelity.is_full(self.train.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
-        let sim = BatchSimulator::new(self.versions[unit.version], self.total_nodes);
-        let indices = fidelity.indices(self.train.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            &self.train,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "batch",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
-    }
-
-    fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {
-        let version = self.versions[unit.version];
-        let sim = BatchSimulator::new(version, self.total_nodes);
-        let mut samples = Vec::new();
-        let mut work_units = 0u64;
-        for s in &self.test {
-            let out = sim.simulate(&s.jobs, calibration);
-            let errs: Vec<f64> = s
-                .turnarounds
-                .iter()
-                .zip(&out.turnarounds)
-                .map(|(&gt, &m)| relative_error(gt, m))
-                .collect();
-            samples.push(numeric::mean(&errs));
-            work_units += out.sim_events;
-        }
-        UnitEval {
-            samples,
-            work_units,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A deliberately tiny grid so the tests finish in milliseconds.
-    fn tiny_family(seed: u64) -> BatchFamily {
-        let cfg = BatchEmulatorConfig::default();
-        let specs = [
-            WorkloadSpec {
-                num_jobs: 20,
-                mean_interarrival: 10.0,
-                mean_work: 60.0,
-                max_nodes_log2: 4,
-                seed,
-            },
-            WorkloadSpec {
-                num_jobs: 20,
-                mean_interarrival: 25.0,
-                mean_work: 120.0,
-                max_nodes_log2: 4,
-                seed: seed ^ 0x100,
-            },
-        ];
-        let train = dataset(&specs[..1], &cfg, 1, seed);
-        let test = dataset(&specs[1..], &cfg, 1, seed);
-        BatchFamily::new(
-            BatchVersion::all(),
-            cfg.total_nodes,
-            train,
-            test,
-            StructuredLoss::new(Agg::Avg, ElementMix::AddAvg, "L3"),
-            "L3",
-        )
-    }
-
-    #[test]
-    fn four_versions_one_unit_each() {
-        let f = tiny_family(1);
-        assert_eq!(f.units().len(), 4);
-        assert_eq!(f.version_labels().len(), 4);
-    }
-
-    #[test]
-    fn evaluate_matches_turnaround_errors_and_counts_events() {
-        let f = tiny_family(1);
-        let unit = &f.units()[0];
-        let r = f.calibrate(unit, Budget::Evaluations(6), 2);
-        let eval = f.evaluate(unit, &r.calibration);
-        assert_eq!(
-            eval.samples,
-            f.turnaround_errors(f.versions[0], &r.calibration)
-        );
-        assert!(eval.work_units > 0);
     }
 }

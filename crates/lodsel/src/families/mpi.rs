@@ -7,15 +7,12 @@
 //! samples are the per-scenario mean relative transfer-rate errors —
 //! exactly what Figure 5's bars and error bars aggregate.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
+use super::{CaseStudy, SimFamily, Split};
 use mpisim::prelude::{
-    dataset, mean_relative_rate_error, objective, BenchmarkKind, MpiEmulatorConfig, MpiScenario,
-    MpiSimulator, MpiSimulatorVersion, NODE_COUNTS,
+    dataset, mean_relative_rate_error, BenchmarkKind, MpiEmulatorConfig, MpiScenario, MpiSimulator,
+    MpiSimulatorVersion, NODE_COUNTS,
 };
-use simcal::prelude::{
-    Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator, Fidelity, MatrixLoss,
-    SubsampledObjective,
-};
+use simcal::prelude::{Calibration, MatrixLoss, ParameterSpace};
 
 /// Node counts used by the experiments. The paper runs 128/256/512; the
 /// `fast` grid shrinks the base scale (contention structure is preserved)
@@ -36,13 +33,32 @@ pub fn emulator_config(fast: bool) -> MpiEmulatorConfig {
     }
 }
 
-/// Content hash of an MPI scenario set under a named loss: the dataset
-/// component of both the family fingerprint and the persistent-cache
-/// fingerprint. Rate observations contribute exact bit patterns, so two
-/// hashes agree only when the ground truth is identical.
-pub fn dataset_fingerprint(scenarios: &[MpiScenario], loss_label: &str) -> u64 {
-    let mut parts = vec![format!("mpi|loss={loss_label}")];
-    for s in scenarios {
+/// Case study #2 as a [`CaseStudy`].
+pub struct MpiCase;
+
+impl CaseStudy for MpiCase {
+    type Version = MpiSimulatorVersion;
+    type Sim = MpiSimulator;
+    type Loss = MatrixLoss;
+
+    fn name(&self) -> &str {
+        "mpi"
+    }
+
+    fn label(&self, version: &MpiSimulatorVersion) -> String {
+        version.label()
+    }
+
+    fn space(&self, version: &MpiSimulatorVersion) -> ParameterSpace {
+        version.parameter_space()
+    }
+
+    fn simulator(&self, version: &MpiSimulatorVersion) -> MpiSimulator {
+        MpiSimulator::new(*version)
+    }
+
+    /// Untagged: the one scenario set is both training and test data.
+    fn describe(&self, _tag: &str, s: &MpiScenario, parts: &mut Vec<String>) {
         parts.push(format!(
             "bench={}|nodes={}|sizes={}",
             s.benchmark.name(),
@@ -53,16 +69,25 @@ pub fn dataset_fingerprint(scenarios: &[MpiScenario], loss_label: &str) -> u64 {
             parts.push(format!("rate={:016x}", rate.to_bits()));
         }
     }
-    super::fingerprint_of(parts)
+
+    fn judge(&self, sim: &MpiSimulator, s: &MpiScenario, c: &Calibration) -> (f64, u64) {
+        (
+            mean_relative_rate_error(sim, s, c),
+            sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes, c),
+        )
+    }
+}
+
+/// Content hash of an MPI scenario set under a named loss: the dataset
+/// component of both the family fingerprint and the persistent-cache
+/// fingerprint. Rate observations contribute exact bit patterns, so two
+/// hashes agree only when the ground truth is identical.
+pub fn dataset_fingerprint(scenarios: &[MpiScenario], loss_label: &str) -> u64 {
+    super::dataset_fingerprint(&MpiCase, loss_label, [("", scenarios, &[][..])])
 }
 
 /// The MPI simulator family: 16 versions × one unit each.
-pub struct MpiFamily {
-    versions: Vec<MpiSimulatorVersion>,
-    scenarios: Vec<MpiScenario>,
-    loss: MatrixLoss,
-    fingerprint: u64,
-}
+pub type MpiFamily = SimFamily<MpiCase>;
 
 impl MpiFamily {
     /// Build from explicit versions, scenarios, and a loss. `loss_label`
@@ -73,17 +98,8 @@ impl MpiFamily {
         loss: MatrixLoss,
         loss_label: &str,
     ) -> Self {
-        assert!(
-            !versions.is_empty() && !scenarios.is_empty(),
-            "empty family"
-        );
-        let fingerprint = dataset_fingerprint(&scenarios, loss_label);
-        Self {
-            versions,
-            scenarios,
-            loss,
-            fingerprint,
-        }
+        let splits = vec![Split::single(scenarios, Vec::new())];
+        Self::from_splits(MpiCase, versions, splits, loss, loss_label)
     }
 
     /// The family the paper's Figure 5 sweeps: all 16 versions over the
@@ -98,129 +114,6 @@ impl MpiFamily {
 
     /// The scenario set (training and test are the same here).
     pub fn scenarios(&self) -> &[MpiScenario] {
-        &self.scenarios
-    }
-}
-
-impl VersionFamily for MpiFamily {
-    fn name(&self) -> &str {
-        "mpi"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn version_labels(&self) -> Vec<String> {
-        self.versions.iter().map(|v| v.label()).collect()
-    }
-
-    fn dim(&self, version: usize) -> usize {
-        self.versions[version].parameter_space().dim()
-    }
-
-    fn units(&self) -> Vec<SweepUnit> {
-        self.versions
-            .iter()
-            .enumerate()
-            .map(|(vi, v)| SweepUnit {
-                version: vi,
-                slot: 0,
-                label: v.label(),
-            })
-            .collect()
-    }
-
-    fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
-        let sim = MpiSimulator::new(self.versions[unit.version]);
-        let obj = objective(&sim, &self.scenarios, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("mpi", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
-    }
-
-    fn calibrate_at(
-        &self,
-        unit: &SweepUnit,
-        budget: Budget,
-        seed: u64,
-        fidelity: &Fidelity,
-    ) -> CalibrationResult {
-        if fidelity.is_full(self.scenarios.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
-        let sim = MpiSimulator::new(self.versions[unit.version]);
-        let indices = fidelity.indices(self.scenarios.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            &self.scenarios,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "mpi",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
-    }
-
-    fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {
-        let sim = MpiSimulator::new(self.versions[unit.version]);
-        let mut samples = Vec::new();
-        let mut work_units = 0u64;
-        for s in &self.scenarios {
-            samples.push(mean_relative_rate_error(&sim, s, calibration));
-            work_units += sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes, calibration);
-        }
-        UnitEval {
-            samples,
-            work_units,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> MpiFamily {
-        let cfg = MpiEmulatorConfig {
-            repetitions: 2,
-            ..Default::default()
-        };
-        let scenarios = dataset(&[BenchmarkKind::PingPong], &[8], &cfg, 5);
-        MpiFamily::new(
-            vec![
-                MpiSimulatorVersion::lowest_detail(),
-                MpiSimulatorVersion::highest_detail(),
-            ],
-            scenarios,
-            MatrixLoss::paper_set()[0].clone(),
-            "L1",
-        )
-    }
-
-    #[test]
-    fn one_unit_per_version() {
-        let f = tiny();
-        assert_eq!(f.units().len(), 2);
-        assert_eq!(f.units()[1].version, 1);
-    }
-
-    #[test]
-    fn evaluation_reports_per_scenario_samples_and_ordered_work() {
-        let f = tiny();
-        let units = f.units();
-        let lo = f.calibrate(&units[0], Budget::Evaluations(5), 1);
-        let hi = f.calibrate(&units[1], Budget::Evaluations(5), 1);
-        let e_lo = f.evaluate(&units[0], &lo.calibration);
-        let e_hi = f.evaluate(&units[1], &hi.calibration);
-        assert_eq!(e_lo.samples.len(), f.scenarios().len());
-        assert!(
-            e_hi.work_units > e_lo.work_units,
-            "higher detail must cost more simulation work"
-        );
+        self.train()
     }
 }

@@ -7,14 +7,11 @@
 //! pair, and a version's summary samples are its per-application mean
 //! test errors — exactly what Figure 2's bars and error bars aggregate.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
-use simcal::prelude::{
-    relative_error, Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator, Fidelity,
-    StructuredLoss, SubsampledObjective,
-};
+use super::{CaseStudy, SimFamily, Split};
+use simcal::prelude::{relative_error, Calibration, ParameterSpace, StructuredLoss};
 use wfsim::prelude::{
-    dataset_for, objective, split_train_test, AppKind, DatasetOptions, SimulatorVersion,
-    WfScenario, WorkflowSimulator,
+    dataset_for, split_train_test, AppKind, DatasetOptions, SimulatorVersion, WfScenario,
+    WorkflowSimulator,
 };
 
 /// The Table 1 sub-grid the experiments use by default: the two smallest
@@ -46,54 +43,65 @@ pub fn dataset_options(fast: bool, seed: u64) -> DatasetOptions {
 }
 
 /// One application's named train/test split.
-pub struct AppSplit {
-    /// Application name (report label).
-    pub app: String,
-    /// Training scenarios.
-    pub train: Vec<WfScenario>,
-    /// Held-out test scenarios.
-    pub test: Vec<WfScenario>,
+pub type AppSplit = Split<WfScenario>;
+
+/// Case study #1 as a [`CaseStudy`].
+pub struct WfCase;
+
+impl CaseStudy for WfCase {
+    type Version = SimulatorVersion;
+    type Sim = WorkflowSimulator;
+    type Loss = StructuredLoss;
+
+    fn name(&self) -> &str {
+        "wf"
+    }
+
+    fn label(&self, version: &SimulatorVersion) -> String {
+        version.label()
+    }
+
+    fn space(&self, version: &SimulatorVersion) -> ParameterSpace {
+        version.parameter_space()
+    }
+
+    fn simulator(&self, version: &SimulatorVersion) -> WorkflowSimulator {
+        WorkflowSimulator::new(*version)
+    }
+
+    fn describe(&self, tag: &str, s: &WfScenario, parts: &mut Vec<String>) {
+        parts.push(format!(
+            "{tag}|workers={}|makespan={:016x}",
+            s.n_workers,
+            s.gt_makespan.to_bits()
+        ));
+    }
+
+    fn judge(&self, sim: &WorkflowSimulator, s: &WfScenario, c: &Calibration) -> (f64, u64) {
+        let out = sim.simulate(&s.workflow, s.n_workers, c);
+        (relative_error(s.gt_makespan, out.makespan), out.sim_events)
+    }
+
+    /// One sample per unit: the per-application mean — Figure 2
+    /// aggregates versions over these.
+    fn summarize(&self, errors: Vec<f64>) -> Vec<f64> {
+        vec![numeric::mean(&errors)]
+    }
 }
 
 /// The workflow simulator family: 12 versions × one unit per application.
-pub struct WfFamily {
-    versions: Vec<SimulatorVersion>,
-    splits: Vec<AppSplit>,
-    loss: StructuredLoss,
-    fingerprint: u64,
-}
+pub type WfFamily = SimFamily<WfCase>;
 
 impl WfFamily {
     /// Build from explicit versions, per-application splits, and a loss.
-    /// `loss_label` names the loss in the dataset fingerprint (the loss
-    /// itself carries no public identifier).
+    /// `loss_label` names the loss in the dataset fingerprint.
     pub fn new(
         versions: Vec<SimulatorVersion>,
         splits: Vec<AppSplit>,
         loss: StructuredLoss,
         loss_label: &str,
     ) -> Self {
-        assert!(!versions.is_empty() && !splits.is_empty(), "empty family");
-        let mut parts = vec![format!("wf|loss={loss_label}")];
-        for s in &splits {
-            parts.push(format!("app={}", s.app));
-            for (tag, set) in [("train", &s.train), ("test", &s.test)] {
-                for sc in set.iter() {
-                    parts.push(format!(
-                        "{tag}|workers={}|makespan={:016x}",
-                        sc.n_workers,
-                        sc.gt_makespan.to_bits()
-                    ));
-                }
-            }
-        }
-        let fingerprint = super::fingerprint_of(parts);
-        Self {
-            versions,
-            splits,
-            loss,
-            fingerprint,
-        }
+        Self::from_splits(WfCase, versions, splits, loss, loss_label)
     }
 
     /// The family the paper's Figure 2 sweeps: all 12 versions over the
@@ -111,7 +119,7 @@ impl WfFamily {
                 let records = dataset_for(app, &opts);
                 let (train, test) = split_train_test(&records);
                 AppSplit {
-                    app: app.name().to_string(),
+                    name: app.name().to_string(),
                     train: WfScenario::from_records(&train),
                     test: WfScenario::from_records(&test),
                 }
@@ -119,173 +127,5 @@ impl WfFamily {
             .collect();
         let loss = StructuredLoss::paper_set()[0].clone();
         Self::new(SimulatorVersion::all(), splits, loss, "L1")
-    }
-
-    /// The per-application splits (for baselines and progress reports).
-    pub fn splits(&self) -> &[AppSplit] {
-        &self.splits
-    }
-}
-
-impl VersionFamily for WfFamily {
-    fn name(&self) -> &str {
-        "wf"
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn version_labels(&self) -> Vec<String> {
-        self.versions.iter().map(|v| v.label()).collect()
-    }
-
-    fn dim(&self, version: usize) -> usize {
-        self.versions[version].parameter_space().dim()
-    }
-
-    fn units(&self) -> Vec<SweepUnit> {
-        let mut units = Vec::new();
-        for (vi, version) in self.versions.iter().enumerate() {
-            for (ai, split) in self.splits.iter().enumerate() {
-                units.push(SweepUnit {
-                    version: vi,
-                    slot: ai,
-                    label: format!("{} / {}", version.label(), split.app),
-                });
-            }
-        }
-        units
-    }
-
-    fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
-        let sim = WorkflowSimulator::new(self.versions[unit.version]);
-        let obj = objective(&sim, &self.splits[unit.slot].train, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("wf", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
-    }
-
-    fn calibrate_at(
-        &self,
-        unit: &SweepUnit,
-        budget: Budget,
-        seed: u64,
-        fidelity: &Fidelity,
-    ) -> CalibrationResult {
-        let train = &self.splits[unit.slot].train;
-        if fidelity.is_full(train.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
-        let sim = WorkflowSimulator::new(self.versions[unit.version]);
-        let indices = fidelity.indices(train.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            train,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "wf",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
-    }
-
-    fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {
-        let sim = WorkflowSimulator::new(self.versions[unit.version]);
-        let mut errors = Vec::new();
-        let mut work_units = 0u64;
-        for s in &self.splits[unit.slot].test {
-            let out = sim.simulate(&s.workflow, s.n_workers, calibration);
-            errors.push(relative_error(s.gt_makespan, out.makespan));
-            work_units += out.sim_events;
-        }
-        UnitEval {
-            // One sample per unit: the per-application mean — Figure 2
-            // aggregates versions over these.
-            samples: vec![numeric::mean(&errors)],
-            work_units,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> WfFamily {
-        let opts = DatasetOptions {
-            repetitions: 1,
-            seed: 3,
-            size_indices: vec![0],
-            work_indices: vec![1],
-            footprint_indices: vec![1],
-            worker_counts: vec![1, 4],
-            ..Default::default()
-        };
-        let records = dataset_for(AppKind::Montage, &opts);
-        let (train, test) = split_train_test(&records);
-        WfFamily::new(
-            vec![
-                SimulatorVersion::lowest_detail(),
-                SimulatorVersion::highest_detail(),
-            ],
-            vec![AppSplit {
-                app: "montage".into(),
-                train: WfScenario::from_records(&train),
-                test: WfScenario::from_records(&test),
-            }],
-            StructuredLoss::paper_set()[0].clone(),
-            "L1",
-        )
-    }
-
-    #[test]
-    fn units_are_version_major_and_labelled() {
-        let f = tiny();
-        let units = f.units();
-        assert_eq!(units.len(), 2);
-        assert_eq!(units[0].version, 0);
-        assert_eq!(units[1].version, 1);
-        assert!(units[0].label.contains("montage"));
-    }
-
-    #[test]
-    fn calibrate_and_evaluate_are_deterministic() {
-        let f = tiny();
-        let unit = &f.units()[0];
-        let a = f.calibrate(unit, Budget::Evaluations(6), 9);
-        let b = f.calibrate(unit, Budget::Evaluations(6), 9);
-        // Wall-clock fields (elapsed_secs) legitimately differ between
-        // runs; everything the sweep digests must not.
-        assert_eq!(a.calibration, b.calibration);
-        assert_eq!(a.loss, b.loss);
-        assert_eq!(a.evaluations, b.evaluations);
-        let ea = f.evaluate(unit, &a.calibration);
-        let eb = f.evaluate(unit, &b.calibration);
-        assert_eq!(ea, eb);
-        assert_eq!(ea.samples.len(), 1);
-        assert!(ea.work_units > 0, "evaluation must report simulation work");
-    }
-
-    #[test]
-    fn fingerprint_tracks_the_dataset() {
-        let a = tiny().fingerprint();
-        assert_eq!(a, tiny().fingerprint());
-        let mut other = tiny();
-        other.splits[0].test[0].gt_makespan += 1.0;
-        let recomputed = WfFamily::new(
-            vec![
-                SimulatorVersion::lowest_detail(),
-                SimulatorVersion::highest_detail(),
-            ],
-            other.splits,
-            StructuredLoss::paper_set()[0].clone(),
-            "L1",
-        );
-        assert_ne!(a, recomputed.fingerprint());
     }
 }

@@ -4,6 +4,9 @@
 //! with the datasets they are calibrated against and evaluated on. The
 //! sweep orchestrator only ever talks to this trait, so the four case
 //! studies — and any future simulator — plug into the same machinery.
+//! Simulators built on simcal's `Simulator` trait get the implementation
+//! from [`crate::families::SimFamily`]; implement the trait by hand only
+//! for something that is not one.
 
 use simcal::prelude::{Budget, Calibration, CalibrationResult, Fidelity};
 
@@ -81,8 +84,8 @@ pub trait VersionFamily: Sync {
     /// simply delegate in that case, which also shares loss-cache
     /// entries with fixed-budget sweeps. At reduced fidelity the subset
     /// objective must carry a subset-specific cache fingerprint
-    /// ([`simcal::fidelity::SubsampledObjective::tag`]) so subset losses
-    /// never collide with full-set losses.
+    /// ([`simcal::prelude::SimulationObjective::subset_tag`]) so subset
+    /// losses never collide with full-set losses.
     ///
     /// The default ignores `fidelity` and calibrates at full fidelity —
     /// correct for any family (successive halving then only saves budget,

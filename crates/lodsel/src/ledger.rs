@@ -22,15 +22,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-/// 64-bit FNV-1a hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a hash (the workspace's one content hash, from simcal).
+pub use simcal::cache::fnv1a;
 
 /// Checkpoint key of one calibration run.
 pub fn run_key(
@@ -734,6 +727,19 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_keys_are_pinned() {
+        // Keys are on disk in every ledger: a resume finds its
+        // checkpoints only while these values hold.
+        let run = run_key("toy", 0x70f0, "v1", 1, 42, &Budget::Evaluations(8));
+        assert_eq!(run, 0x08bb_8552_434c_5b5f);
+        let rung = rung_key(run, 2, &Budget::Evaluations(3), 4);
+        assert_eq!(rung, 0x2094_11a2_278b_1c0e);
+        let policy = r#"{"PerRun":{"budget":{"Evaluations":8}}}"#;
+        let unit = unit_key("toy", 0x70f0, "v1", 2, 42, policy);
+        assert_eq!(unit, 0x81af_0a14_5a78_bf52);
+    }
+
+    #[test]
     fn append_read_roundtrip_and_checkpoints() {
         let path = tmp_path("roundtrip");
         let ledger = Ledger::open(&path).unwrap();
@@ -840,9 +846,14 @@ mod tests {
         let _ = std::fs::remove_dir(&dir);
     }
 
+    /// The retry counter goes to the process-global recorder: tests that
+    /// retry transient errors must not overlap the one that counts them.
+    static RETRY_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn retry_transient_retries_interrupted_writes_and_counts_them() {
         use std::io::ErrorKind;
+        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
         obs::install(recorder.clone());
         let mut attempts = 0;
@@ -874,6 +885,7 @@ mod tests {
     #[test]
     fn retry_transient_is_bounded_for_persistent_transient_errors() {
         use std::io::ErrorKind;
+        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let mut attempts = 0;
         let out: io::Result<()> = retry_transient(|| {
             attempts += 1;

@@ -4,9 +4,11 @@
 //! level of detail should a practitioner simulate at? This crate turns the
 //! workspace's calibration machinery into that decision. It orchestrates
 //! the full (version × restart) calibration sweep behind a small
-//! [`family::VersionFamily`] trait (implemented for the workflow, MPI,
-//! batch-scheduling, and data-grid simulator families), fans the runs onto the
-//! work-stealing pool, and reduces the results to an accuracy-versus-cost
+//! [`family::VersionFamily`] trait (implemented once, by the generic
+//! [`families::SimFamily`] adapter, for the workflow, MPI, batch-scheduling,
+//! and data-grid case studies — and for any other
+//! [`simcal::prelude::Simulator`] given a [`families::CaseStudy`] spec),
+//! fans the runs onto the work-stealing pool, and reduces the results to an accuracy-versus-cost
 //! Pareto front plus a ranked recommendation: *the cheapest version whose
 //! held-out error is within ε of the best*.
 //!
@@ -28,13 +30,15 @@
 //! - [`multistart`] — the shared multi-start (best-of-N-restarts) helper
 //!   used by every case study;
 //! - [`sweep`] — the orchestrator: budget division, fan-out, checkpoint
-//!   replay, outcome assembly;
+//!   replay, outcome assembly; every calibration it (or a shard, or a
+//!   successive-halving rung) invokes goes through its one run executor;
 //! - [`ledger`] — the JSONL run ledger and its content-hash keys;
 //! - [`shard`] — sharded sweep execution: plan slicing, per-shard
 //!   ledgers, and the deterministic merge back to one outcome;
 //! - [`pareto`] — Pareto front and the ε-recommendation;
-//! - [`families`] — [`family::VersionFamily`] implementations for the
-//!   four case studies;
+//! - [`families`] — the generic [`families::SimFamily`] adapter, the
+//!   [`families::CaseStudy`] spec a case study supplies, and the four
+//!   case studies' specs and paper datasets;
 //! - [`report`] — plain-text table rendering (shared with the experiment
 //!   binaries);
 //! - [`trace`] — `--trace` JSONL parsing and the `--trace-report`
@@ -58,6 +62,7 @@ pub mod prelude {
     pub use crate::families::grid::GridFamily;
     pub use crate::families::mpi::MpiFamily;
     pub use crate::families::wf::WfFamily;
+    pub use crate::families::{evaluate_on, CaseStudy, SimFamily, Split};
     pub use crate::family::{SweepUnit, UnitEval, VersionFamily};
     pub use crate::ledger::{
         ledger_status, FailureHistory, Ledger, LedgerEvent, LedgerStatus, RunRecord, UnitRecord,

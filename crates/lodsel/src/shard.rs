@@ -27,8 +27,8 @@
 use crate::family::VersionFamily;
 use crate::ledger::{Ledger, LedgerEvent};
 use crate::sweep::{
-    calibrate_one, plan_sweep, run_sh_phase, sweep_fingerprint, try_run_sweep, RunStatus,
-    SweepConfig, SweepError, SweepOutcome,
+    plan_sweep, run_sh_phase, sweep_fingerprint, try_run_sweep, RunExecutor, RunSpec, SweepConfig,
+    SweepError, SweepOutcome,
 };
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -182,46 +182,24 @@ pub fn run_shard(
         })
         .map_err(ShardError::Io)?;
 
-    let active_units = config
-        .max_units
-        .unwrap_or(planned.units.len())
-        .min(planned.units.len());
+    let active_plans = planned.active_plans(config);
+    let exec = RunExecutor::new(family, &planned, config, Some(&ledger));
 
     // Successive halving runs the full rung ladder into the (single)
     // shard ledger: rung records and promotion decisions land there, and
     // the post-merge replay serves everything from them.
     if let Some(schedule) = &planned.schedule {
-        let active_plans: Vec<_> = planned
-            .plans
-            .iter()
-            .take(active_units * planned.restarts)
-            .collect();
-        let phase = run_sh_phase(
-            family,
-            &planned.labels,
-            &planned.units,
-            schedule,
-            &active_plans,
-            config,
-            Some(&ledger),
-        );
-        return Ok(phase.executed);
+        return Ok(run_sh_phase(&exec, schedule, &active_plans).executed);
     }
 
-    let (cached_runs, _) = ledger.checkpoints();
-    let failure_history = ledger.failure_history();
-    let max_attempts = 1 + config.max_fault_retries;
-    let attempts_of = |key: u64| failure_history.get(&key).map_or(0, |h| h.attempts);
     // This shard's slice: round-robin over the truncation-aware plan
     // prefix, minus work already checkpointed or out of retries.
-    let pending: Vec<_> = planned
-        .plans
+    let pending: Vec<RunSpec> = active_plans
         .iter()
-        .take(active_units * planned.restarts)
         .enumerate()
         .filter(|(i, _)| i % shards == index)
-        .map(|(_, p)| p)
-        .filter(|p| !cached_runs.contains_key(&p.key) && attempts_of(p.key) < max_attempts)
+        .map(|(_, p)| RunSpec::fixed(p))
+        .filter(|run| exec.is_pending(run))
         .collect();
 
     let shard_span = obs::span!(
@@ -231,29 +209,11 @@ pub fn run_shard(
         pending = pending.len()
     );
     let shard_id = shard_span.id();
-    let statuses: Vec<RunStatus> = pending
+    let outcomes: Vec<_> = pending
         .par_iter()
-        .map(|p| {
-            let attrs = if obs::enabled() {
-                vec![
-                    ("unit", planned.units[p.unit_idx].label.clone()),
-                    ("restart", p.restart.to_string()),
-                ]
-            } else {
-                Vec::new()
-            };
-            let _run = obs::SpanGuard::enter_under("run", shard_id, attrs);
-            let attempt = attempts_of(p.key) + 1;
-            calibrate_one(
-                family,
-                &planned.units[p.unit_idx],
-                p,
-                attempt,
-                Some(&ledger),
-            )
-        })
+        .map(|run| exec.execute(run, shard_id))
         .collect();
-    Ok(statuses.len())
+    Ok(outcomes.len())
 }
 
 /// Merge shard ledgers into the target ledger at `target`, validating
@@ -301,15 +261,11 @@ pub fn merge_shards(shard_paths: &[PathBuf], target: &Path) -> Result<Ledger, Sh
         }
         for event in &events {
             match event {
-                LedgerEvent::RunCompleted { record } => {
-                    if seen_runs.insert(record.key) {
-                        merged.append(event).map_err(ShardError::Io)?;
-                    }
-                }
-                LedgerEvent::RungCompleted { record, .. } => {
-                    // Rung keys are content hashes of (base, rung,
-                    // budget, subset), so first-write-wins per key is as
-                    // idempotent as plain run records.
+                // Rung keys are content hashes of (base, rung, budget,
+                // subset), so first-write-wins per key is as idempotent
+                // for them as for plain run records.
+                LedgerEvent::RunCompleted { record }
+                | LedgerEvent::RungCompleted { record, .. } => {
                     if seen_runs.insert(record.key) {
                         merged.append(event).map_err(ShardError::Io)?;
                     }

@@ -12,7 +12,7 @@
 //!
 //! Failure model: a simulator version that panics or yields only
 //! non-finite values must not take the whole sweep down. Every
-//! `family.calibrate` / `family.evaluate` call runs under
+//! `family.calibrate_at` / `family.evaluate` call runs under
 //! [`simcal::fault::guard`]; a crash becomes a
 //! [`LedgerEvent::RunFailed`] event and a [`RunFailure`] row in the
 //! outcome, the affected version drops out of the recommendation, and a
@@ -565,6 +565,24 @@ pub(crate) struct PlannedSweep {
     pub(crate) schedule: Option<ShSchedule>,
 }
 
+impl PlannedSweep {
+    /// Units an execution covers under [`SweepConfig::max_units`]
+    /// truncation.
+    pub(crate) fn active_units(&self, config: &SweepConfig) -> usize {
+        config
+            .max_units
+            .unwrap_or(self.units.len())
+            .min(self.units.len())
+    }
+
+    /// The plan prefix an execution covers: every restart of the active
+    /// units.
+    pub(crate) fn active_plans(&self, config: &SweepConfig) -> Vec<&RunPlan> {
+        let runs = self.active_units(config) * self.restarts;
+        self.plans.iter().take(runs).collect()
+    }
+}
+
 /// Plan the FULL (unit × restart) grid — budgets and checkpoint keys must
 /// not depend on where an interruption (or a shard boundary) lands.
 pub(crate) fn plan_sweep(
@@ -641,95 +659,234 @@ pub(crate) fn plan_sweep(
     })
 }
 
-/// What happened to one pending calibration run.
-pub(crate) enum RunStatus {
-    Done(Box<RunRecord>),
-    Failed { attempt: usize, reason: String },
+/// One calibration run as the executor sees it: a fixed-budget run of
+/// the plan, or one rung execution of a successive-halving run. The two
+/// differ only in data — checkpoint key, budget, fidelity, and which
+/// ledger event variant records success.
+pub(crate) struct RunSpec<'a> {
+    pub(crate) plan: &'a RunPlan,
+    /// `Some(r)`: rung `r` of a successive-halving run, recorded as
+    /// [`LedgerEvent::RungCompleted`] under the plan's base key. `None`:
+    /// a fixed-budget run, recorded as [`LedgerEvent::RunCompleted`].
+    pub(crate) rung: Option<usize>,
+    /// Checkpoint key ([`run_key`] or [`rung_key`]): keys the success
+    /// record and the failure history.
+    pub(crate) key: u64,
+    pub(crate) budget: Budget,
+    pub(crate) fidelity: Fidelity,
 }
 
-/// Execute one pending calibration run under the fault guard, appending
-/// its checkpoint (or failure) to `ledger`. Shared by `run_sweep` and the
-/// sharded executor ([`crate::shard::run_shard`]), so a shard's records
-/// are bit-for-bit what a single-process sweep would have written.
-pub(crate) fn calibrate_one(
-    family: &dyn VersionFamily,
-    unit: &SweepUnit,
-    plan: &RunPlan,
-    attempt: usize,
-    ledger: Option<&Ledger>,
-) -> RunStatus {
-    // The guard isolates a panicking simulator version: its runs become
-    // RunFailed events and the sweep degrades instead of unwinding.
-    // (Individual evaluation panics are already quarantined inside
-    // simcal; what reaches here is a version whose calibration found no
-    // usable incumbent at all, or a family whose calibrate itself
-    // crashed.)
-    match simcal::fault::guard(|| family.calibrate(unit, plan.budget, plan.seed)) {
-        Ok(result) if result.loss.is_finite() => {
-            let record = RunRecord {
-                key: plan.key,
-                unit: unit.label.clone(),
-                restart: plan.restart,
-                seed: plan.seed,
-                result,
-            };
-            if let Some(l) = ledger {
-                log_io(l.append(&LedgerEvent::RunCompleted {
-                    record: record.clone(),
-                }));
-            }
-            RunStatus::Done(Box::new(record))
+impl<'a> RunSpec<'a> {
+    /// The plan's own full-fidelity run under its planned budget.
+    pub(crate) fn fixed(plan: &'a RunPlan) -> Self {
+        Self {
+            plan,
+            rung: None,
+            key: plan.key,
+            budget: plan.budget,
+            fidelity: Fidelity::full(),
         }
-        outcome => {
-            let reason = match outcome {
-                Ok(result) => {
-                    format!("calibration returned non-finite loss {}", result.loss)
-                }
-                Err(message) => message,
+    }
+}
+
+/// What the executor made of one run.
+pub(crate) struct RunOutcome {
+    /// The calibration result, or the failure row to report.
+    pub(crate) result: Result<CalibrationResult, RunFailure>,
+    /// Whether the calibration was invoked now; `false` when the ledger
+    /// answered (a checkpoint, or a failure history out of retries).
+    pub(crate) executed: bool,
+}
+
+/// The single place a sweep invokes a family's calibration: shared by the
+/// fixed-budget phase, every successive-halving rung and the sharded
+/// executor ([`crate::shard::run_shard`]), so a shard's or a rung's
+/// records are bit-for-bit what any other path would have written.
+pub(crate) struct RunExecutor<'a> {
+    family: &'a dyn VersionFamily,
+    labels: &'a [String],
+    units: &'a [SweepUnit],
+    pub(crate) ledger: Option<&'a Ledger>,
+    runs: HashMap<u64, RunRecord>,
+    rungs: HashMap<(u64, usize), RunRecord>,
+    pub(crate) unit_checkpoints: HashMap<u64, UnitRecord>,
+    pub(crate) failure_history: HashMap<u64, FailureHistory>,
+    pub(crate) max_attempts: usize,
+}
+
+impl<'a> RunExecutor<'a> {
+    /// Snapshot the ledger's checkpoints and failure history.
+    pub(crate) fn new(
+        family: &'a dyn VersionFamily,
+        planned: &'a PlannedSweep,
+        config: &SweepConfig,
+        ledger: Option<&'a Ledger>,
+    ) -> Self {
+        let (runs, unit_checkpoints) = ledger.map(|l| l.checkpoints()).unwrap_or_default();
+        Self {
+            family,
+            labels: &planned.labels,
+            units: &planned.units,
+            ledger,
+            runs,
+            unit_checkpoints,
+            rungs: ledger.map(|l| l.rung_checkpoints()).unwrap_or_default(),
+            failure_history: ledger.map(|l| l.failure_history()).unwrap_or_default(),
+            max_attempts: 1 + config.max_fault_retries,
+        }
+    }
+
+    /// Failed attempts recorded against `key` in earlier executions.
+    pub(crate) fn attempts_of(&self, key: u64) -> usize {
+        self.failure_history.get(&key).map_or(0, |h| h.attempts)
+    }
+
+    /// The ledger checkpoint of `plan`'s fixed-budget run (`rung` is
+    /// `None`) or of its rung `r` execution, if it completed in an
+    /// earlier execution.
+    pub(crate) fn checkpoint(&self, plan: &RunPlan, rung: Option<usize>) -> Option<&RunRecord> {
+        match rung {
+            None => self.runs.get(&plan.key),
+            Some(r) => self.rungs.get(&(plan.key, r)),
+        }
+    }
+
+    /// Whether [`RunExecutor::execute`] would invoke the calibration: no
+    /// checkpoint, and recorded failures within the retry allowance.
+    pub(crate) fn is_pending(&self, run: &RunSpec) -> bool {
+        self.checkpoint(run.plan, run.rung).is_none()
+            && self.attempts_of(run.key) < self.max_attempts
+    }
+
+    /// The failure row of `plan`'s run.
+    pub(crate) fn failure_row(
+        &self,
+        plan: &RunPlan,
+        stage: &str,
+        attempt: usize,
+        reason: String,
+    ) -> RunFailure {
+        let unit = &self.units[plan.unit_idx];
+        RunFailure {
+            version: self.labels[unit.version].clone(),
+            unit: unit.label.clone(),
+            restart: plan.restart,
+            stage: stage.into(),
+            attempt,
+            retriable: attempt < self.max_attempts,
+            reason,
+        }
+    }
+
+    /// The row of a run's most recent recorded failure, if any.
+    pub(crate) fn recorded_failure(&self, run: &RunSpec) -> Option<RunFailure> {
+        let h = self.failure_history.get(&run.key)?;
+        let mut row = self.failure_row(run.plan, &h.stage, h.attempts, h.last_reason.clone());
+        row.retriable = false;
+        Some(row)
+    }
+
+    /// Serve `run` from its checkpoint, report it from the ledger when
+    /// its retries are exhausted, or execute it under the fault guard —
+    /// inside a `run` span under `parent` — appending its checkpoint (or
+    /// failure) to the ledger.
+    pub(crate) fn execute(&self, run: &RunSpec, parent: Option<obs::SpanId>) -> RunOutcome {
+        if let Some(record) = self.checkpoint(run.plan, run.rung) {
+            return RunOutcome {
+                result: Ok(record.result.clone()),
+                executed: false,
             };
-            if let Some(l) = ledger {
-                log_io(l.append(&LedgerEvent::RunFailed {
-                    key: plan.key,
+        }
+        // Across executions a keyed run is attempted at most
+        // `max_attempts` times; after that it is reported from the
+        // ledger's history, never re-run.
+        let prior = self.attempts_of(run.key);
+        if prior >= self.max_attempts {
+            return RunOutcome {
+                result: Err(self
+                    .recorded_failure(run)
+                    .expect("exhausted retries imply a failure history")),
+                executed: false,
+            };
+        }
+        let plan = run.plan;
+        let unit = &self.units[plan.unit_idx];
+        let attrs = if obs::enabled() {
+            vec![
+                ("unit", unit.label.clone()),
+                ("restart", plan.restart.to_string()),
+            ]
+        } else {
+            Vec::new()
+        };
+        let _span = obs::SpanGuard::enter_under("run", parent, attrs);
+        // The guard isolates a panicking simulator version: its runs
+        // become RunFailed events and the sweep degrades instead of
+        // unwinding. (Individual evaluation panics are already
+        // quarantined inside simcal; what reaches here is a version whose
+        // calibration found no usable incumbent at all, or a family whose
+        // calibrate itself crashed.)
+        let outcome = simcal::fault::guard(|| {
+            self.family
+                .calibrate_at(unit, run.budget, plan.seed, &run.fidelity)
+        });
+        let result = match outcome {
+            Ok(result) if result.loss.is_finite() => {
+                let record = RunRecord {
+                    key: run.key,
+                    unit: unit.label.clone(),
+                    restart: plan.restart,
+                    seed: plan.seed,
+                    result: result.clone(),
+                };
+                self.append(match run.rung {
+                    None => LedgerEvent::RunCompleted { record },
+                    Some(rung) => LedgerEvent::RungCompleted {
+                        base: plan.key,
+                        rung,
+                        record,
+                    },
+                });
+                Ok(result)
+            }
+            outcome => {
+                let reason = match outcome {
+                    Ok(result) => format!("calibration returned non-finite loss {}", result.loss),
+                    Err(message) => message,
+                };
+                let attempt = prior + 1;
+                self.append(LedgerEvent::RunFailed {
+                    key: run.key,
                     unit: unit.label.clone(),
                     restart: plan.restart,
                     seed: plan.seed,
                     attempt,
                     stage: "calibrate".into(),
                     reason: reason.clone(),
-                }));
+                });
+                Err(self.failure_row(plan, "calibrate", attempt, reason))
             }
-            RunStatus::Failed { attempt, reason }
+        };
+        RunOutcome {
+            result,
+            executed: true,
+        }
+    }
+
+    /// Append `event` to the ledger, if there is one.
+    pub(crate) fn append(&self, event: LedgerEvent) {
+        if let Some(l) = self.ledger {
+            log_io(l.append(&event));
         }
     }
 }
 
-/// What one rung execution of one successive-halving run produced.
-enum RungStatus {
-    Done {
-        result: CalibrationResult,
-        /// Whether the result was computed now (false = rung checkpoint).
-        fresh: bool,
-    },
-    Failed {
-        attempt: usize,
-        reason: String,
-        retriable: bool,
-    },
-    /// Not executed: the rung's decision is sealed in the ledger and this
-    /// run was eliminated without leaving a rung record — i.e. its rung
-    /// calibration failed in the recorded execution. Re-running could not
-    /// change the sealed decision, so the replay skips it.
-    Skipped,
-}
-
 /// Everything the successive-halving phase hands back to the sweep.
 pub(crate) struct ShPhase {
-    /// Per base plan key: the run's result from the highest rung it
-    /// reached (eliminated runs keep their last rung's result, so every
+    /// Per base plan key: the highest rung the run reached and its result
+    /// there (eliminated runs keep their last rung's result, so every
     /// version still gets outcomes for the Pareto reduction).
-    pub(crate) results: HashMap<u64, CalibrationResult>,
-    /// Per base plan key: which rung that result came from.
-    pub(crate) result_rungs: HashMap<u64, usize>,
+    pub(crate) results: HashMap<u64, (usize, CalibrationResult)>,
     /// Runs that produced no result on any rung.
     pub(crate) failed: HashMap<u64, RunFailure>,
     /// Rung executions actually computed now (not replayed).
@@ -748,36 +905,11 @@ pub(crate) struct ShPhase {
 /// top `survivors(r+1)` promoted, with every decision appended in plan
 /// order. A run whose rung calibration failed is never promoted.
 pub(crate) fn run_sh_phase(
-    family: &dyn VersionFamily,
-    labels: &[String],
-    units: &[SweepUnit],
+    exec: &RunExecutor,
     schedule: &ShSchedule,
     active_plans: &[&RunPlan],
-    config: &SweepConfig,
-    ledger: Option<&Ledger>,
 ) -> ShPhase {
-    let (rung_records, decisions) = match ledger {
-        Some(l) => (l.rung_checkpoints(), l.rung_decisions()),
-        None => (HashMap::new(), HashMap::new()),
-    };
-    let failure_history: HashMap<u64, FailureHistory> = match ledger {
-        Some(l) => l.failure_history(),
-        None => HashMap::new(),
-    };
-    let max_attempts = 1 + config.max_fault_retries;
-    let attempts_of = |key: u64| failure_history.get(&key).map_or(0, |h| h.attempts);
-    let failure_row = |i: usize, attempt: usize, retriable: bool, stage: &str, reason: String| {
-        let p: &RunPlan = active_plans[i];
-        RunFailure {
-            version: labels[units[p.unit_idx].version].clone(),
-            unit: units[p.unit_idx].label.clone(),
-            restart: p.restart,
-            stage: stage.into(),
-            attempt,
-            retriable,
-            reason,
-        }
-    };
+    let decisions = exec.ledger.map(|l| l.rung_decisions()).unwrap_or_default();
 
     let levels = schedule.rungs.len();
     let mut highest: Vec<Option<(usize, CalibrationResult)>> = vec![None; active_plans.len()];
@@ -801,96 +933,39 @@ pub(crate) fn run_sh_phase(
                 .iter()
                 .all(|&i| decisions.contains_key(&(active_plans[i].key, r)));
 
-        let statuses: Vec<RungStatus> = entering
+        let rung_run = |i: usize| RunSpec {
+            plan: active_plans[i],
+            rung: Some(r),
+            key: rung_key(active_plans[i].key, r, &rung_budget, rung.scenario_denom),
+            budget: rung_budget,
+            fidelity,
+        };
+        // `None`: not executed — the rung's decision is sealed in the
+        // ledger and this run was eliminated without leaving a rung
+        // record, i.e. its rung calibration failed in the recorded
+        // execution. Re-running could not change the sealed decision, so
+        // the replay skips it.
+        let outcomes: Vec<Option<RunOutcome>> = entering
             .par_iter()
             .map(|&i| {
-                let p = active_plans[i];
-                let unit = &units[p.unit_idx];
-                if let Some(rec) = rung_records.get(&(p.key, r)) {
-                    return RungStatus::Done {
-                        result: rec.result.clone(),
-                        fresh: false,
-                    };
+                let run = rung_run(i);
+                let eliminated = sealed && decisions.get(&(run.plan.key, r)) == Some(&false);
+                if eliminated && exec.checkpoint(run.plan, run.rung).is_none() {
+                    return None;
                 }
-                if sealed && decisions.get(&(p.key, r)) == Some(&false) {
-                    return RungStatus::Skipped;
-                }
-                let rkey = rung_key(p.key, r, &rung_budget, rung.scenario_denom);
-                let prior = attempts_of(rkey);
-                if prior >= max_attempts {
-                    let h = &failure_history[&rkey];
-                    return RungStatus::Failed {
-                        attempt: h.attempts,
-                        reason: h.last_reason.clone(),
-                        retriable: false,
-                    };
-                }
-                let attrs = if obs::enabled() {
-                    vec![
-                        ("unit", unit.label.clone()),
-                        ("restart", p.restart.to_string()),
-                    ]
-                } else {
-                    Vec::new()
-                };
-                let _run = obs::SpanGuard::enter_under("run", rung_span_id, attrs);
-                match simcal::fault::guard(|| {
-                    family.calibrate_at(unit, rung_budget, p.seed, &fidelity)
-                }) {
-                    Ok(result) if result.loss.is_finite() => {
-                        if let Some(l) = ledger {
-                            log_io(l.append(&LedgerEvent::RungCompleted {
-                                base: p.key,
-                                rung: r,
-                                record: RunRecord {
-                                    key: rkey,
-                                    unit: unit.label.clone(),
-                                    restart: p.restart,
-                                    seed: p.seed,
-                                    result: result.clone(),
-                                },
-                            }));
-                        }
-                        RungStatus::Done {
-                            result,
-                            fresh: true,
-                        }
-                    }
-                    outcome => {
-                        let reason = match outcome {
-                            Ok(result) => {
-                                format!("calibration returned non-finite loss {}", result.loss)
-                            }
-                            Err(message) => message,
-                        };
-                        let attempt = prior + 1;
-                        if let Some(l) = ledger {
-                            log_io(l.append(&LedgerEvent::RunFailed {
-                                key: rkey,
-                                unit: unit.label.clone(),
-                                restart: p.restart,
-                                seed: p.seed,
-                                attempt,
-                                stage: "calibrate".into(),
-                                reason: reason.clone(),
-                            }));
-                        }
-                        RungStatus::Failed {
-                            attempt,
-                            reason,
-                            retriable: attempt < max_attempts,
-                        }
-                    }
-                }
+                Some(exec.execute(&run, rung_span_id))
             })
             .collect();
 
         let mut succeeded: Vec<usize> = Vec::new();
         let mut rung_losses: HashMap<usize, f64> = HashMap::new();
         let mut failed_count = 0usize;
-        for (&i, status) in entering.iter().zip(statuses) {
-            match status {
-                RungStatus::Done { result, fresh } => {
+        for (&i, outcome) in entering.iter().zip(outcomes) {
+            match outcome {
+                Some(RunOutcome {
+                    result: Ok(result),
+                    executed: fresh,
+                }) => {
                     if fresh {
                         executed += 1;
                     }
@@ -898,25 +973,17 @@ pub(crate) fn run_sh_phase(
                     highest[i] = Some((r, result));
                     succeeded.push(i);
                 }
-                RungStatus::Failed {
-                    attempt,
-                    reason,
-                    retriable,
-                } => {
+                Some(RunOutcome {
+                    result: Err(failure),
+                    ..
+                }) => {
                     failed_count += 1;
-                    last_failure[i] = Some(failure_row(i, attempt, retriable, "calibrate", reason));
+                    last_failure[i] = Some(failure);
                 }
-                RungStatus::Skipped => {
+                None => {
                     failed_count += 1;
-                    let rkey = rung_key(active_plans[i].key, r, &rung_budget, rung.scenario_denom);
-                    if let Some(h) = failure_history.get(&rkey) {
-                        last_failure[i] = Some(failure_row(
-                            i,
-                            h.attempts,
-                            false,
-                            &h.stage,
-                            h.last_reason.clone(),
-                        ));
+                    if let Some(failure) = exec.recorded_failure(&rung_run(i)) {
+                        last_failure[i] = Some(failure);
                     }
                 }
             }
@@ -937,16 +1004,13 @@ pub(crate) fn run_sh_phase(
                 order.sort_by(|&a, &b| rung_losses[&a].total_cmp(&rung_losses[&b]));
                 let mut chosen = order[..target].to_vec();
                 chosen.sort_unstable();
-                if let Some(l) = ledger {
-                    for &i in &entering {
-                        let key = active_plans[i].key;
-                        let event = if chosen.contains(&i) {
-                            LedgerEvent::RunPromoted { key, rung: r }
-                        } else {
-                            LedgerEvent::RunEliminated { key, rung: r }
-                        };
-                        log_io(l.append(&event));
-                    }
+                for &i in &entering {
+                    let key = active_plans[i].key;
+                    exec.append(if chosen.contains(&i) {
+                        LedgerEvent::RunPromoted { key, rung: r }
+                    } else {
+                        LedgerEvent::RunEliminated { key, rung: r }
+                    });
                 }
                 chosen
             }
@@ -966,21 +1030,21 @@ pub(crate) fn run_sh_phase(
     }
 
     let mut results = HashMap::new();
-    let mut result_rungs = HashMap::new();
     let mut failed = HashMap::new();
-    for (i, p) in active_plans.iter().enumerate() {
-        match &highest[i] {
-            Some((r, result)) => {
-                results.insert(p.key, result.clone());
-                result_rungs.insert(p.key, *r);
+    for (p, (reached, last_failure)) in active_plans
+        .iter()
+        .zip(highest.into_iter().zip(last_failure))
+    {
+        match reached {
+            Some(reached) => {
+                results.insert(p.key, reached);
             }
             None => {
-                let failure = last_failure[i].clone().unwrap_or_else(|| {
-                    failure_row(
-                        i,
-                        max_attempts,
-                        false,
+                let failure = last_failure.unwrap_or_else(|| {
+                    exec.failure_row(
+                        p,
                         "calibrate",
+                        exec.max_attempts,
                         "rung execution skipped after recorded elimination".into(),
                     )
                 });
@@ -990,7 +1054,6 @@ pub(crate) fn run_sh_phase(
     }
     ShPhase {
         results,
-        result_rungs,
         failed,
         executed,
         report: ShReport {
@@ -1061,6 +1124,7 @@ pub fn try_run_sweep(
     );
     let plan_span = obs::span!("plan");
 
+    let planned = plan_sweep(family, config)?;
     let PlannedSweep {
         name,
         fingerprint,
@@ -1070,19 +1134,11 @@ pub fn try_run_sweep(
         policy_json,
         plans,
         schedule,
-    } = plan_sweep(family, config)?;
+    } = &planned;
+    let (fingerprint, restarts) = (*fingerprint, *restarts);
 
-    let active_units = config.max_units.unwrap_or(units.len()).min(units.len());
-    let (cached_runs, cached_units) = match ledger {
-        Some(l) => l.checkpoints(),
-        None => (HashMap::new(), HashMap::new()),
-    };
-    let failure_history: HashMap<u64, FailureHistory> = match ledger {
-        Some(l) => l.failure_history(),
-        None => HashMap::new(),
-    };
-    let max_attempts = 1 + config.max_fault_retries;
-    let attempts_of = |key: u64| failure_history.get(&key).map_or(0, |h| h.attempts);
+    let active_units = planned.active_units(config);
+    let exec = RunExecutor::new(family, &planned, config, ledger);
 
     // Phase 1: calibration runs, fanned onto the pool. Each simulation
     // objective additionally parallelizes over scenarios internally; the
@@ -1090,23 +1146,17 @@ pub fn try_run_sweep(
     // A run is pending unless it has a checkpoint or its recorded failed
     // attempts already exhausted the retry allowance (then it is reported
     // from the ledger without re-running).
-    let active_plans: Vec<&RunPlan> = plans.iter().take(active_units * restarts).collect();
-    let pending_count = match &schedule {
-        // Under successive halving a run is "pending" until its rung-0
-        // record exists (later rungs depend on decisions, so a flat
-        // count is the honest summary here).
-        Some(_) => {
-            let rung_records = ledger.map(|l| l.rung_checkpoints()).unwrap_or_default();
-            active_plans
-                .iter()
-                .filter(|p| !rung_records.contains_key(&(p.key, 0)))
-                .count()
-        }
-        None => active_plans
-            .iter()
-            .filter(|p| !cached_runs.contains_key(&p.key) && attempts_of(p.key) < max_attempts)
-            .count(),
-    };
+    let active_plans = planned.active_plans(config);
+    let pending_count = active_plans
+        .iter()
+        .filter(|p| match schedule {
+            // Under successive halving a run is "pending" until its
+            // rung-0 record exists (later rungs depend on decisions, so a
+            // flat count is the honest summary here).
+            Some(_) => exec.checkpoint(p, Some(0)).is_none(),
+            None => exec.is_pending(&RunSpec::fixed(p)),
+        })
+        .count();
     if let Some(l) = ledger {
         log_io(l.append(&LedgerEvent::SweepStarted {
             family: name.clone(),
@@ -1121,91 +1171,28 @@ pub fn try_run_sweep(
     let calibrate_span = obs::span!("calibrate", pending = pending_count);
     let calibrate_id = calibrate_span.id();
 
-    let mut results: HashMap<u64, CalibrationResult> = HashMap::new();
-    let mut result_rungs: HashMap<u64, usize> = HashMap::new();
+    // Per plan key: the rung a run's result comes from (0 outside
+    // successive halving) with the result, or its failure row.
+    let mut results: HashMap<u64, (usize, CalibrationResult)> = HashMap::new();
     let mut failed_runs: HashMap<u64, RunFailure> = HashMap::new();
     let mut sh_report: Option<ShReport> = None;
-    if let Some(schedule) = &schedule {
-        let phase = run_sh_phase(
-            family,
-            &labels,
-            &units,
-            schedule,
-            &active_plans,
-            config,
-            ledger,
-        );
+    if let Some(schedule) = schedule {
+        let phase = run_sh_phase(&exec, schedule, &active_plans);
         results = phase.results;
-        result_rungs = phase.result_rungs;
         failed_runs = phase.failed;
         sh_report = Some(phase.report);
     } else {
-        let pending: Vec<&RunPlan> = active_plans
-            .iter()
-            .filter(|p| !cached_runs.contains_key(&p.key) && attempts_of(p.key) < max_attempts)
-            .copied()
-            .collect();
-        let fresh: Vec<RunStatus> = pending
+        let outcomes: Vec<RunOutcome> = active_plans
             .par_iter()
-            .map(|p| {
-                let attrs = if obs::enabled() {
-                    vec![
-                        ("unit", units[p.unit_idx].label.clone()),
-                        ("restart", p.restart.to_string()),
-                    ]
-                } else {
-                    Vec::new()
-                };
-                let _run = obs::SpanGuard::enter_under("run", calibrate_id, attrs);
-                let attempt = attempts_of(p.key) + 1;
-                calibrate_one(family, &units[p.unit_idx], p, attempt, ledger)
-            })
+            .map(|p| exec.execute(&RunSpec::fixed(p), calibrate_id))
             .collect();
-
-        // Runs whose retries were already exhausted: reported from the
-        // ledger's history, never re-run.
-        for p in &active_plans {
-            if cached_runs.contains_key(&p.key) {
-                continue;
-            }
-            if let Some(h) = failure_history.get(&p.key) {
-                if h.attempts >= max_attempts {
-                    failed_runs.insert(
-                        p.key,
-                        RunFailure {
-                            version: labels[units[p.unit_idx].version].clone(),
-                            unit: units[p.unit_idx].label.clone(),
-                            restart: p.restart,
-                            stage: h.stage.clone(),
-                            attempt: h.attempts,
-                            retriable: false,
-                            reason: h.last_reason.clone(),
-                        },
-                    );
+        for (p, outcome) in active_plans.iter().zip(outcomes) {
+            match outcome.result {
+                Ok(result) => {
+                    results.insert(p.key, (0, result));
                 }
-            }
-        }
-        for (key, record) in cached_runs {
-            results.insert(key, record.result);
-        }
-        for (p, status) in pending.iter().zip(fresh) {
-            match status {
-                RunStatus::Done(record) => {
-                    results.insert(record.key, record.result);
-                }
-                RunStatus::Failed { attempt, reason } => {
-                    failed_runs.insert(
-                        p.key,
-                        RunFailure {
-                            version: labels[units[p.unit_idx].version].clone(),
-                            unit: units[p.unit_idx].label.clone(),
-                            restart: p.restart,
-                            stage: "calibrate".into(),
-                            attempt,
-                            retriable: attempt < max_attempts,
-                            reason,
-                        },
-                    );
+                Err(failure) => {
+                    failed_runs.insert(p.key, failure);
                 }
             }
         }
@@ -1240,10 +1227,8 @@ pub fn try_run_sweep(
             // subset is not comparable to a later rung's fuller loss.
             let per_restart: Vec<(usize, usize, CalibrationResult)> = (0..restarts)
                 .filter_map(|r| {
-                    let key = plans[ui * restarts + r].key;
-                    results
-                        .get(&key)
-                        .map(|res| (r, result_rungs.get(&key).copied().unwrap_or(0), res.clone()))
+                    let (rung, result) = results.get(&plans[ui * restarts + r].key)?;
+                    Some((r, *rung, result.clone()))
                 })
                 .collect();
             if per_restart.is_empty() {
@@ -1258,18 +1243,20 @@ pub fn try_run_sweep(
                 candidates.iter().map(|&(_, _, r)| r.clone()).collect();
             let winner = pick_best(&survivors);
             let best_restart = candidates[winner].0;
+            // Evaluate-stage failures are reported against the winning run.
+            let winner_plan = &plans[ui * restarts + best_restart];
             let best = survivors[winner].clone();
             let degraded = per_restart.len() < restarts;
 
             let ukey = unit_key(
-                &name,
+                name,
                 fingerprint,
                 &unit.label,
                 restarts,
                 config.seed,
-                &policy_json,
+                policy_json,
             );
-            if let Some(rec) = cached_units.get(&ukey) {
+            if let Some(rec) = exec.unit_checkpoints.get(&ukey) {
                 return UnitStatus::Done(Box::new(UnitOutcome {
                     label: unit.label.clone(),
                     version: unit.version,
@@ -1281,18 +1268,15 @@ pub fn try_run_sweep(
                     cached: true,
                 }));
             }
-            let prior_attempts = attempts_of(ukey);
-            if prior_attempts >= max_attempts {
-                let h = &failure_history[&ukey];
-                return UnitStatus::Failed(RunFailure {
-                    version: labels[unit.version].clone(),
-                    unit: unit.label.clone(),
-                    restart: best_restart,
-                    stage: h.stage.clone(),
-                    attempt: h.attempts,
-                    retriable: false,
-                    reason: h.last_reason.clone(),
-                });
+            let prior_attempts = exec.attempts_of(ukey);
+            if prior_attempts >= exec.max_attempts {
+                let h = &exec.failure_history[&ukey];
+                return UnitStatus::Failed(exec.failure_row(
+                    winner_plan,
+                    &h.stage,
+                    h.attempts,
+                    h.last_reason.clone(),
+                ));
             }
             let t0 = Instant::now();
             let eval = match simcal::fault::guard(|| family.evaluate(unit, &best.calibration)) {
@@ -1314,15 +1298,12 @@ pub fn try_run_sweep(
                             reason: reason.clone(),
                         }));
                     }
-                    return UnitStatus::Failed(RunFailure {
-                        version: labels[unit.version].clone(),
-                        unit: unit.label.clone(),
-                        restart: best_restart,
-                        stage: "evaluate".into(),
+                    return UnitStatus::Failed(exec.failure_row(
+                        winner_plan,
+                        "evaluate",
                         attempt,
-                        retriable: attempt < max_attempts,
                         reason,
-                    });
+                    ));
                 }
             };
             let wall_secs = t0.elapsed().as_secs_f64();
@@ -1427,7 +1408,7 @@ pub fn try_run_sweep(
     if complete {
         if let (Some(l), Some(rec)) = (ledger, &outcome.recommendation) {
             log_io(l.append(&LedgerEvent::SweepCompleted {
-                family: name,
+                family: name.clone(),
                 digest: outcome.digest(),
                 chosen: rec.chosen.clone(),
             }));

@@ -6,41 +6,14 @@
 
 mod common;
 
-use common::tmp_ledger;
-use gridsim::prelude::{dataset, GridEmulatorConfig, GridSpec, GridVersion};
+use common::{tiny_grid, tmp_ledger};
 use lodsel::prelude::*;
-use simcal::prelude::{Agg, Budget, ElementMix, StructuredLoss};
+use simcal::prelude::Budget;
 
-/// A deliberately tiny family so the sweep finishes in well under a
-/// second: 16-job workloads, one repetition, all 8 versions.
+/// The pinned family: one 16-job training workload, one held out, all 8
+/// versions.
 fn tiny_family(seed: u64) -> GridFamily {
-    let cfg = GridEmulatorConfig::default();
-    let specs = [
-        GridSpec {
-            jobs: 16,
-            files: 24,
-            mean_interarrival: 4.0,
-            seed,
-            ..GridSpec::default()
-        },
-        GridSpec {
-            jobs: 16,
-            files: 24,
-            mean_interarrival: 12.0,
-            skew: 1.8,
-            seed: seed ^ 0x100,
-            ..GridSpec::default()
-        },
-    ];
-    let train = dataset(&specs[..1], &cfg, 1, seed);
-    let test = dataset(&specs[1..], &cfg, 1, seed);
-    GridFamily::new(
-        GridVersion::all(),
-        train,
-        test,
-        StructuredLoss::new(Agg::Avg, ElementMix::AddAvg, "L3"),
-        "L3",
-    )
+    tiny_grid(seed, 1)
 }
 
 fn config() -> SweepConfig {

@@ -6,10 +6,9 @@
 mod common;
 
 use common::{tmp_ledger, ToyFamily};
-use lodsel::families::wf::WfFamily;
 use lodsel::prelude::*;
 use proptest::prelude::*;
-use simcal::prelude::{Agg, Budget, ElementMix, Objective, StructuredLoss, SubsampledObjective};
+use simcal::prelude::{Agg, ElementMix, Objective, StructuredLoss};
 use wfsim::prelude::{
     dataset_for, objective, AppKind, DatasetOptions, SimulatorVersion, WfScenario,
     WorkflowSimulator,
@@ -244,13 +243,7 @@ proptest! {
         let mut total = 0.0;
         let mut count = 0usize;
         for combo in combinations(scenarios.len(), k) {
-            let sub = SubsampledObjective::new(
-                &sim,
-                &scenarios,
-                &combo,
-                loss.clone(),
-                version.parameter_space(),
-            );
+            let sub = objective(&sim, &scenarios, loss.clone()).on_subset(&combo);
             total += sub.loss(&calibration);
             count += 1;
         }
@@ -261,28 +254,4 @@ proptest! {
             "k={}: E[subset loss]={} != full {}", k, expected, full_loss
         );
     }
-}
-
-/// The family-level subset path stays bit-for-bit consistent with the
-/// schedule: a full-fidelity rung delegates to the plain calibration (so
-/// it shares its cache entries), and the subset path is deterministic.
-#[test]
-fn wf_calibrate_at_full_fidelity_matches_calibrate() {
-    let family = WfFamily::paper(true, 7);
-    let unit = &family.units()[0];
-    let budget = Budget::Evaluations(4);
-    let plain = family.calibrate(unit, budget, 11);
-    let full = family.calibrate_at(unit, budget, 11, &simcal::prelude::Fidelity::full());
-    assert_eq!(plain.calibration, full.calibration);
-    assert_eq!(plain.loss, full.loss);
-
-    let fidelity = simcal::prelude::Fidelity {
-        rung: 0,
-        scenario_denom: 4,
-        min_scenarios: 1,
-    };
-    let a = family.calibrate_at(unit, budget, 11, &fidelity);
-    let b = family.calibrate_at(unit, budget, 11, &fidelity);
-    assert_eq!(a.calibration, b.calibration);
-    assert_eq!(a.loss, b.loss);
 }

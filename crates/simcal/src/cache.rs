@@ -41,14 +41,25 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a over a byte string — the workspace's one content hash:
+/// cache shard names, subset tags, ledger checkpoint keys and family
+/// fingerprints are all built from it, so it must never change.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// FNV-1a step over whole 64-bit words (each typically an [`fnv1a`] of one
+/// component): the combiner behind [`CacheFingerprint::shard_id`] and
+/// lodsel's dataset fingerprints.
+pub fn fnv1a_fold(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(FNV_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
 }
 
 /// Canonical cache bits of one calibration component: `-0.0` folds into
@@ -112,12 +123,9 @@ impl CacheFingerprint {
     /// difference in objective, version, scenario set, or seed lands in a
     /// different file.
     pub fn shard_id(&self, seed: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for part in [self.objective, self.version, self.scenarios, seed] {
-            h ^= fnv1a(&part.to_le_bytes());
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a_fold(
+            [self.objective, self.version, self.scenarios, seed].map(|p| fnv1a(&p.to_le_bytes())),
+        )
     }
 }
 
@@ -453,6 +461,18 @@ mod tests {
         assert_eq!(canonical_key_of(&[1.0, f64::NAN, 2.0]), None);
         // Infinities are orderable and self-equal: they keep an identity.
         assert!(canonical_key_of(&[f64::INFINITY]).is_some());
+    }
+
+    #[test]
+    fn hashes_behind_on_disk_names_are_pinned() {
+        // Shard file names are these values: they must never move.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"lodcal"), 0x22ba_71a9_6a05_b824);
+        let fingerprint = CacheFingerprint::of("wf", "v0 / montage", 0x1234);
+        assert_eq!(fingerprint.shard_id(7), 0xc7c8_713a_ad63_4269);
+        // The fold behind lodsel's dataset fingerprints.
+        let parts = ["wf|loss=L1", "app=montage"].map(|p| fnv1a(p.as_bytes()));
+        assert_eq!(fnv1a_fold(parts), 0x7265_8b85_d037_8e68);
     }
 
     #[test]

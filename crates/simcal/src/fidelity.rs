@@ -10,27 +10,23 @@
 //!   of scenario indices. Membership is keyed by `(seed, rung)` only, so
 //!   a resumed sweep rebuilds bit-for-bit the same subset a fresh sweep
 //!   evaluates — the resume-equals-fresh contract extends to every rung.
-//! * [`SubsampledObjective`]: an [`Objective`] over that subset whose
-//!   loss is an *unbiased estimator* of the full objective's loss for
-//!   mean-aggregating losses: each scenario is included with equal
-//!   probability, so the expectation of the subset mean over subset
-//!   draws equals the full-set mean (see the exhaustive-enumeration
-//!   proptest). Max-style aggregations are biased low on subsets — rung
-//!   losses then underestimate, which is still a valid *ranking* signal
-//!   but not an estimate; the final rung always runs the full set either
-//!   way.
+//! * [`SimulationObjective::on_subset`]: the objective restricted to
+//!   that subset, whose loss is an *unbiased estimator* of the full
+//!   objective's loss for mean-aggregating losses: each scenario is
+//!   included with equal probability, so the expectation of the subset
+//!   mean over subset draws equals the full-set mean (see the
+//!   exhaustive-enumeration proptest). Max-style aggregations are biased
+//!   low on subsets — rung losses then underestimate, which is still a
+//!   valid *ranking* signal but not an estimate; the final rung always
+//!   runs the full set either way.
 //!
-//! The subset evaluation paths mirror [`SimulationObjective`] exactly
-//! (same fan-out shapes, same fixed-order reductions), so at full
-//! fidelity — `k == n` — the subsampled loss is bit-for-bit the full
-//! loss.
+//! A subset is a view of the one objective, not a second objective: the
+//! evaluation paths (fan-out shapes, fixed-order reductions) are the same
+//! code, so at full fidelity — `k == n` — the loss is bit-for-bit the
+//! full loss and shares its cache entries.
 //!
-//! [`SimulationObjective`]: crate::objective::SimulationObjective
+//! [`SimulationObjective::on_subset`]: crate::objective::SimulationObjective::on_subset
 
-use crate::loss::Loss;
-use crate::objective::{Objective, Simulator};
-use crate::param::{Calibration, ParameterSpace};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The fidelity one rung of a multi-fidelity sweep evaluates at: which
@@ -117,170 +113,21 @@ pub fn subset_indices(n: usize, k: usize, seed: u64, rung: usize) -> Vec<usize> 
 /// Content tag of a concrete subset, for loss-cache fingerprints: two
 /// different subsets of the same dataset must never share cache entries.
 pub fn subset_tag(indices: &[usize], full_len: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(full_len as u64);
-    mix(indices.len() as u64);
-    for &i in indices {
-        mix(i as u64);
-    }
-    h
-}
-
-/// [`Objective`] over a deterministic subset of a ground-truth dataset —
-/// the cheap-rung counterpart of
-/// [`SimulationObjective`](crate::objective::SimulationObjective), with
-/// the same evaluation paths over fewer simulator invocations.
-pub struct SubsampledObjective<'a, S: Simulator, L> {
-    simulator: &'a S,
-    subset: Vec<&'a S::Scenario>,
-    full_len: usize,
-    tag: u64,
-    loss: L,
-    space: ParameterSpace,
-    fingerprint: Option<crate::cache::CacheFingerprint>,
-}
-
-impl<'a, S: Simulator, L> SubsampledObjective<'a, S, L> {
-    /// Assemble a subset objective over `dataset[indices]`.
-    ///
-    /// # Panics
-    /// Panics if `indices` is empty or contains an out-of-range index.
-    pub fn new(
-        simulator: &'a S,
-        dataset: &'a [S::Scenario],
-        indices: &[usize],
-        loss: L,
-        space: ParameterSpace,
-    ) -> Self {
-        assert!(!indices.is_empty(), "scenario subset must be non-empty");
-        let subset: Vec<&'a S::Scenario> = indices.iter().map(|&i| &dataset[i]).collect();
-        Self {
-            simulator,
-            subset,
-            full_len: dataset.len(),
-            tag: subset_tag(indices, dataset.len()),
-            loss,
-            space,
-            fingerprint: None,
-        }
-    }
-
-    /// Declare this objective's content address, enabling the persistent
-    /// loss cache ([`crate::cache`]) for its evaluations. The caller must
-    /// fold [`SubsampledObjective::tag`] into the fingerprint so subset
-    /// losses never collide with full-set losses (or other subsets').
-    pub fn with_cache_fingerprint(mut self, fingerprint: crate::cache::CacheFingerprint) -> Self {
-        self.fingerprint = Some(fingerprint);
-        self
-    }
-
-    /// Content tag of the concrete subset (see [`subset_tag`]).
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Scenarios in the subset.
-    pub fn subset_len(&self) -> usize {
-        self.subset.len()
-    }
-
-    /// Scenarios in the full dataset this subset was drawn from.
-    pub fn full_len(&self) -> usize {
-        self.full_len
-    }
-}
-
-impl<'a, S, L> Objective for SubsampledObjective<'a, S, L>
-where
-    S: Simulator,
-    L: Loss<S::Output>,
-{
-    fn space(&self) -> &ParameterSpace {
-        &self.space
-    }
-
-    fn cache_fingerprint(&self) -> Option<crate::cache::CacheFingerprint> {
-        self.fingerprint
-    }
-
-    fn loss(&self, calibration: &Calibration) -> f64 {
-        let outputs: Vec<S::Output> = self
-            .subset
-            .iter()
-            .map(|scenario| self.simulator.run(scenario, calibration))
-            .collect();
-        self.loss.aggregate(&outputs)
-    }
-
-    fn par_loss(&self, calibration: &Calibration) -> f64 {
-        let outputs: Vec<S::Output> = self
-            .subset
-            .par_iter()
-            .map(|scenario| self.simulator.run(scenario, calibration))
-            .collect();
-        self.loss.aggregate(&outputs)
-    }
-
-    fn par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<f64> {
-        let n_scenarios = self.subset.len();
-        let product: Vec<(usize, usize)> = (0..calibrations.len())
-            .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
-            .collect();
-        let outputs: Vec<S::Output> = product
-            .par_iter()
-            .map(|&(c, s)| self.simulator.run(self.subset[s], &calibrations[c]))
-            .collect();
-        outputs
-            .chunks(n_scenarios)
-            .map(|per_point| self.loss.aggregate(per_point))
-            .collect()
-    }
-
-    fn try_par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<Result<f64, String>> {
-        let n_scenarios = self.subset.len();
-        let product: Vec<(usize, usize)> = (0..calibrations.len())
-            .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
-            .collect();
-        let outputs: Vec<Result<S::Output, String>> = product
-            .par_iter()
-            .map(|&(c, s)| {
-                crate::fault::guard(|| self.simulator.run(self.subset[s], &calibrations[c]))
-            })
-            .collect();
-        let mut outputs = outputs.into_iter();
-        (0..calibrations.len())
-            .map(|_| {
-                let mut per_point: Vec<S::Output> = Vec::with_capacity(n_scenarios);
-                let mut failed: Option<String> = None;
-                for _ in 0..n_scenarios {
-                    match outputs.next().expect("one output per product item") {
-                        Ok(output) => per_point.push(output),
-                        Err(message) => {
-                            failed.get_or_insert(message);
-                        }
-                    }
-                }
-                match failed {
-                    None => crate::fault::guard(|| self.loss.aggregate(&per_point)),
-                    Some(message) => Err(message),
-                }
-            })
-            .collect()
-    }
+    let words = [full_len, indices.len()];
+    let bytes: Vec<u8> = words
+        .iter()
+        .chain(indices)
+        .flat_map(|&v| (v as u64).to_le_bytes())
+        .collect();
+    crate::cache::fnv1a(&bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loss::{Agg, ElementMix, ScenarioError, StructuredLoss};
-    use crate::objective::SimulationObjective;
-    use crate::param::ParamKind;
+    use crate::objective::{Objective, SimulationObjective, Simulator};
+    use crate::param::{Calibration, ParamKind, ParameterSpace};
     use std::collections::HashSet;
 
     struct Toy;
@@ -356,7 +203,9 @@ mod tests {
         let dataset = vec![10.0, 20.0, 30.0, 40.0];
         let full = SimulationObjective::new(&Toy, &dataset, avg_loss(), space1());
         let indices: Vec<usize> = (0..dataset.len()).collect();
-        let sub = SubsampledObjective::new(&Toy, &dataset, &indices, avg_loss(), space1());
+        let sub =
+            SimulationObjective::new(&Toy, &dataset, avg_loss(), space1()).on_subset(&indices);
+        assert_eq!(sub.subset_tag(), None, "the identity view is untagged");
         let c = Calibration::new(vec![25.0]);
         assert_eq!(full.loss(&c).to_bits(), sub.loss(&c).to_bits());
         assert_eq!(full.par_loss(&c).to_bits(), sub.par_loss(&c).to_bits());
@@ -365,6 +214,37 @@ mod tests {
         let sb = sub.par_loss_batch(&batch);
         assert_eq!(fb[0].to_bits(), sb[0].to_bits());
         assert_eq!(fb[1].to_bits(), sb[1].to_bits());
+        let ft = full.try_par_loss_batch(&batch);
+        let st = sub.try_par_loss_batch(&batch);
+        assert_eq!(ft, st);
+        assert_eq!(ft[0].as_ref().unwrap().to_bits(), fb[0].to_bits());
+    }
+
+    #[test]
+    fn proper_subsets_are_tagged_and_evaluate_only_their_scenarios() {
+        let dataset = vec![10.0, 20.0, 30.0, 40.0];
+        let sub = SimulationObjective::new(&Toy, &dataset, avg_loss(), space1()).on_subset(&[1, 3]);
+        assert_eq!(sub.subset_tag(), Some(subset_tag(&[1, 3], 4)));
+        assert_eq!(sub.dataset_len(), 2);
+        let picked = vec![20.0, 40.0];
+        let direct = SimulationObjective::new(&Toy, &picked, avg_loss(), space1());
+        let batch = vec![Calibration::new(vec![10.0]), Calibration::new(vec![35.0])];
+        for c in &batch {
+            assert_eq!(sub.loss(c).to_bits(), direct.loss(c).to_bits());
+            assert_eq!(sub.par_loss(c).to_bits(), direct.loss(c).to_bits());
+        }
+        assert_eq!(sub.par_loss_batch(&batch), direct.par_loss_batch(&batch));
+        assert_eq!(
+            sub.try_par_loss_batch(&batch),
+            direct.try_par_loss_batch(&batch)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn empty_subset_is_rejected() {
+        let dataset = vec![10.0];
+        let _ = SimulationObjective::new(&Toy, &dataset, avg_loss(), space1()).on_subset(&[]);
     }
 
     #[test]
@@ -380,7 +260,8 @@ mod tests {
             let mut total = 0.0;
             let mut count = 0usize;
             for combo in combinations(dataset.len(), k) {
-                let sub = SubsampledObjective::new(&Toy, &dataset, &combo, avg_loss(), space1());
+                let sub = SimulationObjective::new(&Toy, &dataset, avg_loss(), space1())
+                    .on_subset(&combo);
                 total += sub.loss(&c);
                 count += 1;
             }
@@ -399,6 +280,8 @@ mod tests {
         assert_ne!(a, subset_tag(&[0, 1, 3], 10));
         assert_ne!(a, subset_tag(&[0, 1, 2], 11));
         assert_ne!(subset_tag(&[0, 1], 10), subset_tag(&[0, 1, 2], 10));
+        // On-disk key: `label#sub<tag>` names loss-cache shards.
+        assert_eq!(a, 0xefd8_811b_ad41_518f);
     }
 
     /// All k-combinations of 0..n, in lexicographic order.

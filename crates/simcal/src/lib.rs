@@ -29,8 +29,9 @@
 //!   [`fault::EvalFailure`] quarantine taxonomy, and the deterministic
 //!   [`fault::FaultPlan`] injection harness behind the chaos tests;
 //! - [`fidelity`] — deterministic scenario subsampling
-//!   ([`fidelity::SubsampledObjective`]) for the cheap rungs of
-//!   multi-fidelity (successive-halving) sweeps;
+//!   ([`fidelity::Fidelity`], evaluated through
+//!   [`objective::SimulationObjective::on_subset`]) for the cheap rungs
+//!   of multi-fidelity (successive-halving) sweeps;
 //! - [`quota`] — per-tenant evaluation-budget accounting
 //!   ([`quota::QuotaBook`]) for multi-tenant calibration services;
 //! - [`calibrate`] — the top-level [`calibrate::Calibrator`] driver;
@@ -85,10 +86,12 @@ pub mod prelude {
         AlgorithmKind, BayesianOpt, GradientDescent, GridSearch, RandomSearch, SearchAlgorithm,
     };
     pub use crate::budget::{Budget, Evaluator, TracePoint};
-    pub use crate::cache::{CacheFingerprint, CacheRecord, CachedOutcome, DiskCache};
+    pub use crate::cache::{
+        fnv1a, fnv1a_fold, CacheFingerprint, CacheRecord, CachedOutcome, DiskCache,
+    };
     pub use crate::calibrate::{CalibrationFailed, CalibrationResult, Calibrator};
     pub use crate::fault::{EvalFailure, FaultKind, FaultPlan};
-    pub use crate::fidelity::{subset_indices, subset_tag, Fidelity, SubsampledObjective};
+    pub use crate::fidelity::{subset_indices, subset_tag, Fidelity};
     pub use crate::loss::{
         relative_error, Agg, ElementMix, Loss, MatrixLoss, ScenarioError, StructuredLoss,
     };

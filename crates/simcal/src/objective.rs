@@ -100,9 +100,19 @@ pub trait Simulator: Sync {
 /// [`Objective`] assembled from a simulator, a ground-truth dataset, and a
 /// loss function — one simulator invocation per data point per evaluation,
 /// exactly the cost structure the paper's time-budget discussion assumes.
+///
+/// The objective evaluates over an index *view* of its dataset: the whole
+/// dataset by default, or the subset [`SimulationObjective::on_subset`]
+/// selects (the cheap rungs of multi-fidelity sweeps,
+/// [`crate::fidelity`]). Every evaluation path reduces the view in dataset
+/// order, so the identity view is bit-for-bit the plain objective.
 pub struct SimulationObjective<'a, S: Simulator, L> {
     simulator: &'a S,
     dataset: &'a [S::Scenario],
+    /// The scenarios an evaluation runs, in dataset order.
+    view: Vec<&'a S::Scenario>,
+    /// [`crate::fidelity::subset_tag`] of a proper-subset view.
+    subset_tag: Option<u64>,
     loss: L,
     space: ParameterSpace,
     fingerprint: Option<crate::cache::CacheFingerprint>,
@@ -124,6 +134,8 @@ impl<'a, S: Simulator, L> SimulationObjective<'a, S, L> {
         Self {
             simulator,
             dataset,
+            view: dataset.iter().collect(),
+            subset_tag: None,
             loss,
             space,
             fingerprint: None,
@@ -138,10 +150,38 @@ impl<'a, S: Simulator, L> SimulationObjective<'a, S, L> {
         self
     }
 
-    /// Number of ground-truth data points (simulator invocations per loss
-    /// evaluation).
+    /// Restrict evaluation to `dataset[indices]` (ascending indices keep
+    /// the reduction in dataset order). A proper subset carries a
+    /// [`SimulationObjective::subset_tag`], which the caller must fold
+    /// into the cache fingerprint it declares so subset losses never
+    /// collide with full-set losses (or other subsets'); the identity
+    /// view stays untagged and shares the full objective's cache entries.
+    /// Declare the fingerprint after restricting: a fingerprint set
+    /// earlier is dropped.
+    ///
+    /// # Panics
+    /// Panics if `indices` is empty or contains an out-of-range index.
+    pub fn on_subset(mut self, indices: &[usize]) -> Self {
+        assert!(!indices.is_empty(), "scenario subset must be non-empty");
+        let dataset = self.dataset;
+        let full = indices.iter().copied().eq(0..dataset.len());
+        self.view = indices.iter().map(|&i| &dataset[i]).collect();
+        self.subset_tag = (!full).then(|| crate::fidelity::subset_tag(indices, dataset.len()));
+        // A fingerprint declared for another view must not outlive it.
+        self.fingerprint = None;
+        self
+    }
+
+    /// Content tag of the view when it is a proper subset of the dataset,
+    /// `None` for the full dataset.
+    pub fn subset_tag(&self) -> Option<u64> {
+        self.subset_tag
+    }
+
+    /// Number of ground-truth data points in the view (simulator
+    /// invocations per loss evaluation).
     pub fn dataset_len(&self) -> usize {
-        self.dataset.len()
+        self.view.len()
     }
 }
 
@@ -160,7 +200,7 @@ where
 
     fn loss(&self, calibration: &Calibration) -> f64 {
         let outputs: Vec<S::Output> = self
-            .dataset
+            .view
             .iter()
             .map(|scenario| self.simulator.run(scenario, calibration))
             .collect();
@@ -172,7 +212,7 @@ where
     /// aggregation sees exactly the sequence the sequential path builds.
     fn par_loss(&self, calibration: &Calibration) -> f64 {
         let outputs: Vec<S::Output> = self
-            .dataset
+            .view
             .par_iter()
             .map(|scenario| self.simulator.run(scenario, calibration))
             .collect();
@@ -186,13 +226,13 @@ where
     /// input order and aggregated sequentially, preserving bit-for-bit
     /// equality with [`Objective::loss`].
     fn par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<f64> {
-        let n_scenarios = self.dataset.len();
+        let n_scenarios = self.view.len();
         let product: Vec<(usize, usize)> = (0..calibrations.len())
             .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
             .collect();
         let outputs: Vec<S::Output> = product
             .par_iter()
-            .map(|&(c, s)| self.simulator.run(&self.dataset[s], &calibrations[c]))
+            .map(|&(c, s)| self.simulator.run(self.view[s], &calibrations[c]))
             .collect();
         outputs
             .chunks(n_scenarios)
@@ -207,14 +247,14 @@ where
     /// dataset order wins), while the other points aggregate exactly the
     /// output sequence the unguarded path builds.
     fn try_par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<Result<f64, String>> {
-        let n_scenarios = self.dataset.len();
+        let n_scenarios = self.view.len();
         let product: Vec<(usize, usize)> = (0..calibrations.len())
             .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
             .collect();
         let outputs: Vec<Result<S::Output, String>> = product
             .par_iter()
             .map(|&(c, s)| {
-                crate::fault::guard(|| self.simulator.run(&self.dataset[s], &calibrations[c]))
+                crate::fault::guard(|| self.simulator.run(self.view[s], &calibrations[c]))
             })
             .collect();
         let mut outputs = outputs.into_iter();
