@@ -24,6 +24,8 @@ impl Client {
     /// Connect and complete the Hello exchange.
     pub fn connect(addr: &str) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Frames are small and each waits for its answer: never batch them.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = Self {
             reader: BufReader::new(stream),

@@ -774,6 +774,8 @@ fn handle_watch(shared: &Shared, id: u64, out: &mut TcpStream) -> io::Result<()>
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
+    // Frames are small and each answers a waiting client: never batch them.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
 

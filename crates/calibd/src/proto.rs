@@ -303,12 +303,15 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Serialize `value` as one frame line and flush it.
+/// Serialize `value` as one frame line and flush it. The line and its
+/// newline go out in one write: on a socket, a frame split over two small
+/// writes has its second half held back by Nagle's algorithm until the
+/// peer's delayed ACK arrives.
 pub fn write_frame<T: Serialize>(writer: &mut impl Write, value: &T) -> io::Result<()> {
-    let line = serde_json::to_string(value)
+    let mut line = serde_json::to_string(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -440,5 +443,32 @@ mod tests {
             Some("calibd_runs_completed")
         );
         assert_eq!(e.get("value").and_then(Value::as_f64), Some(7.0));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // Two writes per frame stall every request/response on an
+        // un-tuned socket (Nagle holds the second until the delayed ACK).
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut out, &Request::Status { job: Some(3) }).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"{\"Status\":{\"job\":3}}\n");
     }
 }

@@ -258,6 +258,36 @@ pub fn render_report(trace: &TraceFile) -> String {
         out.push_str(&t.render());
     }
 
+    // What the run spans (the body of the `calibrate` phase) spent their
+    // time on: simulator + evaluator, surrogate fit, acquisition.
+    let mut runs = trace.spans.iter().filter(|s| s.name == "run").peekable();
+    if runs.peek().is_some() {
+        let run_us: u64 = runs.map(|s| s.dur_us).sum();
+        let mut t = Table::new(&["inside run spans", "total (s)", "% of runs"]);
+        let mut rest = run_us;
+        for (label, hist) in [
+            ("evaluations", obs::Hist::EvalLatency),
+            ("surrogate fit", obs::Hist::SurrogateFit),
+            ("acquisition", obs::Hist::Acquisition),
+        ] {
+            let secs = trace
+                .histograms
+                .iter()
+                .find(|h| h.name == hist.name())
+                .map_or(0.0, |h| h.sum_secs);
+            let us = (secs * 1e6) as u64;
+            rest = rest.saturating_sub(us);
+            t.row(vec![label.into(), fnum(secs), pct_of(us, run_us)]);
+        }
+        t.row(vec![
+            "(other)".into(),
+            fnum(rest as f64 * 1e-6),
+            pct_of(rest, run_us),
+        ]);
+        out.push('\n');
+        out.push_str(&t.render());
+    }
+
     if !trace.counters.is_empty() {
         let mut t = Table::new(&["counter", "value"]);
         for (name, value) in &trace.counters {
@@ -336,6 +366,8 @@ mod tests {
         rec.span_end(sweep);
         rec.add(obs::Counter::EvalCacheMisses, 7);
         rec.observe(obs::Hist::EvalLatency, 0.002);
+        rec.observe(obs::Hist::SurrogateFit, 0.25);
+        rec.observe(obs::Hist::Acquisition, 0.5);
         rec.to_jsonl()
     }
 
@@ -354,6 +386,11 @@ mod tests {
         assert!(text.contains("evaluate"));
         assert!(text.contains("run"));
         assert!(text.contains("eval_latency_secs: 1 obs"));
+        // The run spans are explained by the three sums.
+        for (label, secs) in [("surrogate fit", "0.25"), ("acquisition", "0.50")] {
+            let line = text.lines().find(|l| l.starts_with(label)).unwrap();
+            assert!(line.contains(secs), "{line}");
+        }
     }
 
     #[test]

@@ -96,7 +96,8 @@ fn recorded_trace_matches_the_documented_schema() {
     expected.sort_unstable();
     counter_names.sort_unstable();
     assert_eq!(counter_names, expected);
-    assert_eq!(hist_names, vec![Hist::EvalLatency.name()]);
+    let expected_hists: Vec<&str> = Hist::ALL.iter().map(|h| h.name()).collect();
+    assert_eq!(hist_names, expected_hists);
 
     // The file round-trips through the --trace-report parser and the
     // per-phase rows cover the root span's wall time.

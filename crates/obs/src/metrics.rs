@@ -52,11 +52,17 @@ pub enum Counter {
     JobsQueued,
     /// Jobs promoted from the queue to active execution.
     JobsActive,
+    /// Cholesky rows the Gaussian-process surrogate factored during
+    /// fits, summed over its length scales.
+    GpRowsFactored,
+    /// Cholesky rows a Gaussian-process fit kept from the previous fit
+    /// (same leading training points), summed over its length scales.
+    GpRowsReused,
 }
 
 impl Counter {
     /// All counters, in trace-emission order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 20] = [
         Counter::KernelEvents,
         Counter::KernelHeapReinserts,
         Counter::KernelSharingResolves,
@@ -75,6 +81,8 @@ impl Counter {
         Counter::JobsAccepted,
         Counter::JobsQueued,
         Counter::JobsActive,
+        Counter::GpRowsFactored,
+        Counter::GpRowsReused,
     ];
 
     /// Stable snake_case name used in the JSONL trace.
@@ -98,6 +106,8 @@ impl Counter {
             Counter::JobsAccepted => "calibd_jobs_accepted",
             Counter::JobsQueued => "calibd_jobs_queued",
             Counter::JobsActive => "calibd_jobs_active",
+            Counter::GpRowsFactored => "gp_rows_factored",
+            Counter::GpRowsReused => "gp_rows_reused",
         }
     }
 
@@ -113,16 +123,25 @@ pub enum Hist {
     /// Wall-clock seconds per objective evaluation (one calibration
     /// point simulated across all its scenarios).
     EvalLatency,
+    /// Wall-clock seconds per surrogate fit (one per Bayesian-
+    /// optimization iteration).
+    SurrogateFit,
+    /// Wall-clock seconds per acquisition step of a Bayesian-
+    /// optimization iteration: candidate generation, surrogate
+    /// predictions, and ranking.
+    Acquisition,
 }
 
 impl Hist {
     /// All histograms, in trace-emission order.
-    pub const ALL: [Hist; 1] = [Hist::EvalLatency];
+    pub const ALL: [Hist; 3] = [Hist::EvalLatency, Hist::SurrogateFit, Hist::Acquisition];
 
     /// Stable snake_case name used in the JSONL trace.
     pub fn name(self) -> &'static str {
         match self {
             Hist::EvalLatency => "eval_latency_secs",
+            Hist::SurrogateFit => "surrogate_fit_secs",
+            Hist::Acquisition => "acquisition_secs",
         }
     }
 

@@ -12,6 +12,7 @@ use crate::surrogate::SurrogateKind;
 use numeric::{norm_cdf, norm_pdf, rng_from_seed};
 use rand::Rng;
 use rayon::prelude::*;
+use std::time::Instant;
 
 /// Bayesian optimization with a pluggable surrogate.
 #[derive(Clone, Debug)]
@@ -85,67 +86,44 @@ impl SearchAlgorithm for BayesianOpt {
         let dim = evaluator.space().dim();
         let mut rng = rng_from_seed(seed);
 
-        // Warm-start observations participate in every surrogate fit but
-        // are never evaluated and never consume budget.
-        let warm: Vec<(Vec<f64>, f64)> = self
+        // The surrogate's fit set: warm-start observations (which
+        // participate in every fit but are never evaluated and never
+        // consume budget), then this run's finite observations in
+        // evaluation order.
+        let (mut fit_xs, mut fit_ys): (Vec<Vec<f64>>, Vec<f64>) = self
             .warm_start
             .iter()
             .filter(|(x, y)| x.len() == dim && y.is_finite())
             .cloned()
-            .collect();
-
-        // Observation history (unit points and losses).
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
+            .unzip();
 
         // Initial design: uniform random.
         let init: Vec<Vec<f64>> = (0..self.n_initial.max(2))
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
-        match evaluator.eval_batch(&init) {
-            Some(losses) => {
-                let n = losses.len();
-                xs.extend_from_slice(&init[..n]);
-                ys.extend(losses);
-            }
-            None => return,
+        if !evaluate_into(evaluator, &init, &mut fit_xs, &mut fit_ys) {
+            return;
         }
 
         let mut surrogate = self.surrogate.build(seed ^ 0x5eed);
         while !evaluator.exhausted() {
-            // Quarantined evaluations surface as +inf losses (and a
-            // custom evaluator could hand back NaN); non-finite pairs
-            // must never reach the surrogate fit or pick the incumbent —
-            // in release builds they would silently poison every
-            // subsequent prediction. In the fault-free case the filter
-            // is a no-op, so trajectories are unchanged.
-            let (fit_xs, fit_ys): (Vec<Vec<f64>>, Vec<f64>) = warm
-                .iter()
-                .map(|(x, y)| (x.clone(), *y))
-                .chain(
-                    xs.iter()
-                        .zip(&ys)
-                        .filter(|&(_, y)| y.is_finite())
-                        .map(|(x, &y)| (x.clone(), y)),
-                )
-                .unzip();
             if fit_xs.is_empty() {
                 // Every evaluation so far failed: nothing to model, so
                 // explore uniformly at random until something survives.
                 let batch: Vec<Vec<f64>> = (0..self.batch_size.max(1))
                     .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
                     .collect();
-                match evaluator.eval_batch(&batch) {
-                    Some(losses) => {
-                        let n = losses.len();
-                        xs.extend_from_slice(&batch[..n]);
-                        ys.extend(losses);
-                    }
-                    None => return,
+                if !evaluate_into(evaluator, &batch, &mut fit_xs, &mut fit_ys) {
+                    return;
                 }
                 continue;
             }
+            let fit_started = obs::enabled().then(Instant::now);
             surrogate.fit(&fit_xs, &fit_ys);
+            let acquisition_started = fit_started.map(|t| {
+                obs::observe(obs::Hist::SurrogateFit, t.elapsed().as_secs_f64());
+                Instant::now()
+            });
             let best_y = fit_ys.iter().copied().fold(f64::INFINITY, f64::min);
             let best_x = fit_xs[numeric::argmin(&fit_ys).expect("non-empty history")].clone();
 
@@ -189,19 +167,25 @@ impl SearchAlgorithm for BayesianOpt {
             // predicted mean (greedy exploitation). A pure-EI batch tends
             // to chase high-uncertainty corners of a 10-D cube forever; the
             // greedy half keeps refining the incumbent basin.
-            // Scoring 512 candidates against a GP over a growing history
-            // is the one surrogate-side hot spot; predictions are
+            // Scoring the candidates against a GP over a growing history
+            // is the one surrogate-side hot spot; blocks of candidates are
             // independent, so fan them into the pool (collection stays in
             // candidate order, keeping the acquisition sort deterministic).
-            let preds: Vec<(f64, f64)> = candidates
+            let blocks: Vec<&[Vec<f64>]> = candidates.chunks(SCORING_BLOCK).collect();
+            let scored: Vec<Vec<(f64, f64)>> = blocks
                 .par_iter()
-                .map(|c| surrogate.predict(c))
+                .map(|block| surrogate.predict_batch(block))
+                .collect();
+            let preds: Vec<(f64, f64)> = scored.into_iter().flatten().collect();
+            let ei: Vec<f64> = preds
+                .iter()
+                .map(|&(mean, std)| expected_improvement(mean, std, best_y))
                 .collect();
             let mut by_ei: Vec<usize> = (0..candidates.len()).collect();
             by_ei.sort_by(|&a, &b| {
-                let ea = expected_improvement(preds[a].0, preds[a].1, best_y);
-                let eb = expected_improvement(preds[b].0, preds[b].1, best_y);
-                eb.partial_cmp(&ea).unwrap_or(std::cmp::Ordering::Equal)
+                ei[b]
+                    .partial_cmp(&ei[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
             });
             let mut by_mean: Vec<usize> = (0..candidates.len()).collect();
             by_mean.sort_by(|&a, &b| {
@@ -226,17 +210,45 @@ impl SearchAlgorithm for BayesianOpt {
                 }
             }
             let batch: Vec<Vec<f64>> = chosen.iter().map(|&i| candidates[i].clone()).collect();
+            if let Some(t) = acquisition_started {
+                obs::observe(obs::Hist::Acquisition, t.elapsed().as_secs_f64());
+            }
 
-            match evaluator.eval_batch(&batch) {
-                Some(losses) => {
-                    let n = losses.len();
-                    xs.extend_from_slice(&batch[..n]);
-                    ys.extend(losses);
-                }
-                None => return,
+            if !evaluate_into(evaluator, &batch, &mut fit_xs, &mut fit_ys) {
+                return;
             }
         }
     }
+}
+
+/// Candidates handed to one `predict_batch` call: a multiple of any
+/// surrogate's internal block width, and several calls per pool thread.
+const SCORING_BLOCK: usize = 64;
+
+/// Evaluate `points` and append the finite `(point, loss)` pairs to the
+/// fit set; `false` once the budget admits nothing more.
+///
+/// Quarantined evaluations surface as +inf losses (and a custom evaluator
+/// could hand back NaN); non-finite pairs must never reach the surrogate
+/// fit or pick the incumbent — in release builds they would silently
+/// poison every subsequent prediction. In the fault-free case the filter
+/// is a no-op, so trajectories are unchanged.
+fn evaluate_into(
+    evaluator: &Evaluator<'_>,
+    points: &[Vec<f64>],
+    fit_xs: &mut Vec<Vec<f64>>,
+    fit_ys: &mut Vec<f64>,
+) -> bool {
+    let Some(losses) = evaluator.eval_batch(points) else {
+        return false;
+    };
+    for (x, y) in points.iter().zip(losses) {
+        if y.is_finite() {
+            fit_xs.push(x.clone());
+            fit_ys.push(y);
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -406,6 +418,48 @@ mod tests {
         // objective at the reported unit point.
         assert!((loss - f(&unit)).abs() < 1e-12);
         assert!(loss < 0.05, "warm-started search should home in: {loss}");
+    }
+
+    /// FNV-1a over the bits of every `(point, loss)` the objective was
+    /// asked for during one BO-GP run of 400 evaluations. The batch is
+    /// evaluated on the pool, so the records are sorted before hashing.
+    fn trajectory_digest(warm: Vec<(Vec<f64>, f64)>) -> u64 {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let obj = make_objective(4, |v| {
+            let loss = v
+                .iter()
+                .enumerate()
+                .map(|(i, x)| (x - 0.2 - 0.15 * i as f64).powi(2))
+                .sum::<f64>()
+                + 0.1 * (9.0 * v[0]).sin() * (5.0 * v[3]).cos();
+            let mut record: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+            record.push(loss.to_bits());
+            seen.lock().unwrap().push(record);
+            loss
+        });
+        let ev = Evaluator::new(&obj, Budget::Evaluations(400));
+        BayesianOpt::new(SurrogateKind::GaussianProcess)
+            .with_warm_start(warm)
+            .search(&ev, 2025);
+        assert_eq!(ev.evaluations(), 400);
+        let mut records = std::mem::take(&mut *seen.lock().unwrap());
+        records.sort_unstable();
+        crate::cache::fnv1a_fold(records.into_iter().flatten())
+    }
+
+    #[test]
+    fn bo_gp_trajectory_past_the_cap_is_pinned() {
+        // The only pinned run whose history crosses the GP's point cap
+        // (16 + 48 x 8 evaluations against `max_points` 200). Both values
+        // were recorded before the GP learned to keep its factors between
+        // fits and must never be re-recorded.
+        assert_eq!(trajectory_digest(Vec::new()), 0xa9dd_8938_2fab_0453);
+        let warm = vec![
+            (vec![0.2, 0.35, 0.5, 0.65], 0.01),
+            (vec![0.25, 0.3, 0.55, 0.6], 0.02),
+            (vec![0.9, 0.9, 0.1, 0.1], 1.4),
+        ];
+        assert_eq!(trajectory_digest(warm), 0xcd85_6a13_21d9_8549);
     }
 
     #[test]

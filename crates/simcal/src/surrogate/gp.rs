@@ -4,9 +4,23 @@
 //! from a small grid by log marginal likelihood, which is the behaviour
 //! that matters for BO (adapting to how wiggly the loss landscape is)
 //! without a full hyperparameter optimizer.
+//!
+//! A model keeps its training points and one Cholesky factor per length
+//! scale between fits. Row `i` of a factor depends only on training
+//! points `0..=i`, so a fit keeps the rows of the longest prefix its
+//! point list shares with the previous one and factors only the rest —
+//! bit for bit what factoring everything again would give. BO histories
+//! only grow, so below `max_points` each fit factors just the new batch;
+//! above it the best-half/recent-half subsample reshuffles early
+//! positions nearly every fit and almost everything is factored again.
 
 use super::Surrogate;
-use numeric::Matrix;
+use numeric::Cholesky;
+
+/// Queries per block triangular solve: enough independent dependency
+/// chains to hide the latency of one, few enough that a block of kernel
+/// columns (`points x W` values) stays in L1.
+const W: usize = 8;
 
 /// Gaussian process with kernel
 /// `k(a, b) = exp(-||a - b||^2 / (2 l^2)) + noise * 1{a == b}` over
@@ -19,15 +33,27 @@ pub struct GaussianProcess {
     pub noise: f64,
     /// Cap on training points; the most recent and best points are kept.
     pub max_points: usize,
-    fitted: Option<Fitted>,
+    model: Option<Model>,
 }
 
+/// What a fit leaves behind: the posterior at the winning length scale,
+/// and the points and factors the next fit may build on.
 #[derive(Clone, Debug)]
-struct Fitted {
+struct Model {
+    /// The hyperparameters the factors were built with; a fit under any
+    /// other values starts from nothing.
+    length_scales: Vec<f64>,
+    noise: f64,
+    max_points: usize,
+    /// Training points (after subsampling).
     x: Vec<Vec<f64>>,
+    /// One factor per length scale over the kernel matrix of `x`; a
+    /// factor with fewer rows than `x` stopped at a row that is not
+    /// positive definite at its scale.
+    factors: Vec<Cholesky>,
+    /// Index of the length scale with the highest marginal likelihood.
+    best: usize,
     alpha: Vec<f64>,
-    chol: numeric::Cholesky,
-    length_scale: f64,
     y_mean: f64,
     y_std: f64,
 }
@@ -38,7 +64,7 @@ impl Default for GaussianProcess {
             length_scales: vec![0.05, 0.1, 0.2, 0.5, 1.0],
             noise: 1e-6,
             max_points: 200,
-            fitted: None,
+            model: None,
         }
     }
 }
@@ -47,49 +73,74 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 impl GaussianProcess {
-    /// Subsample training data to `max_points`: keep the `max_points / 2`
-    /// best (lowest-y) points plus the most recent remainder. BO cares most
-    /// about modelling the promising region and the frontier.
-    fn subsample<'a>(&self, x: &'a [Vec<f64>], y: &'a [f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
-        if x.len() <= self.max_points {
-            return (x.to_vec(), y.to_vec());
+    /// Indices (ascending) of the training data kept under `max_points`:
+    /// the `max_points / 2` best (lowest-y) points plus the most recent
+    /// remainder. BO cares most about modelling the promising region and
+    /// the frontier.
+    fn subsample(&self, y: &[f64]) -> Vec<usize> {
+        if y.len() <= self.max_points {
+            return (0..y.len()).collect();
         }
         let keep_best = self.max_points / 2;
-        let mut order: Vec<usize> = (0..x.len()).collect();
+        let mut order: Vec<usize> = (0..y.len()).collect();
         order.sort_by(|&a, &b| y[a].partial_cmp(&y[b]).unwrap_or(std::cmp::Ordering::Equal));
         let mut selected: Vec<usize> = order[..keep_best].to_vec();
-        let recent_start = x.len() - (self.max_points - keep_best);
-        for i in recent_start..x.len() {
+        let recent_start = y.len() - (self.max_points - keep_best);
+        for i in recent_start..y.len() {
             if !selected.contains(&i) {
                 selected.push(i);
             }
         }
         selected.sort_unstable();
         selected.truncate(self.max_points);
-        (
-            selected.iter().map(|&i| x[i].clone()).collect(),
-            selected.iter().map(|&i| y[i]).collect(),
-        )
+        selected
     }
 
-    fn fit_at_scale(
-        x: &[Vec<f64>],
-        ys: &[f64],
-        l: f64,
-        noise: f64,
-    ) -> Option<(numeric::Cholesky, Vec<f64>, f64)> {
-        let n = x.len();
-        let mut k =
-            Matrix::from_symmetric_fn(n, |i, j| (-sq_dist(&x[i], &x[j]) / (2.0 * l * l)).exp());
-        k.add_diagonal(noise + 1e-10);
-        let chol = k.cholesky()?;
-        let alpha = chol.solve(ys);
-        // log marginal likelihood = -0.5 y^T alpha - 0.5 log det K - n/2 log 2pi
-        let lml = -0.5 * ys.iter().zip(&alpha).map(|(a, b)| a * b).sum::<f64>()
-            - 0.5 * chol.log_det()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        Some((chol, alpha, lml))
+    /// The model of the previous fit if its factors are valid under the
+    /// current hyperparameters, else one with no points and empty factors.
+    fn reusable_model(&mut self) -> Model {
+        self.model
+            .take()
+            .filter(|m| {
+                same_bits(&m.length_scales, &self.length_scales)
+                    && m.noise.to_bits() == self.noise.to_bits()
+                    && m.max_points == self.max_points
+            })
+            .unwrap_or_else(|| Model {
+                length_scales: self.length_scales.clone(),
+                noise: self.noise,
+                max_points: self.max_points,
+                x: Vec::new(),
+                factors: vec![Cholesky::default(); self.length_scales.len()],
+                best: 0,
+                alpha: Vec::new(),
+                y_mean: 0.0,
+                y_std: 1.0,
+            })
+    }
+
+    /// Posterior mean and standard deviation at `N` queries at once: one
+    /// pass over the training points for the kernel columns, one block
+    /// forward substitution for the variances.
+    fn predict_block<const N: usize>(&self, queries: [&[f64]; N]) -> [(f64, f64); N] {
+        let m = self.model.as_ref().expect("predict before fit");
+        let l = m.length_scales[m.best];
+        let mut k: Vec<[f64; N]> =
+            m.x.iter()
+                .map(|xi| queries.map(|q| (-sq_dist(xi, q) / (2.0 * l * l)).exp()))
+                .collect();
+        let mean_std: [f64; N] =
+            std::array::from_fn(|w| k.iter().zip(&m.alpha).map(|(k, a)| k[w] * a).sum::<f64>());
+        m.factors[m.best].solve_lower_block(&mut k);
+        std::array::from_fn(|w| {
+            let var = (1.0 + self.noise - k.iter().map(|v| v[w] * v[w]).sum::<f64>()).max(0.0);
+            (m.y_mean + m.y_std * mean_std[w], m.y_std * var.sqrt())
+        })
     }
 }
 
@@ -97,49 +148,93 @@ impl Surrogate for GaussianProcess {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
-        let (x, y) = self.subsample(x, y);
+        let selected = self.subsample(y);
+        let n = selected.len();
+        let mut m = self.reusable_model();
 
-        let y_mean = numeric::mean(&y);
-        let y_std = numeric::std_dev(&y).max(1e-12);
-        let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
+        // Keep the longest prefix of training points that is bitwise the
+        // same as last time, and the factor rows that belong to it.
+        let prefix =
+            m.x.iter()
+                .zip(&selected)
+                .take_while(|&(kept, &i)| same_bits(kept, &x[i]))
+                .count();
+        m.x.truncate(prefix);
+        m.x.extend(selected[prefix..].iter().map(|&i| x[i].clone()));
+        let mut reused = 0;
+        for factor in &mut m.factors {
+            factor.truncate(prefix);
+            reused += factor.dim();
+        }
 
-        let mut best: Option<(f64, numeric::Cholesky, Vec<f64>, f64)> = None;
-        for &l in &self.length_scales {
-            if let Some((chol, alpha, lml)) = Self::fit_at_scale(&x, &ys, l, self.noise) {
-                if best.as_ref().is_none_or(|(b, ..)| lml > *b) {
-                    best = Some((lml, chol, alpha, l));
+        // Factor the remaining rows, each distance row computed once for
+        // all scales. A scale whose row is rejected keeps its shorter
+        // factor and sits out the rows after it.
+        let first = m.factors.iter().map(Cholesky::dim).min().unwrap_or(n);
+        let mut dist: Vec<f64> = Vec::with_capacity(n);
+        let mut row: Vec<f64> = Vec::with_capacity(n);
+        for i in first..n {
+            dist.clear();
+            dist.extend(m.x[..=i].iter().map(|xj| sq_dist(&m.x[i], xj)));
+            for (factor, &l) in m.factors.iter_mut().zip(&m.length_scales) {
+                if factor.dim() != i {
+                    continue;
                 }
+                row.clear();
+                row.extend(dist.iter().map(|d| (-d / (2.0 * l * l)).exp()));
+                row[i] += m.noise + 1e-10;
+                factor.push_row(&row);
             }
         }
-        let (_, chol, alpha, length_scale) =
-            best.expect("at least one length scale must yield a PD kernel");
-        self.fitted = Some(Fitted {
-            x,
-            alpha,
-            chol,
-            length_scale,
-            y_mean,
-            y_std,
-        });
+        if obs::enabled() {
+            let rows: usize = m.factors.iter().map(Cholesky::dim).sum();
+            obs::counter(obs::Counter::GpRowsReused, reused as u64);
+            obs::counter(obs::Counter::GpRowsFactored, (rows - reused) as u64);
+        }
+
+        let targets: Vec<f64> = selected.iter().map(|&i| y[i]).collect();
+        m.y_mean = numeric::mean(&targets);
+        m.y_std = numeric::std_dev(&targets).max(1e-12);
+        let ys: Vec<f64> = targets.iter().map(|v| (v - m.y_mean) / m.y_std).collect();
+
+        let mut best: Option<(f64, usize, Vec<f64>)> = None;
+        for (scale, factor) in m.factors.iter().enumerate() {
+            if factor.dim() < n {
+                continue;
+            }
+            let alpha = factor.solve(&ys);
+            // log marginal likelihood = -0.5 y^T alpha - 0.5 log det K - n/2 log 2pi
+            let lml = -0.5 * ys.iter().zip(&alpha).map(|(a, b)| a * b).sum::<f64>()
+                - 0.5 * factor.log_det()
+                - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+            if best.as_ref().is_none_or(|(b, ..)| lml > *b) {
+                best = Some((lml, scale, alpha));
+            }
+        }
+        (_, m.best, m.alpha) = best.expect("at least one length scale must yield a PD kernel");
+        self.model = Some(m);
     }
 
     fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let f = self.fitted.as_ref().expect("predict before fit");
-        let l = f.length_scale;
-        let kstar: Vec<f64> =
-            f.x.iter()
-                .map(|xi| (-sq_dist(xi, x) / (2.0 * l * l)).exp())
-                .collect();
-        let mean_std = kstar.iter().zip(&f.alpha).map(|(a, b)| a * b).sum::<f64>();
-        let v = f.chol.solve_lower(&kstar);
-        let var = (1.0 + self.noise - v.iter().map(|x| x * x).sum::<f64>()).max(0.0);
-        (f.y_mean + f.y_std * mean_std, f.y_std * var.sqrt())
+        self.predict_block([x])[0]
+    }
+
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let mut out = Vec::with_capacity(xs.len());
+        for chunk in xs.chunks(W) {
+            // A short last block is padded with repeats of its last query.
+            let queries: [&[f64]; W] =
+                std::array::from_fn(|w| chunk[w.min(chunk.len() - 1)].as_slice());
+            out.extend_from_slice(&self.predict_block(queries)[..chunk.len()]);
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn interpolates_training_points_closely() {
@@ -181,12 +276,87 @@ mod tests {
             max_points: 10,
             ..Default::default()
         };
-        let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 49.0]).collect();
         // Minimum at index 7.
         let y: Vec<f64> = (0..50).map(|i| ((i as f64) - 7.0).abs()).collect();
-        let (xs, ys) = gp.subsample(&x, &y);
-        assert_eq!(xs.len(), 10);
-        assert!(ys.contains(&0.0), "best point must survive subsampling");
+        let kept = gp.subsample(&y);
+        assert_eq!(kept.len(), 10);
+        assert!(kept.contains(&7), "best point must survive subsampling");
+    }
+
+    /// `predict` bits at 64 fixed query points of the unit cube.
+    fn predict_bits(gp: &GaussianProcess, dim: usize) -> Vec<(u64, u64)> {
+        let mut rng = numeric::rng_from_seed(99);
+        (0..64)
+            .map(|_| {
+                let q: Vec<f64> = (0..dim).map(|_| rng.gen()).collect();
+                let (mean, std) = gp.predict(&q);
+                (mean.to_bits(), std.to_bits())
+            })
+            .collect()
+    }
+
+    fn random_history(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = numeric::rng_from_seed(seed);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen()).collect())
+            .collect();
+        let y = x
+            .iter()
+            .map(|p| p.iter().map(|v| (v - 0.4) * (v - 0.4)).sum::<f64>() + (7.0 * p[0]).sin())
+            .collect();
+        (x, y)
+    }
+
+    #[test]
+    fn refit_on_a_growing_history_equals_a_fresh_fit() {
+        // A BO-shaped history: 16 points, then 8 more per fit, past the
+        // cap (where the best-half/recent-half subsample drops early
+        // points and reshuffles the prefix). One model refitted all the
+        // way must predict bit for bit what a fresh model fitted once on
+        // the same data predicts.
+        let dim = 3;
+        let (x, y) = random_history(280, dim, 7);
+        let mut kept = GaussianProcess::default();
+        let mut dropped_early = false;
+        for n in (16..=280).step_by(8) {
+            kept.fit(&x[..n], &y[..n]);
+            let mut fresh = GaussianProcess::default();
+            fresh.fit(&x[..n], &y[..n]);
+            assert_eq!(
+                predict_bits(&kept, dim),
+                predict_bits(&fresh, dim),
+                "n = {n}"
+            );
+            let selected = kept.subsample(&y[..n]);
+            dropped_early |= (0..16).any(|i| !selected.contains(&i));
+        }
+        assert!(
+            dropped_early,
+            "no step dropped a point of the initial design"
+        );
+    }
+
+    #[test]
+    fn mutated_hyperparameters_never_meet_a_stale_factor() {
+        // The public fields may change between fits; whatever a model
+        // kept from earlier fits must not leak into the next one.
+        let dim = 2;
+        let (x, y) = random_history(60, dim, 3);
+        let mutations: [fn(&mut GaussianProcess); 3] = [
+            |gp| gp.length_scales = vec![0.3, 0.07],
+            |gp| gp.noise = 1e-3,
+            |gp| gp.max_points = 24,
+        ];
+        for mutate in mutations {
+            let mut reused = GaussianProcess::default();
+            reused.fit(&x[..40], &y[..40]);
+            mutate(&mut reused);
+            reused.fit(&x, &y);
+            let mut fresh = GaussianProcess::default();
+            mutate(&mut fresh);
+            fresh.fit(&x, &y);
+            assert_eq!(predict_bits(&reused, dim), predict_bits(&fresh, dim));
+        }
     }
 
     #[test]

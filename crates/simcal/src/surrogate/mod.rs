@@ -28,6 +28,13 @@ pub trait Surrogate: Send + Sync {
 
     /// Predictive mean and standard deviation at `x`.
     fn predict(&self, x: &[f64]) -> (f64, f64);
+
+    /// [`predict`](Self::predict) at every point of `xs`, in order and
+    /// with the same bits; a model may override it to share work
+    /// between the points.
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        xs.iter().map(|x| self.predict(x)).collect()
+    }
 }
 
 /// Which surrogate a [`crate::algorithms::BayesianOpt`] uses.
@@ -100,6 +107,26 @@ mod tests {
         check_fits_smooth_function(SurrogateKind::RandomForest.build(1), 0.35);
         check_fits_smooth_function(SurrogateKind::ExtraTrees.build(1), 0.35);
         check_fits_smooth_function(SurrogateKind::Gbrt.build(1), 0.35);
+    }
+
+    #[test]
+    fn predict_batch_equals_predict_for_every_kind() {
+        use rand::Rng;
+        let mut rng = numeric::rng_from_seed(5);
+        let mut point = || -> Vec<f64> { (0..3).map(|_| rng.gen()).collect() };
+        let x: Vec<Vec<f64>> = (0..40).map(|_| point()).collect();
+        let y: Vec<f64> = x.iter().map(|p| p[0] * p[1] + (4.0 * p[2]).cos()).collect();
+        let queries: Vec<Vec<f64>> = (0..512).map(|_| point()).collect();
+        let bits = |p: &(f64, f64)| (p.0.to_bits(), p.1.to_bits());
+        for kind in SurrogateKind::ALL {
+            let mut s = kind.build(3);
+            s.fit(&x, &y);
+            for len in [0, 1, 7, 8, 9, 512] {
+                let batch: Vec<_> = s.predict_batch(&queries[..len]).iter().map(bits).collect();
+                let single: Vec<_> = queries[..len].iter().map(|q| bits(&s.predict(q))).collect();
+                assert_eq!(batch, single, "{} at {len} queries", kind.name());
+            }
+        }
     }
 
     #[test]
