@@ -1,7 +1,7 @@
 //! Kernel scaling measurement: events-per-second of the dessim engine at
 //! large concurrent-activity counts, with kernel counters attributing the
 //! cost to specific mechanisms (heap churn, sharing re-solves, frontier
-//! size, arena footprint).
+//! size, solver work, arena footprint).
 //!
 //! Unlike the Criterion group (statistical, small sizes), this binary does
 //! one timed run per size and prints a JSON record per run to stdout —
@@ -113,8 +113,12 @@ fn main() {
             .map(|c| {
                 format!(
                     ", \"heap_reinserts\": {}, \"sharing_resolves\": {}, \
-                     \"frontier_links\": {}, \"arena_bytes\": {}",
-                    c.heap_reinserts, c.sharing_resolves, c.frontier_links, c.arena_bytes
+                     \"frontier_links\": {}, \"solver_visits\": {}, \"arena_bytes\": {}",
+                    c.heap_reinserts,
+                    c.sharing_resolves,
+                    c.frontier_links,
+                    c.solver_visits,
+                    c.arena_bytes
                 )
             })
             .unwrap_or_default();

@@ -45,9 +45,12 @@
 //! **Determinism contract:** completion order and times are a function of
 //! the platform and the add sequence only — independent of storage
 //! layout, slot recycling, and frontier size. Ties at one instant resolve
-//! by serial (add) order; residual-capacity sums and commit order are
-//! canonicalized by serial so registry order never leaks into float
-//! arithmetic.
+//! by serial (add) order, and residual-capacity sums are taken in serial
+//! order so registry order never leaks into float arithmetic. The order
+//! flows enter a candidate problem and the order their rates are
+//! committed are immaterial: the solver's per-flow rates do not depend on
+//! push order, a commit touches only the flow's own row, and the event
+//! heap pops by the total order `(finish, serial)` whatever its layout.
 
 use crate::platform::{DiskId, LinkId, Platform};
 use crate::sharing::{Frontier, Workspace};
@@ -437,6 +440,13 @@ pub struct KernelCounters {
     /// mean frontier size, the quantity the frontier optimization keeps
     /// small on well-connected platforms.
     pub frontier_links: u64,
+    /// Work inside the link re-solves: links scanned for a bottleneck
+    /// plus per-link flow-list entries walked when freezing, summed over
+    /// every filling round of every candidate solve. This is the term
+    /// that grows with the size of a welded component while
+    /// [`KernelCounters::sharing_resolves`] and
+    /// [`KernelCounters::frontier_links`] stay flat.
+    pub solver_visits: u64,
     /// Peak bytes allocated to the shared route arena (capacity, not
     /// live length), tracking the storage cost of route metadata.
     pub arena_bytes: u64,
@@ -453,6 +463,7 @@ impl Drop for Engine {
             obs::counter(obs::Counter::KernelHeapReinserts, self.heap_reinserts);
             obs::counter(obs::Counter::KernelSharingResolves, self.sharing_resolves);
             obs::counter(obs::Counter::KernelFrontierLinks, self.frontier_links);
+            obs::counter(obs::Counter::KernelSolverVisits, self.solver_visits);
             obs::counter(obs::Counter::KernelArenaBytes, self.arena_bytes);
         }
     }
@@ -480,6 +491,9 @@ pub struct Engine {
     /// Links in committed frontier solves (see
     /// [`KernelCounters::frontier_links`]).
     frontier_links: u64,
+    /// Solver work inside link re-solves (see
+    /// [`KernelCounters::solver_visits`]).
+    solver_visits: u64,
     /// Peak route-arena footprint (see [`KernelCounters::arena_bytes`]).
     arena_bytes: u64,
     // --- Structure-of-arrays activity storage, indexed by slot. ---
@@ -543,6 +557,7 @@ impl Engine {
             heap_reinserts: 0,
             sharing_resolves: 0,
             frontier_links: 0,
+            solver_visits: 0,
             arena_bytes: 0,
             hot: Vec::new(),
             serials: Vec::new(),
@@ -590,6 +605,7 @@ impl Engine {
             heap_reinserts: self.heap_reinserts,
             sharing_resolves: self.sharing_resolves,
             frontier_links: self.frontier_links,
+            solver_visits: self.solver_visits,
             arena_bytes: self.arena_bytes,
         }
     }
@@ -860,6 +876,7 @@ impl Engine {
             heap_reinserts,
             sharing_resolves,
             frontier_links,
+            solver_visits,
             link_flows,
             touched_links,
             link_touched,
@@ -927,9 +944,10 @@ impl Engine {
                     break 'expand;
                 }
 
-                // Candidate problem: links ascending, flows in serial order —
-                // the canonical order a full solve would use, so freeze
-                // sequences (and hence float results) are reproducible.
+                // Candidate problem: links ascending (ties between equal
+                // fair shares go to the lowest link index), flows in
+                // discovery order — per-flow rates do not depend on the
+                // order flows are pushed in (DESIGN.md "Kernel complexity").
                 fr.links_sorted.clear();
                 fr.links_sorted.extend_from_slice(&fr.dirty);
                 for &l in &fr.boundary {
@@ -938,10 +956,6 @@ impl Engine {
                     }
                 }
                 fr.links_sorted.sort_unstable();
-                fr.flows_sorted.clear();
-                fr.flows_sorted.extend_from_slice(&fr.flows);
-                fr.flows_sorted
-                    .sort_unstable_by_key(|&s| serials[s as usize]);
 
                 ws.clear();
                 for &l in &fr.links_sorted {
@@ -968,7 +982,7 @@ impl Engine {
                     };
                     fr.local[l] = ws.push_capacity(c);
                 }
-                for &s in &fr.flows_sorted {
+                for &s in &fr.flows {
                     let start = m0[s as usize] as usize;
                     ws.push_route(
                         routes[start..start + m1[s as usize] as usize]
@@ -978,11 +992,12 @@ impl Engine {
                 }
                 ws.solve();
                 *sharing_resolves += 1;
+                *solver_visits += ws.visits();
                 let rates = ws.rates();
 
                 // Expansion check: which boundary links invalidate their
                 // residual approximation?
-                for (i, &s) in fr.flows_sorted.iter().enumerate() {
+                for (i, &s) in fr.flows.iter().enumerate() {
                     fr.changed[s as usize] = rates[i] != hot[s as usize].rate;
                 }
                 let mut expanded = false;
@@ -1008,7 +1023,7 @@ impl Engine {
                 }
                 if !expanded {
                     *frontier_links += fr.links_sorted.len() as u64;
-                    for (i, &s) in fr.flows_sorted.iter().enumerate() {
+                    for (i, &s) in fr.flows.iter().enumerate() {
                         set_rate(hot, heap, serials, now, s, rates[i], heap_reinserts);
                     }
                     fr.reset();
@@ -1433,6 +1448,7 @@ mod tests {
         assert!(c.heap_reinserts >= 1, "counters: {c:?}");
         assert!(c.sharing_resolves >= 1, "counters: {c:?}");
         assert!(c.frontier_links >= 1, "counters: {c:?}");
+        assert!(c.solver_visits >= 1, "counters: {c:?}");
         assert!(c.arena_bytes >= 8, "counters: {c:?}");
 
         // A lone timer needs neither re-inserts nor sharing nor routes.
@@ -1447,6 +1463,7 @@ mod tests {
                 heap_reinserts: 0,
                 sharing_resolves: 0,
                 frontier_links: 0,
+                solver_visits: 0,
                 arena_bytes: 0,
             }
         );

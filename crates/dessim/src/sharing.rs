@@ -6,6 +6,11 @@
 //! current rate, removes the consumed capacity, and repeats. The result is
 //! the unique max-min fair allocation, the same sharing model SimGrid's
 //! fluid network model (and hence SMPI and WRENCH) uses.
+//!
+//! Each link keeps a list of the flows crossing it, so a round visits the
+//! bottleneck's own flows rather than every flow of the problem: a solve
+//! costs O(Σ route lengths + rounds · links), see DESIGN.md "Kernel
+//! complexity".
 
 /// Compute the max-min fair allocation.
 ///
@@ -58,7 +63,20 @@ pub struct Workspace {
     /// function of the binding links' capacities and crossing counts;
     /// capacities of non-binding links never enter the rate arithmetic.
     binding: Vec<bool>,
+    /// Scratch: per link, the first `route_flat` entry naming it, or
+    /// [`NO_ENTRY`] — the head of that link's list of crossing flows.
+    head: Vec<u32>,
+    /// Scratch: per `route_flat` entry, the next entry naming the same link.
+    next: Vec<u32>,
+    /// Scratch: per `route_flat` entry, the flow whose route holds it.
+    entry_flow: Vec<u32>,
+    /// Work of the last solve: links scanned for bottlenecks plus flow-list
+    /// entries walked by freeze loops.
+    visits: u64,
 }
+
+/// End of a link's flow list.
+const NO_ENTRY: u32 = u32::MAX;
 
 impl Workspace {
     /// An empty workspace; buffers grow on first use and are then reused.
@@ -138,6 +156,10 @@ impl Workspace {
             frozen,
             rates,
             binding,
+            head,
+            next,
+            entry_flow,
+            visits,
         } = self;
         let nf = route_ends.len();
         let nl = caps.len();
@@ -146,6 +168,7 @@ impl Workspace {
             &route_flat[start..route_ends[f]]
         };
 
+        *visits = 0;
         rates.clear();
         rates.resize(nf, f64::INFINITY);
         binding.clear();
@@ -153,6 +176,10 @@ impl Workspace {
         if nf == 0 {
             return rates;
         }
+        assert!(
+            route_flat.len() < NO_ENTRY as usize && nf <= NO_ENTRY as usize,
+            "problem too large for 32-bit flow lists"
+        );
 
         remaining.clear();
         remaining.extend_from_slice(caps);
@@ -160,19 +187,29 @@ impl Workspace {
         crossing.resize(nl, 0);
         frozen.clear();
         frozen.resize(nf, false);
+        head.clear();
+        head.resize(nl, NO_ENTRY);
+        next.clear();
+        entry_flow.clear();
 
         // Flows with empty routes are unconstrained; leave their rate
-        // infinite. Count the rest.
+        // infinite. Count the rest, threading each route entry onto its
+        // link's flow list.
         let mut unfrozen_constrained = 0usize;
-        for (f, fz) in frozen.iter_mut().enumerate() {
-            if route(f).is_empty() {
+        let mut start = 0usize;
+        for (f, (fz, &end)) in frozen.iter_mut().zip(route_ends.iter()).enumerate() {
+            if start == end {
                 *fz = true;
             } else {
                 unfrozen_constrained += 1;
-                for &l in route(f) {
+                for (e, &l) in (start..end).zip(&route_flat[start..end]) {
                     crossing[l] += 1;
+                    next.push(head[l]);
+                    entry_flow.push(f as u32);
+                    head[l] = e as u32;
                 }
             }
+            start = end;
         }
 
         // Progressive filling: at most one link saturates per round.
@@ -188,13 +225,21 @@ impl Workspace {
                     best = Some((l, share));
                 }
             }
+            *visits += nl as u64;
             let (bottleneck, share) = best.expect("unfrozen flows imply a crossed link");
             binding[bottleneck] = true;
 
             // Freeze every unfrozen flow crossing the bottleneck at
             // `share`, and release the capacity they consume elsewhere.
-            for f in 0..nf {
-                if frozen[f] || !route(f).contains(&bottleneck) {
+            // Every flow frozen in this round subtracts the same `share`,
+            // so each link's `remaining` is "minus `share`, k times"
+            // whatever order the list yields them in.
+            let mut e = head[bottleneck];
+            while e != NO_ENTRY {
+                let f = entry_flow[e as usize] as usize;
+                e = next[e as usize];
+                *visits += 1;
+                if frozen[f] {
                     continue;
                 }
                 frozen[f] = true;
@@ -207,6 +252,13 @@ impl Workspace {
             }
         }
         rates
+    }
+
+    /// Links scanned for bottlenecks plus flow-list entries walked by
+    /// freeze loops in the last [`Workspace::solve`]: the solver's
+    /// deterministic work count.
+    pub(crate) fn visits(&self) -> u64 {
+        self.visits
     }
 
     /// Whether link `link` (workspace index) was selected as a bottleneck
@@ -272,8 +324,6 @@ pub struct Frontier {
     pub(crate) local: Vec<usize>,
     /// Sorted link set of the candidate problem.
     pub(crate) links_sorted: Vec<usize>,
-    /// Flows sorted by serial id (canonical commit order).
-    pub(crate) flows_sorted: Vec<u32>,
     /// Scratch for canonical (serial-ordered) residual summation.
     pub(crate) outside: Vec<(u64, f64)>,
 }
@@ -321,7 +371,6 @@ impl Frontier {
         self.boundary.clear();
         self.flows.clear();
         self.links_sorted.clear();
-        self.flows_sorted.clear();
         self.outside.clear();
     }
 }
@@ -330,6 +379,8 @@ impl Frontier {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9 * (1.0 + a.abs().max(b.abs()))
@@ -379,6 +430,20 @@ mod tests {
     }
 
     #[test]
+    fn visits_count_link_scans_and_flow_list_entries() {
+        // Same network as above. Round 1 scans 2 links and walks link 0's
+        // list (flows 0 and 1); round 2 scans 2 links and walks link 1's
+        // list (flow 0, already frozen, and flow 2).
+        let mut ws = Workspace::new();
+        ws.load(&[1.0, 2.0], &[vec![0, 1], vec![0], vec![1]]);
+        ws.solve();
+        assert_eq!(ws.visits(), (2 + 2) + (2 + 2));
+        ws.load(&[1.0], &[]);
+        ws.solve();
+        assert_eq!(ws.visits(), 0, "the count is per solve");
+    }
+
+    #[test]
     fn empty_route_is_unconstrained() {
         let rates = max_min_fair_share(&[10.0], &[vec![], vec![0]]);
         assert_eq!(rates[0], f64::INFINITY);
@@ -403,13 +468,157 @@ mod tests {
         max_min_fair_share(&[1.0], &[vec![3]]);
     }
 
+    /// Progressive filling as it was written before links kept their own
+    /// flow lists: every round tests every flow's route for the
+    /// bottleneck. Kept as the oracle [`Workspace::solve`] must equal bit
+    /// for bit (rates and binding set).
+    fn solve_by_scan(capacities: &[f64], flow_routes: &[Vec<usize>]) -> (Vec<f64>, Vec<bool>) {
+        let routes: Vec<Vec<usize>> = flow_routes
+            .iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.sort_unstable();
+                r.dedup();
+                r
+            })
+            .collect();
+        let nf = routes.len();
+        let nl = capacities.len();
+        let mut rates = vec![f64::INFINITY; nf];
+        let mut binding = vec![false; nl];
+        let mut remaining = capacities.to_vec();
+        let mut crossing = vec![0usize; nl];
+        let mut frozen = vec![false; nf];
+        let mut unfrozen_constrained = 0usize;
+        for (f, route) in routes.iter().enumerate() {
+            if route.is_empty() {
+                frozen[f] = true;
+            } else {
+                unfrozen_constrained += 1;
+                for &l in route {
+                    crossing[l] += 1;
+                }
+            }
+        }
+        while unfrozen_constrained > 0 {
+            let mut best: Option<(usize, f64)> = None;
+            for l in 0..nl {
+                if crossing[l] == 0 {
+                    continue;
+                }
+                let share = remaining[l].max(0.0) / crossing[l] as f64;
+                if best.is_none_or(|(_, s)| share < s) {
+                    best = Some((l, share));
+                }
+            }
+            let (bottleneck, share) = best.expect("unfrozen flows imply a crossed link");
+            binding[bottleneck] = true;
+            for f in 0..nf {
+                if frozen[f] || !routes[f].contains(&bottleneck) {
+                    continue;
+                }
+                frozen[f] = true;
+                unfrozen_constrained -= 1;
+                rates[f] = share;
+                for &l in &routes[f] {
+                    remaining[l] -= share;
+                    crossing[l] -= 1;
+                }
+            }
+        }
+        (rates, binding)
+    }
+
+    /// A random problem of up to 40 links x 600 flows with routes of 0-3
+    /// links (duplicates allowed), a tenth of the capacities zero and a
+    /// tenth negative — the engine's residual capacities go negative, which
+    /// is the `max(0.0)` path of the solver.
+    fn random_problem(seed: u64) -> (Vec<f64>, Vec<Vec<usize>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nl = rng.gen_range(1usize..=40);
+        let nf = rng.gen_range(0usize..=600);
+        let caps = (0..nl)
+            .map(|_| match rng.gen_range(0u32..10) {
+                0 => 0.0,
+                1 => -rng.gen_range(0.0..50.0),
+                _ => rng.gen_range(0.1..100.0),
+            })
+            .collect();
+        let routes = (0..nf)
+            .map(|_| {
+                (0..rng.gen_range(0usize..=3))
+                    .map(|_| rng.gen_range(0..nl))
+                    .collect()
+            })
+            .collect();
+        (caps, routes)
+    }
+
+    fn solve_bits(caps: &[f64], routes: &[Vec<usize>]) -> (Vec<u64>, Vec<bool>) {
+        let mut ws = Workspace::new();
+        ws.load(caps, routes);
+        let rates = ws.solve().iter().map(|r| r.to_bits()).collect();
+        (rates, (0..caps.len()).map(|l| ws.was_binding(l)).collect())
+    }
+
     proptest! {
+        /// `Workspace::solve` equals the scan-based loop on the bits of
+        /// every rate and on the binding flag of every link.
+        #[test]
+        fn prop_solve_equals_the_scan_oracle(seed in 0u64..1_000_000) {
+            let (caps, routes) = random_problem(seed);
+            let (want_rates, want_binding) = solve_by_scan(&caps, &routes);
+            let (rates, binding) = solve_bits(&caps, &routes);
+            let want_rates: Vec<u64> = want_rates.iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(rates, want_rates);
+            prop_assert_eq!(binding, want_binding);
+        }
+
+        /// A warm workspace that solved a different problem before gives
+        /// the same bits as a fresh one: nothing leaks between solves.
+        #[test]
+        fn prop_warm_workspace_equals_a_fresh_one(seed in 0u64..1_000_000) {
+            let mut ws = Workspace::new();
+            for k in [seed.wrapping_add(1), seed] {
+                let (caps, routes) = random_problem(k);
+                ws.load(&caps, &routes);
+                ws.solve();
+            }
+            let (caps, routes) = random_problem(seed);
+            let (rates, binding) = solve_bits(&caps, &routes);
+            let warm: Vec<u64> = ws.rates().iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(warm, rates);
+            for (l, &b) in binding.iter().enumerate() {
+                prop_assert_eq!(ws.was_binding(l), b);
+            }
+        }
+
+        /// Per-flow rates and the binding set do not depend on the order
+        /// flows are pushed in — what lets the engine build its candidate
+        /// problems in discovery order.
+        #[test]
+        fn prop_push_order_does_not_move_a_bit(seed in 0u64..1_000_000) {
+            let (caps, routes) = random_problem(seed);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let mut order: Vec<usize> = (0..routes.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let shuffled: Vec<Vec<usize>> = order.iter().map(|&f| routes[f].clone()).collect();
+            let (rates, binding) = solve_bits(&caps, &routes);
+            let (shuffled_rates, shuffled_binding) = solve_bits(&caps, &shuffled);
+            for (i, &f) in order.iter().enumerate() {
+                prop_assert_eq!(shuffled_rates[i], rates[f], "flow {}", f);
+            }
+            prop_assert_eq!(shuffled_binding, binding);
+        }
+
         /// No link is over-subscribed by the computed allocation.
         #[test]
         fn prop_capacity_never_exceeded(
-            caps in proptest::collection::vec(0.1f64..100.0, 1..6),
+            caps in proptest::collection::vec(0.1f64..100.0, 1..=40),
             routes in proptest::collection::vec(
-                proptest::collection::vec(0usize..6, 1..4), 1..12),
+                proptest::collection::vec(0usize..40, 1..4), 1..=600),
         ) {
             let nl = caps.len();
             let routes: Vec<Vec<usize>> = routes
@@ -433,9 +642,9 @@ mod tests {
         /// Pareto-efficient (no single flow's rate can increase).
         #[test]
         fn prop_every_flow_has_saturated_bottleneck(
-            caps in proptest::collection::vec(0.1f64..100.0, 1..5),
+            caps in proptest::collection::vec(0.1f64..100.0, 1..=40),
             routes in proptest::collection::vec(
-                proptest::collection::vec(0usize..5, 1..3), 1..8),
+                proptest::collection::vec(0usize..40, 1..4), 1..=600),
         ) {
             let nl = caps.len();
             let routes: Vec<Vec<usize>> = routes
@@ -460,9 +669,9 @@ mod tests {
         /// All rates are non-negative and finite for non-empty routes.
         #[test]
         fn prop_rates_valid(
-            caps in proptest::collection::vec(0.1f64..100.0, 1..5),
+            caps in proptest::collection::vec(0.1f64..100.0, 1..=40),
             routes in proptest::collection::vec(
-                proptest::collection::vec(0usize..5, 1..3), 0..8),
+                proptest::collection::vec(0usize..40, 1..4), 0..=600),
         ) {
             let nl = caps.len();
             let routes: Vec<Vec<usize>> = routes

@@ -15,6 +15,9 @@ pub enum Counter {
     /// Total links included in committed frontier re-solves; together
     /// with `KernelSharingResolves` this gives the mean frontier size.
     KernelFrontierLinks,
+    /// Work inside `dessim`'s link re-solves: links scanned for a
+    /// bottleneck plus flow-list entries walked when freezing.
+    KernelSolverVisits,
     /// Peak bytes allocated to `dessim`'s shared route arena.
     KernelArenaBytes,
     /// Evaluator memoization hits (loss served without simulating).
@@ -62,11 +65,12 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in trace-emission order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 21] = [
         Counter::KernelEvents,
         Counter::KernelHeapReinserts,
         Counter::KernelSharingResolves,
         Counter::KernelFrontierLinks,
+        Counter::KernelSolverVisits,
         Counter::KernelArenaBytes,
         Counter::EvalCacheHits,
         Counter::EvalCacheMisses,
@@ -92,6 +96,7 @@ impl Counter {
             Counter::KernelHeapReinserts => "kernel_heap_reinserts",
             Counter::KernelSharingResolves => "kernel_sharing_resolves",
             Counter::KernelFrontierLinks => "kernel_frontier_links",
+            Counter::KernelSolverVisits => "kernel_solver_visits",
             Counter::KernelArenaBytes => "kernel_arena_bytes",
             Counter::EvalCacheHits => "eval_cache_hits",
             Counter::EvalCacheMisses => "eval_cache_misses",

@@ -18,7 +18,7 @@ use dessim::{ActivityKind, DiskId, Engine, LinkId, Platform};
 use numeric::{lognormal, rng_from_seed};
 use rand::Rng;
 use simcal::prelude::Calibration;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Result of simulating one workflow execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -194,8 +194,9 @@ struct Exec<'a> {
     n_workers: usize,
 
     engine: Engine,
-    next_tag: u64,
-    meta: HashMap<u64, Meta>,
+    /// What each activity meant, indexed by its tag: tags are handed out
+    /// as 0, 1, 2, … in add order.
+    meta: Vec<Meta>,
 
     submit_disk: DiskId,
     worker_disks: Vec<DiskId>,
@@ -309,8 +310,7 @@ pub(crate) fn execute(
         model,
         n_workers,
         engine: Engine::new(platform),
-        next_tag: 0,
-        meta: HashMap::new(),
+        meta: Vec::new(),
         submit_disk,
         worker_disks,
         routes,
@@ -337,9 +337,8 @@ pub(crate) fn execute(
 
 impl<'a> Exec<'a> {
     fn add(&mut self, kind: ActivityKind, meta: Meta) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.meta.insert(tag, meta);
+        let tag = self.meta.len() as u64;
+        self.meta.push(meta);
         self.engine.add_activity(kind, tag);
     }
 
@@ -347,16 +346,12 @@ impl<'a> Exec<'a> {
     /// input file of a task starting to stage at once — so the engine
     /// performs a single rate recomputation for the whole release.
     fn add_batch(&mut self, batch: Vec<(ActivityKind, Meta)>) {
-        let tagged: Vec<(ActivityKind, u64)> = batch
-            .into_iter()
-            .map(|(kind, meta)| {
-                let tag = self.next_tag;
-                self.next_tag += 1;
-                self.meta.insert(tag, meta);
-                (kind, tag)
-            })
-            .collect();
-        self.engine.add_activities(tagged);
+        let Self { engine, meta, .. } = self;
+        engine.add_activities(batch.into_iter().map(|(kind, m)| {
+            let tag = meta.len() as u64;
+            meta.push(m);
+            (kind, tag)
+        }));
     }
 
     fn run(&mut self) -> SimOutput {
@@ -374,10 +369,7 @@ impl<'a> Exec<'a> {
                 .engine
                 .step()
                 .expect("engine drained before all tasks completed (scheduling deadlock)");
-            let meta = self
-                .meta
-                .remove(&completion.tag)
-                .expect("unknown activity tag");
+            let meta = self.meta[completion.tag as usize];
             self.handle(meta, completion.time);
             makespan = makespan.max(completion.time);
         }
