@@ -1,25 +1,20 @@
-//! Kernel scaling measurement: events-per-second of the dessim engine at
-//! large concurrent-activity counts, with kernel counters attributing the
-//! cost to specific mechanisms (heap churn, sharing re-solves, frontier
-//! size, solver work, arena footprint).
-//!
-//! Unlike the Criterion group (statistical, small sizes), this binary does
-//! one timed run per size and prints a JSON record per run to stdout —
-//! the format recorded in `results/BENCH_engine.json`. Diagnostics go to
-//! stderr.
+//! Kernel scaling smoke test: one timed run of the dessim engine per size
+//! at large concurrent-activity counts, with the kernel counters that
+//! attribute its cost (heap churn, sharing re-solves, frontier size,
+//! solver work, arena footprint). Prints one JSON record per run to
+//! stdout; diagnostics go to stderr. Measurements live in `perf/`.
 //!
 //! ```text
 //! engine_scaling [--sizes 10000,200000] [--workload clustered|backbone]
-//!                [--engine incremental|reference]
 //!                [--max-seconds S] [--trace PATH]
 //! ```
 //!
 //! `--max-seconds` makes the binary exit non-zero if any single run
 //! exceeds the wall-clock ceiling — the CI smoke uses this together with
-//! `--trace` (asserting `kernel_sharing_resolves / kernel_events` stays
-//! below a pinned bound) as a regression tripwire.
+//! `--trace` (asserting kernel counter ratios stay below pinned bounds)
+//! as a regression tripwire.
 
-use dessim::{Engine, ReferenceEngine};
+use dessim::Engine;
 use lodcal_bench::workloads;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +22,7 @@ use std::time::Instant;
 fn usage() -> ! {
     obs::diag!(
         "usage: engine_scaling [--sizes N,N,..] [--workload clustered|backbone] \
-         [--engine incremental|reference] [--max-seconds S] [--trace PATH]"
+         [--max-seconds S] [--trace PATH]"
     );
     std::process::exit(2);
 }
@@ -49,7 +44,6 @@ fn peak_rss_kb() -> u64 {
 fn main() {
     let mut sizes: Vec<usize> = vec![10_000, 50_000, 200_000, 1_000_000];
     let mut workload = String::from("clustered");
-    let mut engine = String::from("incremental");
     let mut max_seconds: Option<f64> = None;
     let mut trace: Option<String> = None;
 
@@ -68,7 +62,6 @@ fn main() {
                     .collect();
             }
             "--workload" => workload = take(&mut i),
-            "--engine" => engine = take(&mut i),
             "--max-seconds" => max_seconds = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
             "--trace" => trace = Some(take(&mut i)),
             _ => usage(),
@@ -90,42 +83,19 @@ fn main() {
             _ => usage(),
         };
         let start = Instant::now();
-        let (events, counters) = match engine.as_str() {
-            "incremental" => {
-                let mut e = Engine::new(platform);
-                e.add_activities(batch);
-                let done = e.run_to_completion().len();
-                (done, Some(e.counters()))
-            }
-            "reference" => {
-                let mut e = ReferenceEngine::new(platform);
-                e.add_activities(batch);
-                (e.run_to_completion().len(), None)
-            }
-            _ => usage(),
-        };
+        let mut engine = Engine::new(platform);
+        engine.add_activities(batch);
+        let events = engine.run_to_completion().len();
+        let c = engine.counters();
         let secs = start.elapsed().as_secs_f64();
         let events_per_sec = events as f64 / secs.max(1e-12);
         let rss = peak_rss_kb();
-        // One JSON object per line; counters only exist for the
-        // incremental engine.
-        let mech = counters
-            .map(|c| {
-                format!(
-                    ", \"heap_reinserts\": {}, \"sharing_resolves\": {}, \
-                     \"frontier_links\": {}, \"solver_visits\": {}, \"arena_bytes\": {}",
-                    c.heap_reinserts,
-                    c.sharing_resolves,
-                    c.frontier_links,
-                    c.solver_visits,
-                    c.arena_bytes
-                )
-            })
-            .unwrap_or_default();
         println!(
-            "{{ \"engine\": \"{engine}\", \"workload\": \"{workload}\", \"n\": {n}, \
-             \"events\": {events}, \"secs\": {secs:.3}, \
-             \"events_per_sec\": {events_per_sec:.0}, \"peak_rss_kb\": {rss}{mech} }}"
+            "{{ \"workload\": \"{workload}\", \"n\": {n}, \"events\": {events}, \
+             \"secs\": {secs:.3}, \"events_per_sec\": {events_per_sec:.0}, \
+             \"peak_rss_kb\": {rss}, \"heap_reinserts\": {}, \"sharing_resolves\": {}, \
+             \"frontier_links\": {}, \"solver_visits\": {}, \"arena_bytes\": {} }}",
+            c.heap_reinserts, c.sharing_resolves, c.frontier_links, c.solver_visits, c.arena_bytes
         );
         if let Some(cap) = max_seconds {
             if secs > cap {

@@ -2,7 +2,7 @@
 //!
 //! Shared plumbing for the binaries under `src/bin/`, each of which
 //! regenerates one table or figure of the paper (see DESIGN.md for the
-//! per-experiment index), and for the Criterion benches under `benches/`.
+//! per-experiment index).
 
 pub mod args;
 pub mod case1;

@@ -1,5 +1,4 @@
-//! Deterministic kernel workloads shared by the `engine_scaling`
-//! Criterion bench and the `engine_scaling` measurement binary.
+//! Deterministic kernel workloads for the `engine_scaling` smoke binary.
 //!
 //! Two shapes, chosen to exercise the two structural regimes of the
 //! incremental engine:

@@ -42,6 +42,7 @@ use lodsel::prelude::{
 use lodsel::shard::{merge_shards, run_shard, shard_path};
 use lodsel::sweep::try_run_sweep;
 use serde::{Deserialize, Serialize};
+use simcal::cache::retry_transient;
 use simcal::prelude::{Budget, QuotaBook};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::OpenOptions;
@@ -208,16 +209,26 @@ struct Shared {
 }
 
 impl Shared {
-    /// Append one event to `jobs.jsonl`. A failed append must not take
-    /// the daemon down (the job still runs; only its durability across a
+    /// Append one event to `jobs.jsonl`, retrying transient write errors
+    /// like every append-only log. A failed append must not take the
+    /// daemon down (the job still runs; only its durability across a
     /// restart degrades), but it is reported, never swallowed.
     fn log_event(&self, event: &JobEvent) {
         let appended = serde_json::to_string(event)
             .map_err(|e| io::Error::other(e.to_string()))
             .and_then(|line| {
                 let mut file = self.jobs_log.lock().expect("jobs log lock");
-                file.write_all(format!("{line}\n").as_bytes())?;
-                file.flush()
+                // A retry starts on a fresh line, so the record is never
+                // glued to a torn prefix of itself.
+                let mut dirty = false;
+                retry_transient(|| {
+                    if dirty {
+                        file.write_all(b"\n")?;
+                    }
+                    dirty = true;
+                    file.write_all(format!("{line}\n").as_bytes())?;
+                    file.flush()
+                })
             });
         if let Err(e) = appended {
             obs::diag!("jobs.jsonl append failed: {e}");
@@ -288,8 +299,10 @@ impl Daemon {
         // the next record must start on a line of its own, or the lenient
         // replay would drop it together with the torn one.
         if !text.is_empty() && !text.ends_with('\n') {
-            jobs_log.write_all(b"\n")?;
-            jobs_log.flush()?;
+            retry_transient(|| {
+                jobs_log.write_all(b"\n")?;
+                jobs_log.flush()
+            })?;
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;

@@ -4,14 +4,10 @@
 //! started with: on every activity-set change it recomputes *every* rate
 //! from scratch, and every [`ReferenceEngine::step`] linearly scans all
 //! activities for the earliest completion and rewrites every `remaining`
-//! amount. That is `O(n)` per event (`O(n^2)` per simulation) and exists
-//! for two reasons:
-//!
-//! - It is the **oracle** for the optimized [`crate::Engine`]: simple
-//!   enough to audit by eye, and property tests assert both engines emit
-//!   the same completion sequence on randomized workloads.
-//! - It is the **baseline** for the kernel scaling benchmarks in
-//!   `crates/bench/benches/kernel.rs`.
+//! amount. That is `O(n)` per event (`O(n^2)` per simulation); it exists
+//! as the **oracle** for the optimized [`crate::Engine`]: simple enough to
+//! audit by eye, and property tests assert both engines emit the same
+//! completion sequence on randomized workloads.
 //!
 //! One deliberate fix relative to the historical code: an unconstrained
 //! (empty-route) flow used to get the sentinel rate `f64::MAX`, and its

@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 
 /// 64-bit FNV-1a hash (the workspace's one content hash, from simcal).
 pub use simcal::cache::fnv1a;
+use simcal::cache::retry_transient;
 
 /// Checkpoint key of one calibration run.
 pub fn run_key(
@@ -651,35 +652,6 @@ impl Ledger {
     }
 }
 
-/// Whether an I/O error kind is worth retrying: the write may succeed if
-/// simply re-attempted a moment later.
-fn is_transient(kind: io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Run `op`, retrying transient I/O errors with a short backoff (at most
-/// three retries). Each retry bumps [`obs::Counter::LedgerRetries`].
-/// Permanent errors — and transient ones that outlast the backoff
-/// schedule — are returned to the caller.
-pub(crate) fn retry_transient<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-    const RETRY_BACKOFF_MS: [u64; 3] = [1, 5, 20];
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(e) if attempt < RETRY_BACKOFF_MS.len() && is_transient(e.kind()) => {
-                obs::counter(obs::Counter::LedgerRetries, 1);
-                std::thread::sleep(std::time::Duration::from_millis(RETRY_BACKOFF_MS[attempt]));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Parse JSONL leniently: skip blank and unparseable lines.
 fn parse_events(text: &str) -> Vec<LedgerEvent> {
     text.lines()
@@ -844,55 +816,6 @@ mod tests {
         assert!(msg.contains("cannot open ledger"), "{msg}");
         assert!(msg.contains(&dir.display().to_string()), "{msg}");
         let _ = std::fs::remove_dir(&dir);
-    }
-
-    /// The retry counter goes to the process-global recorder: tests that
-    /// retry transient errors must not overlap the one that counts them.
-    static RETRY_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn retry_transient_retries_interrupted_writes_and_counts_them() {
-        use std::io::ErrorKind;
-        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-        let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
-        obs::install(recorder.clone());
-        let mut attempts = 0;
-        let out = retry_transient(|| {
-            attempts += 1;
-            if attempts < 3 {
-                Err(io::Error::new(ErrorKind::Interrupted, "interrupted"))
-            } else {
-                Ok(attempts)
-            }
-        });
-        obs::uninstall();
-        assert_eq!(out.unwrap(), 3);
-        assert_eq!(recorder.counter_value(obs::Counter::LedgerRetries), 2);
-    }
-
-    #[test]
-    fn retry_transient_gives_up_on_permanent_errors_immediately() {
-        use std::io::ErrorKind;
-        let mut attempts = 0;
-        let out: io::Result<()> = retry_transient(|| {
-            attempts += 1;
-            Err(io::Error::new(ErrorKind::PermissionDenied, "nope"))
-        });
-        assert_eq!(out.unwrap_err().kind(), ErrorKind::PermissionDenied);
-        assert_eq!(attempts, 1, "permanent errors must not be retried");
-    }
-
-    #[test]
-    fn retry_transient_is_bounded_for_persistent_transient_errors() {
-        use std::io::ErrorKind;
-        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-        let mut attempts = 0;
-        let out: io::Result<()> = retry_transient(|| {
-            attempts += 1;
-            Err(io::Error::new(ErrorKind::Interrupted, "still interrupted"))
-        });
-        assert_eq!(out.unwrap_err().kind(), ErrorKind::Interrupted);
-        assert_eq!(attempts, 4, "one initial attempt plus three retries");
     }
 
     #[test]

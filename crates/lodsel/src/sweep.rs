@@ -1140,9 +1140,9 @@ pub fn try_run_sweep(
     let active_units = planned.active_units(config);
     let exec = RunExecutor::new(family, &planned, config, ledger);
 
-    // Phase 1: calibration runs, fanned onto the pool. Each simulation
-    // objective additionally parallelizes over scenarios internally; the
-    // pool's help-while-waiting scheduling nests the two levels.
+    // Phase 1: calibration runs, fanned onto the pool, one item per run.
+    // A run's evaluator batches and BO acquisition blocks nest inside it
+    // through the pool's help-while-waiting scheduling.
     // A run is pending unless it has a checkpoint or its recorded failed
     // attempts already exhausted the retry allowance (then it is reported
     // from the ledger without re-running).

@@ -36,8 +36,9 @@ pub enum Counter {
     /// Times a pool worker parked (timed wait) because no work was
     /// available anywhere.
     PoolParks,
-    /// Transient ledger write errors that were retried (with backoff)
-    /// before succeeding or giving up.
+    /// Transient I/O errors on an append-only log (lodsel ledger, loss
+    /// cache, calibd job log) that were retried (with backoff) before
+    /// succeeding or giving up.
     LedgerRetries,
     /// Evaluations replayed from the persistent on-disk loss cache
     /// (budget consumed, simulation skipped).

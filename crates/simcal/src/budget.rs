@@ -12,6 +12,7 @@ use crate::fault::{self, EvalFailure, FaultKind, FaultPlan};
 use crate::objective::Objective;
 use crate::param::Calibration;
 use parking_lot::{Mutex, RwLock};
+use rayon::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -137,10 +138,9 @@ enum Cached {
 
 /// Budget-enforcing, trace-recording gateway between search algorithms and
 /// the objective. Algorithms request evaluations of unit-hypercube points;
-/// the evaluator denormalizes, invokes the objective (in parallel, fanning
-/// the whole point × scenario product into the thread pool for batches),
-/// counts evaluations, tracks the incumbent, and reports budget
-/// exhaustion.
+/// the evaluator denormalizes, invokes the objective (a batch in
+/// parallel, one pool item per point), counts evaluations, tracks the
+/// incumbent, and reports budget exhaustion.
 ///
 /// # Memoization
 ///
@@ -391,42 +391,31 @@ impl<'a> Evaluator<'a> {
             .and_then(|plan| plan.fault_at(self.seed, index))
     }
 
-    /// Evaluate one chunk of uncached calibrations, point `p` taking
-    /// evaluation index `indices[p]`. Without matching faults this is a
-    /// single flattened [`Objective::try_par_loss_batch`] fan-out; with
-    /// faults, clean points still share one fan-out while faulted points
-    /// synthesize their failure through the same [`fault::guard`] the
-    /// real path uses (an injected panic really panics and really
-    /// unwinds), keeping injected-fault runs bit-for-bit reproducible
-    /// across thread counts.
-    fn run_chunk(&self, indices: &[usize], calibs: &[Calibration]) -> Vec<Result<f64, String>> {
-        debug_assert_eq!(indices.len(), calibs.len());
-        let faults: Vec<Option<FaultKind>> = indices.iter().map(|&i| self.fault_for(i)).collect();
-        if faults.iter().all(Option::is_none) {
-            return self.objective.try_par_loss_batch(calibs);
+    /// Evaluate `calib` as budget evaluation `index`: the objective's
+    /// loss under [`fault::guard`], or the fault the active plan injects
+    /// at that index, synthesized through the same guard (an injected
+    /// panic really panics and really unwinds).
+    fn run_point(&self, index: usize, calib: &Calibration) -> Result<f64, String> {
+        match self.fault_for(index) {
+            Some(FaultKind::Panic) => fault::guard(|| {
+                panic!(
+                    "injected fault: panic at evaluation {index} (seed {})",
+                    self.seed
+                )
+            }),
+            Some(FaultKind::Nan) => Ok(f64::NAN),
+            None => fault::guard(|| self.objective.loss(calib)),
         }
-        let clean: Vec<Calibration> = calibs
-            .iter()
-            .zip(&faults)
-            .filter(|(_, f)| f.is_none())
-            .map(|(c, _)| c.clone())
-            .collect();
-        let mut clean_results = self.objective.try_par_loss_batch(&clean).into_iter();
-        faults
-            .iter()
-            .enumerate()
-            .map(|(p, f)| match f {
-                None => clean_results
-                    .next()
-                    .expect("one batch result per clean point"),
-                Some(FaultKind::Panic) => fault::guard(|| {
-                    panic!(
-                        "injected fault: panic at evaluation {} (seed {})",
-                        indices[p], self.seed
-                    )
-                }),
-                Some(FaultKind::Nan) => Ok(f64::NAN),
-            })
+    }
+
+    /// Evaluate one chunk of uncached (evaluation index, calibration)
+    /// points, one pool item per point. Each outcome depends only on its
+    /// own point and index, so the chunk is bit-for-bit the same at every
+    /// thread count, and a panic fails only the point that raised it.
+    fn run_chunk(&self, points: &[(usize, &Calibration)]) -> Vec<Result<f64, String>> {
+        points
+            .par_iter()
+            .map(|&(index, calib)| self.run_point(index, calib))
             .collect()
     }
 
@@ -436,8 +425,8 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::try_eval`] for the typed variant. Routes through the
     /// same memoization and recording path as [`Evaluator::eval_batch`]:
     /// a cached point returns its loss without consuming a budget
-    /// evaluation, and an uncached point fans its per-scenario simulator
-    /// invocations into the thread pool via [`Objective::par_loss`].
+    /// evaluation, and an uncached point runs [`Objective::loss`] on the
+    /// calling thread.
     pub fn eval(&self, unit_point: &[f64]) -> Option<f64> {
         match self.try_eval(unit_point) {
             Ok(loss) => Some(loss),
@@ -488,18 +477,8 @@ impl<'a> Evaluator<'a> {
         // algorithms), which is what makes fault targeting by index
         // deterministic.
         let index = self.count.load(Ordering::Relaxed);
-        let fault = self.fault_for(index);
-        let injected = fault.is_some();
-        let outcome = match fault {
-            Some(FaultKind::Panic) => fault::guard(|| {
-                panic!(
-                    "injected fault: panic at evaluation {index} (seed {})",
-                    self.seed
-                )
-            }),
-            Some(FaultKind::Nan) => Ok(f64::NAN),
-            None => fault::guard(|| self.objective.par_loss(&calib)),
-        };
+        let injected = self.fault_for(index).is_some();
+        let outcome = self.run_point(index, &calib);
         match outcome {
             Ok(loss) if loss.is_finite() => {
                 if let Some(t0) = t0 {
@@ -551,8 +530,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// Cached points are served for free (no budget evaluation); each
     /// chunk of uncached points — deduplicated within the chunk — is
-    /// evaluated as one flattened (point × scenario) fan-out via
-    /// [`Objective::try_par_loss_batch`], and recorded sequentially in
+    /// evaluated as one fan-out with one [`Objective::loss`] per pool
+    /// item, and recorded sequentially in
     /// input order so the incumbent/trace update is deterministic,
     /// independent of pool scheduling. A point whose evaluation fails
     /// (panic or non-finite loss) resolves to `+inf` in the returned
@@ -560,8 +539,7 @@ impl<'a> Evaluator<'a> {
     /// evaluation.
     pub fn eval_batch(&self, unit_points: &[Vec<f64>]) -> Option<Vec<f64>> {
         // Small enough that a wall-clock overrun is bounded by one chunk,
-        // large enough to keep the pool's workers saturated (each point
-        // further fans out into one item per ground-truth scenario).
+        // large enough to keep the pool's workers saturated.
         const CHUNK: usize = 32;
         if self.exhausted() {
             return None;
@@ -629,35 +607,26 @@ impl<'a> Evaluator<'a> {
             // slot loop below; run slots go to the objective as one
             // fan-out with their exact evaluation indices.
             let base = self.count.load(Ordering::Relaxed);
-            let run_indices: Vec<usize> = pending_disk
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.is_none())
-                .map(|(s, _)| base + s)
-                .collect();
-            let run_calibs: Vec<Calibration> = pending_disk
+            let run_points: Vec<(usize, &Calibration)> = pending_disk
                 .iter()
                 .zip(&pending_calibs)
-                .filter(|(d, _)| d.is_none())
-                .map(|(_, c)| c.clone())
+                .enumerate()
+                .filter(|(_, (d, _))| d.is_none())
+                .map(|(s, (_, c))| (base + s, c))
                 .collect();
-            let disk_hits = pending_inputs.len() - run_calibs.len();
+            let disk_hits = pending_inputs.len() - run_points.len();
             obs::counter(obs::Counter::DiskCacheHits, disk_hits as u64);
             if self.disk().is_some() {
-                obs::counter(obs::Counter::DiskCacheMisses, run_calibs.len() as u64);
+                obs::counter(obs::Counter::DiskCacheMisses, run_points.len() as u64);
             }
-            obs::counter(obs::Counter::EvalCacheMisses, run_calibs.len() as u64);
+            obs::counter(obs::Counter::EvalCacheMisses, run_points.len() as u64);
             let t0 = obs::enabled().then(Instant::now);
-            let outcomes = if run_calibs.is_empty() {
-                Vec::new()
-            } else {
-                self.run_chunk(&run_indices, &run_calibs)
-            };
-            if let Some(t0) = t0.filter(|_| !run_calibs.is_empty()) {
+            let outcomes = self.run_chunk(&run_points);
+            if let Some(t0) = t0.filter(|_| !run_points.is_empty()) {
                 // The chunk runs as one fan-out; attribute its wall time
                 // evenly across the points it actually evaluated.
-                let per_point = t0.elapsed().as_secs_f64() / run_calibs.len() as f64;
-                for _ in 0..run_calibs.len() {
+                let per_point = t0.elapsed().as_secs_f64() / run_points.len() as f64;
+                for _ in 0..run_points.len() {
                     obs::observe(obs::Hist::EvalLatency, per_point);
                 }
             }
@@ -803,7 +772,8 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FnObjective;
+    use crate::loss::{Agg, ElementMix, ScenarioError, StructuredLoss};
+    use crate::objective::{FnObjective, SimulationObjective, Simulator};
     use crate::param::{Calibration, ParamKind, ParameterSpace};
 
     fn sphere() -> FnObjective<impl Fn(&Calibration) -> f64 + Sync> {
@@ -1104,6 +1074,47 @@ mod tests {
         let clean = Evaluator::new(&clean_obj, Budget::Evaluations(10));
         assert_eq!(clean.eval(&[0.25, 0.25]), Some(losses[0]));
         assert_eq!(clean.eval(&[0.4, 0.4]), Some(losses[3]));
+
+        // The same isolation on a simulation objective, where the panic
+        // comes from one (point, scenario) run: only that point fails,
+        // and the survivors are bit-for-bit the sequential `loss`.
+        struct Flaky;
+        impl Simulator for Flaky {
+            type Scenario = f64;
+            type Output = ScenarioError;
+            fn run(&self, scenario: &f64, calibration: &Calibration) -> ScenarioError {
+                if calibration.values[0] > 50.0 && *scenario == 20.0 {
+                    panic!("scenario 20 exploded");
+                }
+                ScenarioError::scalar_only(crate::loss::relative_error(
+                    *scenario,
+                    calibration.values[0],
+                ))
+            }
+        }
+        let dataset = vec![10.0, 20.0];
+        let space = ParameterSpace::new().with("x", ParamKind::Continuous { lo: 0.0, hi: 100.0 });
+        let obj = SimulationObjective::new(
+            &Flaky,
+            &dataset,
+            StructuredLoss::new(Agg::Avg, ElementMix::Ignore, "L1"),
+            space,
+        );
+        let ev = Evaluator::new(&obj, Budget::Evaluations(10));
+        // x = 10, 60 (its scenario 20 panics), 20.
+        let batch = vec![vec![0.1], vec![0.6], vec![0.2]];
+        let losses = ev.eval_batch(&batch).unwrap();
+        assert_eq!(losses[1], f64::INFINITY);
+        match &ev.failures()[..] {
+            [(1, EvalFailure::Panic { message })] => {
+                assert!(message.contains("scenario 20 exploded"))
+            }
+            other => panic!("expected one panic at index 1, got {other:?}"),
+        }
+        for p in [0, 2] {
+            let calib = obj.space().denormalize(&batch[p]);
+            assert_eq!(losses[p].to_bits(), obj.loss(&calib).to_bits());
+        }
     }
 
     /// Serializes tests that install the process-global fault plan.

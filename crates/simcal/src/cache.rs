@@ -62,6 +62,41 @@ pub fn fnv1a_fold(words: impl IntoIterator<Item = u64>) -> u64 {
         .fold(FNV_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
 }
 
+/// Backoff before each retry of a transient I/O error.
+const RETRY_BACKOFF_MS: [u64; 3] = [1, 5, 20];
+
+/// Whether an I/O error kind is worth retrying: the operation may succeed
+/// if simply re-attempted a moment later.
+fn is_transient(kind: std::io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        std::io::ErrorKind::Interrupted
+            | std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Run `op`, retrying transient I/O errors (interrupted / would-block /
+/// timed out) with a short backoff, at most three retries — the one
+/// retry discipline of the workspace's append-only logs: the loss cache,
+/// lodsel's ledger and calibd's job log. Each retry bumps
+/// [`obs::Counter::LedgerRetries`]. Permanent errors, and transient ones
+/// that outlast the backoff schedule, are returned to the caller.
+pub fn retry_transient<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
+    let mut attempt = 0;
+    loop {
+        match op() {
+            Ok(value) => return Ok(value),
+            Err(e) if attempt < RETRY_BACKOFF_MS.len() && is_transient(e.kind()) => {
+                obs::counter(obs::Counter::LedgerRetries, 1);
+                std::thread::sleep(std::time::Duration::from_millis(RETRY_BACKOFF_MS[attempt]));
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Canonical cache bits of one calibration component: `-0.0` folds into
 /// `0.0` (they are equal calibrations and must share an entry), and a NaN
 /// component yields `None` — NaN is not equal to itself, so a NaN point
@@ -164,33 +199,6 @@ pub struct CacheRecord {
     pub values: Vec<f64>,
     /// What evaluating them produced.
     pub outcome: CachedOutcome,
-}
-
-/// Transient-error retry backoff, mirroring the lodsel ledger discipline.
-const RETRY_BACKOFF_MS: [u64; 3] = [1, 5, 20];
-
-fn is_transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Run `op`, retrying transient I/O errors with bounded backoff.
-fn retry_transient<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(e) if is_transient(e.kind()) && attempt < RETRY_BACKOFF_MS.len() => {
-                std::thread::sleep(std::time::Duration::from_millis(RETRY_BACKOFF_MS[attempt]));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// One shard of the on-disk loss cache, bound to a single calibration
@@ -439,6 +447,58 @@ pub fn current() -> Option<Arc<PathBuf>> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The retry counter goes to the process-global recorder: tests that
+    /// retry transient errors must not overlap the one that counts them.
+    static RETRY_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn retry_transient_retries_interrupted_writes_and_counts_them() {
+        use std::io::ErrorKind;
+        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
+        obs::install(recorder.clone());
+        let mut attempts = 0;
+        let out = retry_transient(|| {
+            attempts += 1;
+            if attempts < 3 {
+                Err(std::io::Error::new(ErrorKind::Interrupted, "interrupted"))
+            } else {
+                Ok(attempts)
+            }
+        });
+        obs::uninstall();
+        assert_eq!(out.unwrap(), 3);
+        assert_eq!(recorder.counter_value(obs::Counter::LedgerRetries), 2);
+    }
+
+    #[test]
+    fn retry_transient_gives_up_on_permanent_errors_immediately() {
+        use std::io::ErrorKind;
+        let mut attempts = 0;
+        let out: std::io::Result<()> = retry_transient(|| {
+            attempts += 1;
+            Err(std::io::Error::new(ErrorKind::PermissionDenied, "nope"))
+        });
+        assert_eq!(out.unwrap_err().kind(), ErrorKind::PermissionDenied);
+        assert_eq!(attempts, 1, "permanent errors must not be retried");
+    }
+
+    #[test]
+    fn retry_transient_is_bounded_for_persistent_transient_errors() {
+        use std::io::ErrorKind;
+        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let mut attempts = 0;
+        let out: std::io::Result<()> = retry_transient(|| {
+            attempts += 1;
+            Err(std::io::Error::new(
+                ErrorKind::Interrupted,
+                "still interrupted",
+            ))
+        });
+        assert_eq!(out.unwrap_err().kind(), ErrorKind::Interrupted);
+        assert_eq!(attempts, 4, "one initial attempt plus three retries");
+    }
 
     /// Collision-free temp directory (tests run concurrently).
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -21,9 +21,9 @@
 //!   runs the full set either way.
 //!
 //! A subset is a view of the one objective, not a second objective: the
-//! evaluation paths (fan-out shapes, fixed-order reductions) are the same
-//! code, so at full fidelity — `k == n` — the loss is bit-for-bit the
-//! full loss and shares its cache entries.
+//! loss is the same code, reducing in dataset order, so at full fidelity
+//! — `k == n` — the loss is bit-for-bit the full loss and shares its
+//! cache entries.
 //!
 //! [`SimulationObjective::on_subset`]: crate::objective::SimulationObjective::on_subset
 
@@ -206,18 +206,10 @@ mod tests {
         let sub =
             SimulationObjective::new(&Toy, &dataset, avg_loss(), space1()).on_subset(&indices);
         assert_eq!(sub.subset_tag(), None, "the identity view is untagged");
-        let c = Calibration::new(vec![25.0]);
-        assert_eq!(full.loss(&c).to_bits(), sub.loss(&c).to_bits());
-        assert_eq!(full.par_loss(&c).to_bits(), sub.par_loss(&c).to_bits());
-        let batch = vec![Calibration::new(vec![10.0]), Calibration::new(vec![35.0])];
-        let fb = full.par_loss_batch(&batch);
-        let sb = sub.par_loss_batch(&batch);
-        assert_eq!(fb[0].to_bits(), sb[0].to_bits());
-        assert_eq!(fb[1].to_bits(), sb[1].to_bits());
-        let ft = full.try_par_loss_batch(&batch);
-        let st = sub.try_par_loss_batch(&batch);
-        assert_eq!(ft, st);
-        assert_eq!(ft[0].as_ref().unwrap().to_bits(), fb[0].to_bits());
+        for x in [25.0, 10.0, 35.0] {
+            let c = Calibration::new(vec![x]);
+            assert_eq!(full.loss(&c).to_bits(), sub.loss(&c).to_bits());
+        }
     }
 
     #[test]
@@ -231,13 +223,7 @@ mod tests {
         let batch = vec![Calibration::new(vec![10.0]), Calibration::new(vec![35.0])];
         for c in &batch {
             assert_eq!(sub.loss(c).to_bits(), direct.loss(c).to_bits());
-            assert_eq!(sub.par_loss(c).to_bits(), direct.loss(c).to_bits());
         }
-        assert_eq!(sub.par_loss_batch(&batch), direct.par_loss_batch(&batch));
-        assert_eq!(
-            sub.try_par_loss_batch(&batch),
-            direct.try_par_loss_batch(&batch)
-        );
     }
 
     #[test]

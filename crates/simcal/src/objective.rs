@@ -10,7 +10,6 @@
 
 use crate::loss::Loss;
 use crate::param::{Calibration, ParameterSpace};
-use rayon::prelude::*;
 
 /// A black-box function of a [`Calibration`] that the calibrator minimizes.
 ///
@@ -33,49 +32,6 @@ pub trait Objective: Sync {
     fn cache_fingerprint(&self) -> Option<crate::cache::CacheFingerprint> {
         None
     }
-
-    /// The loss at `calibration`, free to use the thread pool internally.
-    ///
-    /// Must return **bit-for-bit** the same value as [`Objective::loss`]:
-    /// implementations may parallelize independent sub-evaluations but
-    /// must reduce them in a fixed order. The default is the sequential
-    /// loss; [`SimulationObjective`] overrides it to fan individual
-    /// simulator invocations into the pool.
-    fn par_loss(&self, calibration: &Calibration) -> f64 {
-        self.loss(calibration)
-    }
-
-    /// Losses of a batch of calibrations, in input order, free to use the
-    /// thread pool internally. Each returned value must equal the
-    /// corresponding [`Objective::loss`] bit-for-bit.
-    ///
-    /// The default parallelizes across calibrations only (one sequential
-    /// loss per pool item — the seed pipeline's shape);
-    /// [`SimulationObjective`] overrides it to flatten the whole
-    /// (calibration × scenario) product into one fan-out, so even a small
-    /// batch over a large ground-truth dataset saturates the pool.
-    fn par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<f64> {
-        calibrations.par_iter().map(|c| self.loss(c)).collect()
-    }
-
-    /// Like [`Objective::par_loss_batch`], but every per-point
-    /// evaluation is isolated under [`crate::fault::guard`]: a panic in
-    /// one point's simulation surfaces as that point's `Err(message)`
-    /// instead of unwinding through the whole batch. Successful points
-    /// must return bit-for-bit the same values as
-    /// [`Objective::par_loss_batch`].
-    ///
-    /// The default guards each point's [`Objective::par_loss`];
-    /// [`SimulationObjective`] overrides it to keep the flattened
-    /// (calibration × scenario) fan-out while guarding each individual
-    /// `Simulator::run` invocation, so a panic is attributed to exactly
-    /// the point whose scenario raised it.
-    fn try_par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<Result<f64, String>> {
-        calibrations
-            .par_iter()
-            .map(|c| crate::fault::guard(|| self.par_loss(c)))
-            .collect()
-    }
 }
 
 /// A use-case-specific simulator: invoked once per ground-truth scenario,
@@ -91,7 +47,7 @@ pub trait Simulator: Sync {
     /// its observed execution metrics.
     type Scenario: Sync;
     /// Per-scenario result consumed by the loss function.
-    type Output: Send;
+    type Output;
 
     /// Simulate `scenario` under `calibration` and report the result.
     fn run(&self, scenario: &Self::Scenario, calibration: &Calibration) -> Self::Output;
@@ -104,8 +60,8 @@ pub trait Simulator: Sync {
 /// The objective evaluates over an index *view* of its dataset: the whole
 /// dataset by default, or the subset [`SimulationObjective::on_subset`]
 /// selects (the cheap rungs of multi-fidelity sweeps,
-/// [`crate::fidelity`]). Every evaluation path reduces the view in dataset
-/// order, so the identity view is bit-for-bit the plain objective.
+/// [`crate::fidelity`]). The loss reduces the view in dataset order, so
+/// the identity view is bit-for-bit the plain objective.
 pub struct SimulationObjective<'a, S: Simulator, L> {
     simulator: &'a S,
     dataset: &'a [S::Scenario],
@@ -205,77 +161,6 @@ where
             .map(|scenario| self.simulator.run(scenario, calibration))
             .collect();
         self.loss.aggregate(&outputs)
-    }
-
-    /// Scenario-level fan-out: every `Simulator::run` invocation becomes
-    /// one pool item; outputs are collected in dataset order, so the
-    /// aggregation sees exactly the sequence the sequential path builds.
-    fn par_loss(&self, calibration: &Calibration) -> f64 {
-        let outputs: Vec<S::Output> = self
-            .view
-            .par_iter()
-            .map(|scenario| self.simulator.run(scenario, calibration))
-            .collect();
-        self.loss.aggregate(&outputs)
-    }
-
-    /// Two-level flattening: the whole (calibration × scenario) product
-    /// is one fan-out of individual `Simulator::run` calls, so a batch of
-    /// 4 proposals over a 100-scenario dataset schedules 400 independent
-    /// pool items instead of 4. Outputs are regrouped per calibration in
-    /// input order and aggregated sequentially, preserving bit-for-bit
-    /// equality with [`Objective::loss`].
-    fn par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<f64> {
-        let n_scenarios = self.view.len();
-        let product: Vec<(usize, usize)> = (0..calibrations.len())
-            .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
-            .collect();
-        let outputs: Vec<S::Output> = product
-            .par_iter()
-            .map(|&(c, s)| self.simulator.run(self.view[s], &calibrations[c]))
-            .collect();
-        outputs
-            .chunks(n_scenarios)
-            .map(|per_point| self.loss.aggregate(per_point))
-            .collect()
-    }
-
-    /// Same flattened (calibration × scenario) fan-out as
-    /// [`Objective::par_loss_batch`], with every `Simulator::run`
-    /// invocation individually guarded: a panicking scenario fails only
-    /// the calibration point it belongs to (first failing scenario in
-    /// dataset order wins), while the other points aggregate exactly the
-    /// output sequence the unguarded path builds.
-    fn try_par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<Result<f64, String>> {
-        let n_scenarios = self.view.len();
-        let product: Vec<(usize, usize)> = (0..calibrations.len())
-            .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
-            .collect();
-        let outputs: Vec<Result<S::Output, String>> = product
-            .par_iter()
-            .map(|&(c, s)| {
-                crate::fault::guard(|| self.simulator.run(self.view[s], &calibrations[c]))
-            })
-            .collect();
-        let mut outputs = outputs.into_iter();
-        (0..calibrations.len())
-            .map(|_| {
-                let mut per_point: Vec<S::Output> = Vec::with_capacity(n_scenarios);
-                let mut failed: Option<String> = None;
-                for _ in 0..n_scenarios {
-                    match outputs.next().expect("one output per product item") {
-                        Ok(output) => per_point.push(output),
-                        Err(message) => {
-                            failed.get_or_insert(message);
-                        }
-                    }
-                }
-                match failed {
-                    None => crate::fault::guard(|| self.loss.aggregate(&per_point)),
-                    Some(message) => Err(message),
-                }
-            })
-            .collect()
     }
 }
 
@@ -384,49 +269,6 @@ mod tests {
             StructuredLoss::new(Agg::Avg, ElementMix::Ignore, "L1"),
             space1(),
         );
-    }
-
-    #[test]
-    fn try_batch_isolates_panicking_scenarios_per_point() {
-        /// Panics only for one (calibration, scenario) combination, so the
-        /// flattened fan-out must attribute the failure to exactly that
-        /// calibration point.
-        struct Flaky;
-        impl Simulator for Flaky {
-            type Scenario = f64;
-            type Output = ScenarioError;
-            fn run(&self, scenario: &f64, calibration: &Calibration) -> ScenarioError {
-                if calibration.values[0] > 50.0 && *scenario == 20.0 {
-                    panic!("scenario 20 exploded");
-                }
-                ScenarioError::scalar_only(crate::loss::relative_error(
-                    *scenario,
-                    calibration.values[0],
-                ))
-            }
-        }
-        let dataset = vec![10.0, 20.0];
-        let obj = SimulationObjective::new(
-            &Flaky,
-            &dataset,
-            StructuredLoss::new(Agg::Avg, ElementMix::Ignore, "L1"),
-            space1(),
-        );
-        let calibs = vec![
-            Calibration::new(vec![10.0]),
-            Calibration::new(vec![60.0]), // its scenario 20 panics
-            Calibration::new(vec![20.0]),
-        ];
-        let results = obj.try_par_loss_batch(&calibs);
-        assert_eq!(results.len(), 3);
-        assert!(results[1]
-            .as_ref()
-            .unwrap_err()
-            .contains("scenario 20 exploded"));
-        // Surviving points equal the unguarded batch path bit-for-bit.
-        let clean = obj.par_loss_batch(&[calibs[0].clone(), calibs[2].clone()]);
-        assert_eq!(results[0].as_ref().unwrap().to_bits(), clean[0].to_bits());
-        assert_eq!(results[2].as_ref().unwrap().to_bits(), clean[1].to_bits());
     }
 
     #[test]

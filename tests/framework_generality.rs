@@ -1,7 +1,8 @@
 //! Integration tests of the calibration framework's generality and of the
 //! methodology steps as a user composes them (paper §3): custom
 //! simulators, budget fairness, loss/algorithm selection via synthetic
-//! benchmarking, and trace semantics.
+//! benchmarking, trace semantics, and memoization on a real simulation
+//! objective.
 
 use lodcal::simcal::prelude::*;
 
@@ -169,4 +170,45 @@ fn wallclock_budget_terminates_promptly() {
     assert!(r.loss.is_finite());
     // Generous bound: a surrogate fit may be in flight when time expires.
     assert!(start.elapsed().as_secs_f64() < 10.0);
+}
+
+/// Memoized hits are served for free: re-proposing an already-evaluated
+/// point (directly or via a batch) returns the identical loss without
+/// consuming a budget evaluation, on a real simulation objective.
+#[test]
+fn memoized_hits_do_not_consume_budget_on_simulation_objective() {
+    use lodcal::wfsim::prelude::*;
+    let records = dataset_for(
+        AppKind::Chain,
+        &DatasetOptions {
+            repetitions: 1,
+            size_indices: vec![0],
+            work_indices: vec![0],
+            footprint_indices: vec![0],
+            worker_counts: vec![1, 2],
+            ..Default::default()
+        },
+    );
+    let scenarios = WfScenario::from_records(&records);
+    let sim = WorkflowSimulator::new(SimulatorVersion::lowest_detail());
+    let obj = objective(
+        &sim,
+        &scenarios,
+        StructuredLoss::new(Agg::Avg, ElementMix::Ignore, "L1"),
+    );
+    let dim = obj.space().dim();
+    let ev = Evaluator::new(&obj, Budget::Evaluations(8));
+    let a = vec![0.3; dim];
+    let b = vec![0.7; dim];
+    let first = ev.eval(&a).unwrap();
+    // Same point again: identical loss, no budget consumed.
+    assert_eq!(ev.eval(&a), Some(first));
+    assert_eq!(ev.evaluations(), 1);
+    // Batch mixing the cached point with a fresh one: only the fresh
+    // point burns budget, and the cached slot matches exactly.
+    let losses = ev.eval_batch(&[a.clone(), b.clone()]).unwrap();
+    assert_eq!(losses[0].to_bits(), first.to_bits());
+    assert_eq!(ev.evaluations(), 2);
+    assert_eq!(ev.cache_hits(), 2);
+    assert_eq!(ev.cache_misses(), 2);
 }
