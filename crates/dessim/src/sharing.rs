@@ -143,6 +143,39 @@ impl Workspace {
         }
     }
 
+    /// `clear` + build from routes that are already what
+    /// [`Workspace::push_route`] stores — each one sorted and free of
+    /// duplicates — laid back to back: flow `f` crosses
+    /// `links[ends[f - 1]..ends[f]]` (from 0 for the first flow). For
+    /// callers that solve the same routes under many capacity vectors and
+    /// so sort them once.
+    ///
+    /// # Panics
+    /// Panics if a link index is out of bounds for `capacities`.
+    pub fn load_sorted(&mut self, capacities: &[f64], links: &[u32], ends: &[u32]) {
+        self.clear();
+        self.caps.extend_from_slice(capacities);
+        let nl = capacities.len();
+        self.route_flat.extend(links.iter().map(|&l| {
+            assert!(
+                (l as usize) < nl,
+                "route references link {l} but only {nl} links exist"
+            );
+            l as usize
+        }));
+        self.route_ends.extend(ends.iter().map(|&e| e as usize));
+        debug_assert!(
+            self.route_ends.last().copied().unwrap_or(0) == self.route_flat.len()
+                && (0..self.route_ends.len()).all(|f| {
+                    let start = if f == 0 { 0 } else { self.route_ends[f - 1] };
+                    self.route_flat[start..self.route_ends[f]]
+                        .windows(2)
+                        .all(|w| w[0] < w[1])
+                }),
+            "routes must be laid back to back, each sorted without duplicates"
+        );
+    }
+
     /// Run progressive filling on the current problem and return one rate
     /// per flow (in push order). Flows with empty routes get
     /// `f64::INFINITY`. The result stays valid until the next `clear`.
@@ -588,6 +621,33 @@ mod tests {
             let (rates, binding) = solve_bits(&caps, &routes);
             let warm: Vec<u64> = ws.rates().iter().map(|r| r.to_bits()).collect();
             prop_assert_eq!(warm, rates);
+            for (l, &b) in binding.iter().enumerate() {
+                prop_assert_eq!(ws.was_binding(l), b);
+            }
+        }
+
+        /// Routes sorted and de-duplicated ahead of time, loaded with
+        /// `load_sorted` into a warm workspace, solve to the same bits as
+        /// `load` of the raw routes.
+        #[test]
+        fn prop_load_sorted_equals_load(seed in 0u64..1_000_000) {
+            let (caps, routes) = random_problem(seed);
+            let (mut links, mut ends) = (Vec::new(), Vec::new());
+            for route in &routes {
+                let mut route: Vec<u32> = route.iter().map(|&l| l as u32).collect();
+                route.sort_unstable();
+                route.dedup();
+                links.extend(route);
+                ends.push(links.len() as u32);
+            }
+            let mut ws = Workspace::new();
+            let (warm_caps, warm_routes) = random_problem(seed.wrapping_add(1));
+            ws.load(&warm_caps, &warm_routes);
+            ws.solve();
+            ws.load_sorted(&caps, &links, &ends);
+            let sorted: Vec<u64> = ws.solve().iter().map(|r| r.to_bits()).collect();
+            let (rates, binding) = solve_bits(&caps, &routes);
+            prop_assert_eq!(sorted, rates);
             for (l, &b) in binding.iter().enumerate() {
                 prop_assert_eq!(ws.was_binding(l), b);
             }

@@ -73,7 +73,7 @@ impl CaseStudy for MpiCase {
     fn judge(&self, sim: &MpiSimulator, s: &MpiScenario, c: &Calibration) -> (f64, u64) {
         (
             mean_relative_rate_error(sim, s, c),
-            sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes, c),
+            sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes),
         )
     }
 }

@@ -44,7 +44,7 @@ pub fn objective<'a>(
         simulator,
         scenarios,
         loss,
-        simulator.version.parameter_space(),
+        simulator.version().parameter_space(),
     )
 }
 
@@ -97,9 +97,9 @@ mod tests {
         let scenarios = tiny_dataset();
         let sim = MpiSimulator::new(MpiSimulatorVersion::lowest_detail());
         let calib =
-            sim.version
+            sim.version()
                 .parameter_space()
-                .denormalize(&vec![0.5; sim.version.parameter_space().dim()]);
+                .denormalize(&vec![0.5; sim.version().parameter_space().dim()]);
         let evs = sim.run(&scenarios[0], &calib);
         assert_eq!(evs.len(), 13);
         assert!(evs.iter().all(|&e| e > 0.0));
@@ -111,7 +111,7 @@ mod tests {
         let sim = MpiSimulator::new(MpiSimulatorVersion::lowest_detail());
         let obj = objective(&sim, &scenarios, MatrixLoss::new(Agg::Avg, Agg::Avg, "L1"));
         let dim = obj.space().dim();
-        let arbitrary = obj.loss(&sim.version.parameter_space().denormalize(&vec![0.3; dim]));
+        let arbitrary = obj.loss(&sim.version().parameter_space().denormalize(&vec![0.3; dim]));
         assert!(arbitrary.is_finite());
         let result = Calibrator::bo_gp(Budget::Evaluations(60), 5).calibrate(&obj);
         assert!(
@@ -125,7 +125,7 @@ mod tests {
     fn rate_error_is_zero_for_a_perfect_model() {
         // Build a scenario whose samples equal the simulator's own output.
         let sim = MpiSimulator::new(MpiSimulatorVersion::lowest_detail());
-        let space = sim.version.parameter_space();
+        let space = sim.version().parameter_space();
         let calib = space.denormalize(&vec![0.5; space.dim()]);
         let sizes = crate::benchmarks::message_sizes();
         let rates = sim.transfer_rates(BenchmarkKind::PingPong, 8, &sizes, &calib);

@@ -8,14 +8,21 @@
 //! transfer time is `latency + size / (factor * allocated_bandwidth)`.
 //! The reported metric — as in the IMB logs the ground truth consists of —
 //! is the data transfer rate per flow, averaged over flows.
+//!
+//! Only link capacities, link latencies and the protocol depend on the
+//! calibration. The flows, the links and every route are compiled once per
+//! scenario into a plan, which an [`MpiSimulator`] keeps for its own
+//! lifetime; an evaluation prices the plan's links, solves, and computes
+//! rates (DESIGN.md, "What one mpisim evaluation costs").
 
 use crate::benchmarks::{BenchmarkKind, RANKS_PER_NODE};
 use crate::versions::{
     MpiSimulatorVersion, NodeModel, ProtocolModel, TopologyModel, FIXED_CHANGEPOINTS_LOG2,
 };
 use dessim::Workspace;
-use simcal::prelude::Calibration;
+use simcal::prelude::{Calibration, ParameterSpace};
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Effective bandwidth for same-socket (shared-memory) exchanges, which no
 /// version calibrates: 20 GB/s.
@@ -51,9 +58,13 @@ pub(crate) struct ResolvedMpi {
     pub scale_exponent: f64,
 }
 
-/// Map a calibration (in `version`'s space) to a resolved model.
-pub(crate) fn resolve(version: MpiSimulatorVersion, calib: &Calibration) -> ResolvedMpi {
-    let space = version.parameter_space();
+/// Map a calibration in `space`, the parameter space of `version`, to a
+/// resolved model.
+fn resolve(
+    version: MpiSimulatorVersion,
+    space: &ParameterSpace,
+    calib: &Calibration,
+) -> ResolvedMpi {
     let get = |name: &str| space.value(calib, name);
     let (bb_bw, bb_lat, link_bw, link_lat, down_bw, up_bw) = match version.topology {
         TopologyModel::Backbone => (get("bb_bw"), get("bb_lat"), 0.0, 0.0, 0.0, 0.0),
@@ -120,269 +131,394 @@ impl ResolvedMpi {
     }
 }
 
-/// The network as links + per-flow routes, ready for max-min sharing.
-struct FlowNetwork {
-    capacities: Vec<f64>,
-    latencies: Vec<f64>,
-    routes: Vec<Vec<usize>>,
+/// Which calibrated value a link's capacity and latency come from.
+#[derive(Clone, Copy, Debug)]
+enum LinkRole {
+    /// The shared backbone.
+    Backbone,
+    /// A node's dedicated link to the backbone.
+    NodeLink,
+    /// A 4-ary tree edge from a vertex on level `k` (leaves are level 0)
+    /// to its parent.
+    TreeLevel(i32),
+    /// A fat-tree node-to-switch link.
+    Down,
+    /// A fat-tree switch-to-core link.
+    Up,
+    /// A node's PCIe bus.
+    Pcie,
+    /// A node's X-Bus.
+    Xbus,
 }
 
-/// Build the link set and the route of every flow.
-fn build_network(model: &ResolvedMpi, n_nodes: usize, flows: &[(usize, usize)]) -> FlowNetwork {
-    let mut capacities = Vec::new();
-    let mut latencies = Vec::new();
-    let mut add_link = |bw: f64, lat: f64| -> usize {
-        capacities.push(bw.max(1.0));
-        latencies.push(lat.max(0.0));
-        capacities.len() - 1
-    };
-
-    // Topology links and a node-to-node route function.
-    enum Topo {
-        Backbone {
-            bb: usize,
-        },
-        BackboneLinks {
-            bb: usize,
-            node_links: Vec<usize>,
-        },
-        Tree {
-            parent_link: Vec<Option<usize>>,
-            parent: Vec<Option<usize>>,
-            leaf: Vec<usize>,
-        },
-        FatTree {
-            down: Vec<usize>,
-            up: Vec<usize>,
-        },
-    }
-    let topo = match model.topology {
-        TopologyModel::Backbone => Topo::Backbone {
-            bb: add_link(model.bb_bw, model.bb_lat),
-        },
-        TopologyModel::BackboneLinks => {
-            let bb = add_link(model.bb_bw, model.bb_lat);
-            let node_links = (0..n_nodes)
-                .map(|_| add_link(model.link_bw, model.link_lat))
-                .collect();
-            Topo::BackboneLinks { bb, node_links }
-        }
-        TopologyModel::Tree4 => {
-            // Vertices: n leaves, then ceil-by-4 groups per level up to a root.
-            let mut parent: Vec<Option<usize>> = Vec::new();
-            let mut parent_link: Vec<Option<usize>> = Vec::new();
-            let mut level_start = 0usize;
-            let mut level_count = n_nodes;
-            let leaf: Vec<usize> = (0..n_nodes).collect();
-            // Create leaf vertices.
-            for _ in 0..n_nodes {
-                parent.push(None);
-                parent_link.push(None);
-            }
+impl LinkRole {
+    /// Capacity and latency of a link in this role under `model`.
+    fn price(self, model: &ResolvedMpi) -> (f64, f64) {
+        let (bw, lat) = match self {
+            LinkRole::Backbone => (model.bb_bw, model.bb_lat),
+            LinkRole::NodeLink => (model.link_bw, model.link_lat),
             // Uplink capacity aggregates the subtree it serves (a switch
             // uplink carries its four children's traffic), so the single
             // calibratable bandwidth describes the leaf edge and the tree
             // is not artificially root-choked.
-            let mut level = 0u32;
-            while level_count > 1 {
-                let next_count = level_count.div_ceil(4);
-                let next_start = parent.len();
-                for _ in 0..next_count {
-                    parent.push(None);
-                    parent_link.push(None);
-                }
-                let capacity = model.link_bw * 4f64.powi(level as i32);
-                for i in 0..level_count {
-                    let v = level_start + i;
-                    let p = next_start + i / 4;
-                    parent[v] = Some(p);
-                    parent_link[v] = Some(add_link(capacity, model.link_lat));
-                }
-                level_start = next_start;
-                level_count = next_count;
-                level += 1;
-            }
-            Topo::Tree {
-                parent_link,
-                parent,
-                leaf,
-            }
+            LinkRole::TreeLevel(level) => (model.link_bw * 4f64.powi(level), model.link_lat),
+            LinkRole::Down => (model.down_bw, model.link_lat),
+            LinkRole::Up => (model.up_bw, model.link_lat),
+            LinkRole::Pcie => (model.pcie_bw, 0.0),
+            LinkRole::Xbus => (model.xbus_bw, 0.0),
+        };
+        (bw.max(1.0), lat.max(0.0))
+    }
+}
+
+/// Routes laid back to back: route `f` is `links[ends[f - 1]..ends[f]]`
+/// (from 0 for the first).
+#[derive(Debug, Default)]
+struct Routes {
+    links: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl Routes {
+    /// Close the route made of the links pushed since the last one.
+    fn end_route(&mut self) {
+        let end = u32::try_from(self.links.len()).expect("route hops fit in u32");
+        self.ends.push(end);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let route = &self.links[start..end as usize];
+            start = end as usize;
+            route
+        })
+    }
+}
+
+/// Everything about one scenario that no calibration changes: the role of
+/// every link and the route of every flow.
+#[derive(Debug)]
+struct Plan {
+    /// Node count, for the emulator's scale term.
+    n_nodes: usize,
+    /// The role of every link, by link id.
+    roles: Vec<LinkRole>,
+    /// Every flow's route in the order the network is built; latencies are
+    /// summed in this order.
+    paths: Routes,
+    /// The same routes sorted and de-duplicated, as the solver takes them.
+    solver_routes: Routes,
+}
+
+impl Plan {
+    /// Build the link set and the route of every flow of `benchmark` on
+    /// `n_nodes` nodes.
+    fn build(
+        topology: TopologyModel,
+        node: NodeModel,
+        benchmark: BenchmarkKind,
+        n_nodes: usize,
+    ) -> Plan {
+        let mut roles = Vec::new();
+        let mut add_link = |role: LinkRole| -> u32 {
+            roles.push(role);
+            u32::try_from(roles.len() - 1).expect("link ids fit in u32")
+        };
+
+        // Topology links and the node-to-node route they give.
+        enum Topo {
+            Backbone {
+                bb: u32,
+            },
+            BackboneLinks {
+                bb: u32,
+                node_links: Vec<u32>,
+            },
+            /// Per tree vertex (leaves first, then level by level up to the
+            /// root): its parent and the link to it. Every leaf is at the
+            /// same depth.
+            Tree {
+                up: Vec<Option<(usize, u32)>>,
+            },
+            FatTree {
+                down: Vec<u32>,
+                up: Vec<u32>,
+            },
         }
-        TopologyModel::FatTree => {
-            let down = (0..n_nodes)
-                .map(|_| add_link(model.down_bw, model.link_lat))
-                .collect();
-            let n_switches = n_nodes.div_ceil(18);
-            let up = (0..n_switches)
-                .map(|_| add_link(model.up_bw, model.link_lat))
-                .collect();
-            Topo::FatTree { down, up }
-        }
-    };
-
-    // Intra-node links for the complex node model.
-    let (pcie, xbus): (Vec<usize>, Vec<usize>) = if model.node == NodeModel::Complex {
-        (
-            (0..n_nodes).map(|_| add_link(model.pcie_bw, 0.0)).collect(),
-            (0..n_nodes).map(|_| add_link(model.xbus_bw, 0.0)).collect(),
-        )
-    } else {
-        (Vec::new(), Vec::new())
-    };
-
-    let node_of = |rank: usize| rank / RANKS_PER_NODE;
-    let socket_of = |rank: usize| (rank % RANKS_PER_NODE) / (RANKS_PER_NODE / 2);
-
-    let node_route = |a: usize, b: usize| -> Vec<usize> {
-        match &topo {
-            Topo::Backbone { bb } => vec![*bb],
-            Topo::BackboneLinks { bb, node_links } => vec![node_links[a], *bb, node_links[b]],
-            Topo::Tree {
-                parent_link,
-                parent,
-                leaf,
-            } => {
-                // Walk both leaves up to the LCA, collecting edge links.
-                let mut pa = Vec::new();
-                let mut pb = Vec::new();
-                let mut va = leaf[a];
-                let mut vb = leaf[b];
-                let depth = |mut v: usize| {
-                    let mut d = 0;
-                    while let Some(p) = parent[v] {
-                        v = p;
-                        d += 1;
+        let topo = match topology {
+            TopologyModel::Backbone => Topo::Backbone {
+                bb: add_link(LinkRole::Backbone),
+            },
+            TopologyModel::BackboneLinks => {
+                let bb = add_link(LinkRole::Backbone);
+                let node_links = (0..n_nodes).map(|_| add_link(LinkRole::NodeLink)).collect();
+                Topo::BackboneLinks { bb, node_links }
+            }
+            TopologyModel::Tree4 => {
+                // Vertices: n leaves, then ceil-by-4 groups per level up to
+                // a root.
+                let mut up = vec![None; n_nodes];
+                let mut level_start = 0usize;
+                let mut level_count = n_nodes;
+                let mut level = 0i32;
+                while level_count > 1 {
+                    let next_count = level_count.div_ceil(4);
+                    let next_start = up.len();
+                    up.resize(next_start + next_count, None);
+                    for i in 0..level_count {
+                        up[level_start + i] =
+                            Some((next_start + i / 4, add_link(LinkRole::TreeLevel(level))));
                     }
-                    d
-                };
-                let (mut da, mut db) = (depth(va), depth(vb));
-                while da > db {
-                    pa.push(parent_link[va].expect("non-root has a parent link"));
-                    va = parent[va].expect("non-root");
-                    da -= 1;
+                    level_start = next_start;
+                    level_count = next_count;
+                    level += 1;
                 }
-                while db > da {
-                    pb.push(parent_link[vb].expect("non-root has a parent link"));
-                    vb = parent[vb].expect("non-root");
-                    db -= 1;
-                }
+                Topo::Tree { up }
+            }
+            TopologyModel::FatTree => {
+                let down = (0..n_nodes).map(|_| add_link(LinkRole::Down)).collect();
+                let n_switches = n_nodes.div_ceil(18);
+                let up = (0..n_switches).map(|_| add_link(LinkRole::Up)).collect();
+                Topo::FatTree { down, up }
+            }
+        };
+
+        // Intra-node links for the complex node model.
+        let complex = node == NodeModel::Complex;
+        let (pcie, xbus): (Vec<u32>, Vec<u32>) = if complex {
+            (
+                (0..n_nodes).map(|_| add_link(LinkRole::Pcie)).collect(),
+                (0..n_nodes).map(|_| add_link(LinkRole::Xbus)).collect(),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+
+        let node_of = |rank: usize| rank / RANKS_PER_NODE;
+        let socket_of = |rank: usize| (rank % RANKS_PER_NODE) / (RANKS_PER_NODE / 2);
+        let mut far_side = Vec::new();
+        let mut node_route = |a: usize, b: usize, hops: &mut Vec<u32>| match &topo {
+            Topo::Backbone { bb } => hops.push(*bb),
+            Topo::BackboneLinks { bb, node_links } => {
+                hops.extend([node_links[a], *bb, node_links[b]]);
+            }
+            Topo::Tree { up } => {
+                // Walk both leaves up to their common ancestor; the far
+                // side's links are crossed top-down.
+                let (mut va, mut vb) = (a, b);
                 while va != vb {
-                    pa.push(parent_link[va].expect("non-root"));
-                    pb.push(parent_link[vb].expect("non-root"));
-                    va = parent[va].expect("non-root");
-                    vb = parent[vb].expect("non-root");
+                    let (pa, la) = up[va].expect("only the root has no parent");
+                    let (pb, lb) = up[vb].expect("only the root has no parent");
+                    hops.push(la);
+                    far_side.push(lb);
+                    (va, vb) = (pa, pb);
                 }
-                pa.extend(pb.into_iter().rev());
-                pa
+                hops.extend(far_side.drain(..).rev());
             }
             Topo::FatTree { down, up } => {
                 let (sa, sb) = (a / 18, b / 18);
                 if sa == sb {
-                    vec![down[a], down[b]]
+                    hops.extend([down[a], down[b]]);
                 } else {
-                    vec![down[a], up[sa], up[sb], down[b]]
+                    hops.extend([down[a], up[sa], up[sb], down[b]]);
                 }
             }
-        }
-    };
+        };
 
-    let routes: Vec<Vec<usize>> = flows
-        .iter()
-        .map(|&(src, dst)| {
+        let n_ranks = n_nodes * RANKS_PER_NODE;
+        let mut paths = Routes::default();
+        for (src, dst) in benchmark.flows(n_ranks, workload_seed(benchmark, n_nodes)) {
             let (na, nb) = (node_of(src), node_of(dst));
-            let mut route = Vec::new();
+            let hops = &mut paths.links;
             if na != nb {
                 // Inter-node: rank -> (X-Bus if far socket) -> PCIe ->
                 // NIC -> network -> NIC -> PCIe -> (X-Bus) -> rank.
-                if model.node == NodeModel::Complex {
+                if complex {
                     if socket_of(src) == 1 {
-                        route.push(xbus[na]);
+                        hops.push(xbus[na]);
                     }
-                    route.push(pcie[na]);
+                    hops.push(pcie[na]);
                 }
-                route.extend(node_route(na, nb));
-                if model.node == NodeModel::Complex {
-                    route.push(pcie[nb]);
+                node_route(na, nb, hops);
+                if complex {
+                    hops.push(pcie[nb]);
                     if socket_of(dst) == 1 {
-                        route.push(xbus[nb]);
+                        hops.push(xbus[nb]);
                     }
                 }
-            } else if model.node == NodeModel::Complex && socket_of(src) != socket_of(dst) {
+            } else if complex && socket_of(src) != socket_of(dst) {
                 // Cross-socket, same node: X-Bus only (PCIe models the
                 // path to the NIC, which shared-memory traffic never
                 // touches).
-                route.push(xbus[na]);
+                hops.push(xbus[na]);
             }
             // Same node, same socket: empty route (shared memory); the
             // rate model caps it at the memory-copy ceiling.
-            route
-        })
-        .collect();
+            paths.end_route();
+        }
 
-    FlowNetwork {
-        capacities,
-        latencies,
-        routes,
+        let mut solver_routes = Routes::default();
+        let mut route = Vec::new();
+        for path in paths.iter() {
+            route.clear();
+            route.extend_from_slice(path);
+            route.sort_unstable();
+            route.dedup();
+            solver_routes.links.extend_from_slice(&route);
+            solver_routes.end_route();
+        }
+
+        Plan {
+            n_nodes,
+            roles,
+            paths,
+            solver_routes,
+        }
+    }
+
+    /// Links in the network, plus route hops across all flows (counted on
+    /// the routes as built, before de-duplication), plus one rate
+    /// computation per flow per message size.
+    fn work(&self, n_sizes: usize) -> u64 {
+        (self.roles.len() + self.paths.links.len() + self.paths.ends.len() * n_sizes) as u64
+    }
+
+    /// Per-size data transfer rates (bytes/s) under `model`, each averaged
+    /// over the flows.
+    fn rates(&self, model: &ResolvedMpi, sizes: &[f64]) -> Vec<f64> {
+        /// Solver buffers plus the per-link and per-flow terms of one
+        /// evaluation.
+        #[derive(Default)]
+        struct Scratch {
+            ws: Workspace,
+            capacities: Vec<f64>,
+            latencies: Vec<f64>,
+            /// Per flow: route latency and allocated bandwidth.
+            flows: Vec<(f64, f64)>,
+        }
+        thread_local! {
+            /// Plans are shared by every pool thread evaluating through one
+            /// simulator; the buffers an evaluation writes are per thread,
+            /// so after a thread's first evaluation it allocates nothing
+            /// but its result.
+            static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+        }
+
+        let scale_mult = (128.0 / self.n_nodes as f64).powf(model.scale_exponent);
+        SCRATCH.with(|cell| {
+            let Scratch {
+                ws,
+                capacities,
+                latencies,
+                flows,
+            } = &mut *cell.borrow_mut();
+            capacities.clear();
+            latencies.clear();
+            for role in &self.roles {
+                let (capacity, latency) = role.price(model);
+                capacities.push(capacity);
+                latencies.push(latency);
+            }
+            ws.load_sorted(
+                capacities,
+                &self.solver_routes.links,
+                &self.solver_routes.ends,
+            );
+            let allocations = ws.solve();
+
+            // Neither term depends on the message size.
+            flows.clear();
+            flows.extend(
+                allocations
+                    .iter()
+                    .zip(self.paths.iter())
+                    .map(|(alloc, path)| {
+                        let lat: f64 = path.iter().map(|&l| latencies[l as usize]).sum();
+                        // Memory-copy speed is a universal ceiling on any single
+                        // MPI transfer (and the rate of same-socket exchanges,
+                        // whose route is empty).
+                        let bw = alloc.min(INTRA_NODE_BW) * scale_mult;
+                        (lat, bw.max(1.0))
+                    }),
+            );
+
+            sizes
+                .iter()
+                .map(|&size| {
+                    let factor = model.protocol_factor(size);
+                    let mut sum = 0.0;
+                    for &(lat, bw) in flows.iter() {
+                        let t = lat + size / (factor * bw);
+                        sum += size / t;
+                    }
+                    sum / flows.len() as f64
+                })
+                .collect()
+        })
     }
 }
 
-/// Per-flow data transfer rates (bytes/s) for one benchmark at one message
-/// size, averaged into the benchmark's reported rate.
+/// Per-size data transfer rates (bytes/s) for one benchmark under a fully
+/// resolved model, each averaged over the flows: the emulator's path, which
+/// compiles the scenario for this one call.
 pub(crate) fn transfer_rates_resolved(
     model: &ResolvedMpi,
     benchmark: BenchmarkKind,
     n_nodes: usize,
     sizes: &[f64],
 ) -> Vec<f64> {
-    thread_local! {
-        /// Reused max-min solver buffers: calibration evaluates this
-        /// function once per (version, scenario, size-grid) point in its
-        /// hot loop, so the fair-share solve runs allocation-free after
-        /// the first call on each thread.
-        static SHARING_WS: RefCell<Workspace> = RefCell::new(Workspace::new());
-    }
-
-    let n_ranks = n_nodes * RANKS_PER_NODE;
-    let flows = benchmark.flows(n_ranks, workload_seed(benchmark, n_nodes));
-    let net = build_network(model, n_nodes, &flows);
-    let scale_mult = (128.0 / n_nodes as f64).powf(model.scale_exponent);
-
-    SHARING_WS.with(|cell| {
-        let mut ws = cell.borrow_mut();
-        ws.load(&net.capacities, &net.routes);
-        let allocations = ws.solve();
-
-        sizes
-            .iter()
-            .map(|&size| {
-                let factor = model.protocol_factor(size);
-                let mut sum = 0.0;
-                for (alloc, route) in allocations.iter().zip(&net.routes) {
-                    // Memory-copy speed is a universal ceiling on any single
-                    // MPI transfer (and the rate of same-socket exchanges,
-                    // whose route is empty).
-                    let bw = alloc.min(INTRA_NODE_BW) * scale_mult;
-                    let lat: f64 = route.iter().map(|&l| net.latencies[l]).sum();
-                    let t = lat + size / (factor * bw.max(1.0));
-                    sum += size / t;
-                }
-                sum / flows.len() as f64
-            })
-            .collect()
-    })
+    Plan::build(model.topology, model.node, benchmark, n_nodes).rates(model, sizes)
 }
 
 /// A calibratable MPI benchmark simulator at one level of detail.
-#[derive(Clone, Copy, Debug)]
+///
+/// A simulator compiles each `(benchmark, n_nodes)` it is asked about once,
+/// on first use, and keeps the plan for its own lifetime; the threads
+/// evaluating through it share the plans.
+#[derive(Debug)]
 pub struct MpiSimulator {
-    /// The level-of-detail configuration.
-    pub version: MpiSimulatorVersion,
+    version: MpiSimulatorVersion,
+    /// `version`'s parameter space.
+    space: ParameterSpace,
+    /// Compiled scenarios, in the order they were first asked for.
+    plans: Mutex<Vec<(BenchmarkKind, usize, Arc<Plan>)>>,
 }
 
 impl MpiSimulator {
     /// Construct a simulator for `version`.
     pub fn new(version: MpiSimulatorVersion) -> Self {
-        Self { version }
+        Self {
+            version,
+            space: version.parameter_space(),
+            plans: Mutex::default(),
+        }
+    }
+
+    /// The level-of-detail configuration.
+    pub fn version(&self) -> MpiSimulatorVersion {
+        self.version
+    }
+
+    /// The plan of one scenario, built on first use.
+    fn plan(&self, benchmark: BenchmarkKind, n_nodes: usize) -> Arc<Plan> {
+        // A build that panics has inserted nothing, so the table a
+        // poisoned lock guards is whole.
+        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, _, plan)) = plans
+            .iter()
+            .find(|(b, n, _)| *b == benchmark && *n == n_nodes)
+        {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(Plan::build(
+            self.version.topology,
+            self.version.node,
+            benchmark,
+            n_nodes,
+        ));
+        plans.push((benchmark, n_nodes, Arc::clone(&plan)));
+        plan
     }
 
     /// Simulated data transfer rates (bytes/s), one per message size, for
@@ -394,12 +530,12 @@ impl MpiSimulator {
         sizes: &[f64],
         calibration: &Calibration,
     ) -> Vec<f64> {
-        let model = resolve(self.version, calibration);
-        transfer_rates_resolved(&model, benchmark, n_nodes, sizes)
+        let model = resolve(self.version, &self.space, calibration);
+        self.plan(benchmark, n_nodes).rates(&model, sizes)
     }
 
     /// Deterministic simulation-work estimate for one scenario: how much
-    /// this level of detail costs to evaluate.
+    /// this level of detail costs to evaluate, under any calibration.
     ///
     /// The model is analytic (one fair-share solve, no event loop), so the
     /// natural analogue of an event count is the size of the solved
@@ -408,19 +544,8 @@ impl MpiSimulator {
     /// detailed topologies/node models build strictly larger networks, so
     /// the measure orders versions by modelling cost — `lodsel` uses it as
     /// the cost axis of its accuracy-versus-cost Pareto front.
-    pub fn simulation_work(
-        &self,
-        benchmark: BenchmarkKind,
-        n_nodes: usize,
-        sizes: &[f64],
-        calibration: &Calibration,
-    ) -> u64 {
-        let model = resolve(self.version, calibration);
-        let n_ranks = n_nodes * RANKS_PER_NODE;
-        let flows = benchmark.flows(n_ranks, workload_seed(benchmark, n_nodes));
-        let net = build_network(&model, n_nodes, &flows);
-        let hops: usize = net.routes.iter().map(Vec::len).sum();
-        (net.capacities.len() + hops + flows.len() * sizes.len()) as u64
+    pub fn simulation_work(&self, benchmark: BenchmarkKind, n_nodes: usize, sizes: &[f64]) -> u64 {
+        self.plan(benchmark, n_nodes).work(sizes.len())
     }
 }
 
@@ -531,7 +656,7 @@ mod tests {
     #[test]
     fn protocol_factor_is_piecewise_by_size() {
         let version = MpiSimulatorVersion::lowest_detail();
-        let model = resolve(version, &calib_for(version));
+        let model = resolve(version, &version.parameter_space(), &calib_for(version));
         assert_eq!(model.protocol_factor(1024.0), 1.0);
         assert_eq!(model.protocol_factor(16_384.0), 0.7);
         assert_eq!(model.protocol_factor(1_048_576.0), 0.9);
@@ -550,7 +675,7 @@ mod tests {
         let i2 = space.index_of("changepoint2_log2").unwrap();
         values[i1] = 17.0;
         values[i2] = 13.0;
-        let model = resolve(version, &Calibration::new(values));
+        let model = resolve(version, &space, &Calibration::new(values));
         assert_eq!(model.changepoints_log2, [13.0, 17.0]);
     }
 
@@ -598,26 +723,48 @@ mod tests {
         let lo = MpiSimulatorVersion::lowest_detail();
         let hi = MpiSimulatorVersion::highest_detail();
         let sizes = message_sizes();
-        let w_lo = MpiSimulator::new(lo).simulation_work(
-            BenchmarkKind::BiRandom,
-            16,
-            &sizes,
-            &calib_for(lo),
-        );
-        let w_hi = MpiSimulator::new(hi).simulation_work(
-            BenchmarkKind::BiRandom,
-            16,
-            &sizes,
-            &calib_for(hi),
-        );
+        let w_lo = MpiSimulator::new(lo).simulation_work(BenchmarkKind::BiRandom, 16, &sizes);
+        let w_hi = MpiSimulator::new(hi).simulation_work(BenchmarkKind::BiRandom, 16, &sizes);
         assert!(w_hi > w_lo, "detail must cost work: {w_lo} vs {w_hi}");
-        let again = MpiSimulator::new(lo).simulation_work(
-            BenchmarkKind::BiRandom,
-            16,
-            &sizes,
-            &calib_for(lo),
-        );
+        let again = MpiSimulator::new(lo).simulation_work(BenchmarkKind::BiRandom, 16, &sizes);
         assert_eq!(w_lo, again);
+    }
+
+    #[test]
+    fn plans_are_built_once_per_scenario_whatever_the_evaluations() {
+        let version = MpiSimulatorVersion::highest_detail();
+        let c = calib_for(version);
+        let sizes = message_sizes();
+        let scenarios = [
+            (BenchmarkKind::PingPong, 8),
+            (BenchmarkKind::BiRandom, 8),
+            (BenchmarkKind::BiRandom, 20),
+        ];
+        let plan_count = |sim: &MpiSimulator| sim.plans.lock().unwrap().len();
+        for evaluations_per_thread in [1, 10, 40] {
+            let sim = MpiSimulator::new(version);
+            assert_eq!(plan_count(&sim), 0, "nothing is built before first use");
+            // Four threads start together and each cycle through every
+            // scenario, so first uses race.
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let (sim, c, sizes, start) = (&sim, &c, &sizes, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..evaluations_per_thread * scenarios.len() {
+                            let (b, n) = scenarios[(i + t) % scenarios.len()];
+                            sim.transfer_rates(b, n, sizes, c);
+                            sim.simulation_work(b, n, sizes);
+                        }
+                    });
+                }
+            });
+            assert_eq!(plan_count(&sim), scenarios.len());
+            let (b, n) = scenarios[0];
+            assert!(Arc::ptr_eq(&sim.plan(b, n), &sim.plan(b, n)));
+            assert_eq!(plan_count(&sim), scenarios.len());
+        }
     }
 
     #[test]

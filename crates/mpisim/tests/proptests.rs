@@ -2,9 +2,85 @@
 //! version/parameter space, physical sanity of the rate model, and
 //! workload invariants.
 
+mod oracle;
+
 use mpisim::prelude::*;
 use proptest::prelude::*;
 use simcal::prelude::Calibration;
+
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|r| r.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The simulator equals the rebuild-everything oracle bit for bit: every
+    /// rate, the simulation work and the emulator's true rates, for all 16
+    /// versions and 4 benchmarks from 1 node (all traffic intra-node) across
+    /// partial 4-ary tree levels and the fat tree's 18-node switch boundary.
+    #[test]
+    fn simulator_equals_the_rebuild_oracle(
+        version_idx in 0usize..16,
+        bench_idx in 0usize..4,
+        n_nodes in 1usize..=40,
+        unit in proptest::collection::vec(0.0f64..1.0, 11),
+        scale_exponent in 0.0f64..1.0,
+        link_lat in 0.0f64..1e-4,
+        pcie_bw in 1e9f64..1e11,
+    ) {
+        let version = MpiSimulatorVersion::all()[version_idx];
+        let space = version.parameter_space();
+        let calib: Calibration = space.denormalize(&unit[..space.dim()]);
+        let benchmark = BenchmarkKind::ALL[bench_idx];
+        let sizes = message_sizes();
+        let sim = MpiSimulator::new(version);
+        let model = oracle::resolve(version, &calib);
+
+        let got = sim.transfer_rates(benchmark, n_nodes, &sizes, &calib);
+        let want = oracle::rates_by_rebuild(&model, benchmark, n_nodes, &sizes);
+        prop_assert_eq!(bits(&got), bits(&want), "{} {} n={}", version.label(), benchmark.name(), n_nodes);
+        prop_assert_eq!(
+            sim.simulation_work(benchmark, n_nodes, &sizes),
+            oracle::work_by_rebuild(&model, benchmark, n_nodes, &sizes)
+        );
+
+        let cfg = MpiEmulatorConfig { scale_exponent, link_lat, pcie_bw, ..Default::default() };
+        let truth = oracle::emulator_model(&cfg);
+        prop_assert_eq!(
+            bits(&cfg.true_rates(benchmark, n_nodes, &sizes)),
+            bits(&oracle::rates_by_rebuild(&truth, benchmark, n_nodes, &sizes))
+        );
+    }
+
+    /// One simulator asked about shuffled scenarios and calibrations answers
+    /// every call exactly as a fresh simulator would: nothing one call
+    /// leaves behind reaches the next.
+    #[test]
+    fn a_reused_simulator_equals_a_fresh_one_per_call(
+        version_idx in 0usize..16,
+        scenarios in proptest::collection::vec(0usize..24, 1..24),
+        units in proptest::collection::vec(0.0f64..1.0, 24 * 11),
+    ) {
+        let version = MpiSimulatorVersion::all()[version_idx];
+        let space = version.parameter_space();
+        let sizes = message_sizes();
+        let reused = MpiSimulator::new(version);
+        for (call, &s) in scenarios.iter().enumerate() {
+            let (benchmark, n_nodes) = (BenchmarkKind::ALL[s % 4], 1 + s / 4);
+            let calib = space.denormalize(&units[call * 11..call * 11 + space.dim()]);
+            let fresh = MpiSimulator::new(version);
+            prop_assert_eq!(
+                bits(&reused.transfer_rates(benchmark, n_nodes, &sizes, &calib)),
+                bits(&fresh.transfer_rates(benchmark, n_nodes, &sizes, &calib))
+            );
+            prop_assert_eq!(
+                reused.simulation_work(benchmark, n_nodes, &sizes),
+                MpiSimulator::new(version).simulation_work(benchmark, n_nodes, &sizes)
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
