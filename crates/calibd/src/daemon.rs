@@ -30,6 +30,19 @@
 //! rayon pool; `workers` controls how many jobs make progress
 //! concurrently (0 is allowed and means "accept but never execute",
 //! which the tests use to pin queue behaviour deterministically).
+//!
+//! Waiting is event-driven. One condvar, `changed`, means "the registry
+//! changed": it is notified after every change a waiter can be waiting
+//! for — a job enqueued, completed, failed or cancelled, and shutdown.
+//! Every notifier makes its change while holding the registry lock (the
+//! `shutdown` store included) and notifies after releasing it, so a
+//! waiter that checked its condition under the lock cannot miss its
+//! wake-up. Workers and watchers share the condvar and each re-checks
+//! its own condition: an idle worker sleeps until a job is enqueued, and
+//! a watcher hears that its job finished as soon as the worker records
+//! the outcome. No daemon thread wakes on a timer except a watcher's
+//! `PROGRESS_PERIOD` tick, which re-reads the job's shard ledgers for
+//! run-level progress. Nothing reads from disk under the registry lock.
 
 use crate::proto::{
     check_hello, counter_event, parse_request, read_frame, write_frame, FrameError, JobSpec,
@@ -50,9 +63,15 @@ use std::io::{self, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How long a watcher waits for its job to finish before it re-reads the
+/// job's shard ledgers for run-level progress. Completion and shutdown
+/// end the wait at once; runs finished inside a shard are visible only in
+/// the ledgers.
+const PROGRESS_PERIOD: Duration = Duration::from_millis(25);
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -191,6 +210,31 @@ struct Job {
     cancel: Arc<AtomicBool>,
 }
 
+impl Job {
+    /// Enter the terminal state `event` records, live or on replay.
+    /// Failure and cancellation refund the admission charge; `Submitted`
+    /// is not terminal and changes nothing.
+    fn finish(&mut self, event: JobEvent, quotas: &QuotaBook) {
+        match event {
+            JobEvent::Completed { digest, chosen, .. } => {
+                self.state = JobState::Completed;
+                self.digest = Some(digest);
+                self.chosen = chosen;
+            }
+            JobEvent::Failed { error, .. } => {
+                self.state = JobState::Failed;
+                self.error = Some(error);
+                quotas.refund(&self.spec.tenant, self.planned_evals);
+            }
+            JobEvent::Cancelled { .. } => {
+                self.state = JobState::Cancelled;
+                quotas.refund(&self.spec.tenant, self.planned_evals);
+            }
+            JobEvent::Submitted { .. } => {}
+        }
+    }
+}
+
 #[derive(Default)]
 struct Registry {
     next_id: u64,
@@ -202,7 +246,8 @@ struct Shared {
     config: DaemonConfig,
     addr: SocketAddr,
     registry: Mutex<Registry>,
-    ready: Condvar,
+    /// "The registry changed" (module doc, "Scheduling").
+    changed: Condvar,
     shutdown: AtomicBool,
     quotas: QuotaBook,
     jobs_log: Mutex<std::fs::File>,
@@ -234,6 +279,18 @@ impl Shared {
             obs::diag!("jobs.jsonl append failed: {e}");
         }
     }
+
+    /// Ask every thread to stop. The flag is stored under the registry
+    /// lock, so a worker or watcher that found it clear under the lock is
+    /// already waiting when `notify_all` runs.
+    fn begin_shutdown(&self) {
+        let registry = self.registry.lock().expect("registry lock");
+        self.shutdown.store(true, Ordering::SeqCst);
+        drop(registry);
+        self.changed.notify_all();
+        // Wake the blocking accept loop.
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// Handle to a running daemon: its bound address plus shutdown/join.
@@ -251,10 +308,7 @@ impl DaemonHandle {
     /// Ask every thread to stop (running jobs pause at their next shard
     /// boundary and will resume from their ledgers on the next start).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        // Wake the blocking accept loop.
-        let _ = TcpStream::connect(self.shared.addr);
+        self.shared.begin_shutdown();
     }
 
     /// Shut down and wait for the worker and accept threads to exit.
@@ -310,7 +364,7 @@ impl Daemon {
             config,
             addr,
             registry: Mutex::new(registry),
-            ready: Condvar::new(),
+            changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
             quotas,
             jobs_log: Mutex::new(jobs_log),
@@ -362,24 +416,11 @@ fn replay(text: &str, quotas: &QuotaBook) -> Registry {
                     },
                 );
             }
-            JobEvent::Completed { id, digest, chosen } => {
+            JobEvent::Completed { id, .. }
+            | JobEvent::Failed { id, .. }
+            | JobEvent::Cancelled { id } => {
                 if let Some(job) = registry.jobs.get_mut(&id) {
-                    job.state = JobState::Completed;
-                    job.digest = Some(digest);
-                    job.chosen = chosen;
-                }
-            }
-            JobEvent::Failed { id, error } => {
-                if let Some(job) = registry.jobs.get_mut(&id) {
-                    job.state = JobState::Failed;
-                    job.error = Some(error);
-                    quotas.refund(&job.spec.tenant, job.planned_evals);
-                }
-            }
-            JobEvent::Cancelled { id } => {
-                if let Some(job) = registry.jobs.get_mut(&id) {
-                    job.state = JobState::Cancelled;
-                    quotas.refund(&job.spec.tenant, job.planned_evals);
+                    job.finish(event, quotas);
                 }
             }
         }
@@ -460,11 +501,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if let Some(id) = registry.queue.pop() {
                     break id;
                 }
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(registry, Duration::from_millis(100))
-                    .expect("registry lock");
-                registry = guard;
+                registry = shared.changed.wait(registry).expect("registry lock");
             }
         };
         execute_job(shared, claimed);
@@ -487,20 +524,22 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
         family = spec.family.clone(),
         shards = shards
     );
+    let failed = |error: String| finish(shared, id, JobEvent::Failed { id, error });
+    let cancelled = || finish(shared, id, JobEvent::Cancelled { id });
 
     let family = match make_family(&spec) {
         Ok(f) => f,
-        Err(e) => return finalize_failed(shared, id, e),
+        Err(e) => return failed(e),
     };
     let config = sweep_config(&spec);
     let dir = job_dir(&shared.config.data_dir, id);
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        return finalize_failed(shared, id, format!("cannot create {}: {e}", dir.display()));
+        return failed(format!("cannot create {}: {e}", dir.display()));
     }
 
     for s in 0..shards {
         if cancel.load(Ordering::SeqCst) {
-            return finalize_cancelled(shared, id);
+            return cancelled();
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             // Dying mid-job: no terminal event, so the next start
@@ -512,56 +551,36 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
             return;
         }
         if let Err(e) = run_shard(family.as_ref(), &config, s, shards, &dir) {
-            return finalize_failed(shared, id, e.to_string());
+            return failed(e.to_string());
         }
     }
     if cancel.load(Ordering::SeqCst) {
-        return finalize_cancelled(shared, id);
+        return cancelled();
     }
     let paths: Vec<PathBuf> = (0..shards).map(|s| shard_path(&dir, s)).collect();
     let merged = match merge_shards(&paths, &dir.join("merged.jsonl")) {
         Ok(l) => l,
-        Err(e) => return finalize_failed(shared, id, e.to_string()),
+        Err(e) => return failed(e.to_string()),
     };
     let outcome = match try_run_sweep(family.as_ref(), &config, Some(&merged)) {
         Ok(outcome) => outcome,
-        Err(e) => return finalize_failed(shared, id, e.to_string()),
+        Err(e) => return failed(e.to_string()),
     };
     let digest = outcome.digest();
     let chosen = outcome.recommendation.as_ref().map(|r| r.chosen.clone());
-    shared.log_event(&JobEvent::Completed {
-        id,
-        digest: digest.clone(),
-        chosen: chosen.clone(),
-    });
-    let mut registry = shared.registry.lock().expect("registry lock");
-    if let Some(job) = registry.jobs.get_mut(&id) {
-        job.state = JobState::Completed;
-        job.digest = Some(digest);
-        job.chosen = chosen;
-    }
+    finish(shared, id, JobEvent::Completed { id, digest, chosen });
 }
 
-fn finalize_failed(shared: &Arc<Shared>, id: u64, error: String) {
-    shared.log_event(&JobEvent::Failed {
-        id,
-        error: error.clone(),
-    });
+/// Record job `id`'s terminal `event`: log it, apply it under the
+/// registry lock, then wake every waiter.
+fn finish(shared: &Shared, id: u64, event: JobEvent) {
+    shared.log_event(&event);
     let mut registry = shared.registry.lock().expect("registry lock");
     if let Some(job) = registry.jobs.get_mut(&id) {
-        job.state = JobState::Failed;
-        job.error = Some(error);
-        shared.quotas.refund(&job.spec.tenant, job.planned_evals);
+        job.finish(event, &shared.quotas);
     }
-}
-
-fn finalize_cancelled(shared: &Arc<Shared>, id: u64) {
-    shared.log_event(&JobEvent::Cancelled { id });
-    let mut registry = shared.registry.lock().expect("registry lock");
-    if let Some(job) = registry.jobs.get_mut(&id) {
-        job.state = JobState::Cancelled;
-        shared.quotas.refund(&job.spec.tenant, job.planned_evals);
-    }
+    drop(registry);
+    shared.changed.notify_all();
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -578,7 +597,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn job_status_of(shared: &Shared, id: u64, job: &Job) -> JobStatus {
+/// A job's status fields, copied under the registry lock; [`with_ledger`]
+/// adds the ledger summary once the lock is released.
+fn job_status_of(id: u64, job: &Job) -> JobStatus {
     JobStatus {
         job: id,
         tenant: job.spec.tenant.clone(),
@@ -588,8 +609,19 @@ fn job_status_of(shared: &Shared, id: u64, job: &Job) -> JobStatus {
         digest: job.digest.clone(),
         chosen: job.chosen.clone(),
         error: job.error.clone(),
-        ledger: Some(job_ledger_status(&shared.config.data_dir, id, job.shards)),
+        ledger: None,
     }
+}
+
+/// Add the ledger summary to a status snapshot. It parses every shard
+/// ledger of the job, so it must not run under the registry lock.
+fn with_ledger(shared: &Shared, mut status: JobStatus) -> JobStatus {
+    status.ledger = Some(job_ledger_status(
+        &shared.config.data_dir,
+        status.job,
+        status.shards,
+    ));
+    status
 }
 
 /// Admit or refuse a submission, under the registry lock.
@@ -662,8 +694,35 @@ fn admit(shared: &Shared, spec: JobSpec) -> Response {
     drop(registry);
     obs::counter(obs::Counter::JobsAccepted, 1);
     obs::counter(obs::Counter::JobsQueued, 1);
-    shared.ready.notify_all();
+    shared.changed.notify_all();
     Response::Accepted { job: id }
+}
+
+/// Status of one job, or of every job when `job` is `None`.
+fn handle_status(shared: &Shared, job: Option<u64>) -> Response {
+    let registry = shared.registry.lock().expect("registry lock");
+    let snapshot = match job {
+        Some(id) => match registry.jobs.get(&id) {
+            Some(j) => vec![job_status_of(id, j)],
+            None => {
+                return Response::Error {
+                    message: format!("no such job {id}"),
+                }
+            }
+        },
+        None => registry
+            .jobs
+            .iter()
+            .map(|(id, j)| job_status_of(*id, j))
+            .collect(),
+    };
+    drop(registry);
+    Response::Jobs {
+        jobs: snapshot
+            .into_iter()
+            .map(|status| with_ledger(shared, status))
+            .collect(),
+    }
 }
 
 fn handle_cancel(shared: &Shared, id: u64) -> Response {
@@ -673,39 +732,64 @@ fn handle_cancel(shared: &Shared, id: u64) -> Response {
             message: format!("no such job {id}"),
         };
     };
-    match job.state {
+    let status = match job.state {
         JobState::Queued => {
             registry.queue.remove(id);
             drop(registry);
-            finalize_cancelled_locked(shared, id);
+            finish(shared, id, JobEvent::Cancelled { id });
             let registry = shared.registry.lock().expect("registry lock");
-            let job = &registry.jobs[&id];
-            Response::Jobs {
-                jobs: vec![job_status_of(shared, id, job)],
-            }
+            job_status_of(id, &registry.jobs[&id])
         }
         JobState::Running => {
+            // The worker records the cancellation at its next shard
+            // boundary.
             job.cancel.store(true, Ordering::SeqCst);
-            let status = job_status_of(shared, id, job);
-            Response::Jobs { jobs: vec![status] }
+            let status = job_status_of(id, job);
+            drop(registry);
+            status
         }
-        state => Response::Error {
-            message: format!("job {id} is already {state:?}"),
-        },
+        state => {
+            return Response::Error {
+                message: format!("job {id} is already {state:?}"),
+            }
+        }
+    };
+    Response::Jobs {
+        jobs: vec![with_ledger(shared, status)],
     }
 }
 
-fn finalize_cancelled_locked(shared: &Shared, id: u64) {
-    shared.log_event(&JobEvent::Cancelled { id });
-    let mut registry = shared.registry.lock().expect("registry lock");
-    if let Some(job) = registry.jobs.get_mut(&id) {
-        job.state = JobState::Cancelled;
-        shared.quotas.refund(&job.spec.tenant, job.planned_evals);
-    }
+/// Wait on `changed` while job `id` is not terminal and the daemon is
+/// up, for at most `timeout`. The caller hands over the guard it holds,
+/// so no change can fall between its last look and the wait.
+fn await_change<'a>(
+    shared: &Shared,
+    registry: MutexGuard<'a, Registry>,
+    id: u64,
+    timeout: Duration,
+) -> MutexGuard<'a, Registry> {
+    let (registry, _) = shared
+        .changed
+        .wait_timeout_while(registry, timeout, |registry| {
+            !shared.shutdown.load(Ordering::SeqCst)
+                && !registry
+                    .jobs
+                    .get(&id)
+                    .is_some_and(|job| job.state.terminal())
+        })
+        .expect("registry lock");
+    registry
 }
 
 /// Stream progress frames for `id` until it reaches a terminal state.
-fn handle_watch(shared: &Shared, id: u64, out: &mut TcpStream) -> io::Result<()> {
+/// `Done` leaves as soon as the worker records the outcome; a run-level
+/// progress frame can lag its ledger record by up to `progress_period`.
+fn handle_watch(
+    shared: &Shared,
+    id: u64,
+    progress_period: Duration,
+    out: &mut impl io::Write,
+) -> io::Result<()> {
     let exists = shared
         .registry
         .lock()
@@ -782,7 +866,8 @@ fn handle_watch(shared: &Shared, id: u64, out: &mut TcpStream) -> io::Result<()>
                 },
             );
         }
-        std::thread::sleep(Duration::from_millis(25));
+        let registry = shared.registry.lock().expect("registry lock");
+        drop(await_change(shared, registry, id, progress_period));
     }
 }
 
@@ -871,40 +956,15 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 },
             },
             Ok(Request::Submit { spec }) => admit(shared, spec),
-            Ok(Request::Status { job }) => {
-                let registry = shared.registry.lock().expect("registry lock");
-                let jobs: Vec<JobStatus> = match job {
-                    Some(id) => match registry.jobs.get(&id) {
-                        Some(j) => vec![job_status_of(shared, id, j)],
-                        None => {
-                            drop(registry);
-                            write_frame(
-                                &mut writer,
-                                &Response::Error {
-                                    message: format!("no such job {id}"),
-                                },
-                            )?;
-                            continue;
-                        }
-                    },
-                    None => registry
-                        .jobs
-                        .iter()
-                        .map(|(id, j)| job_status_of(shared, *id, j))
-                        .collect(),
-                };
-                Response::Jobs { jobs }
-            }
+            Ok(Request::Status { job }) => handle_status(shared, job),
             Ok(Request::Watch { job }) => {
-                handle_watch(shared, job, &mut writer)?;
+                handle_watch(shared, job, PROGRESS_PERIOD, &mut writer)?;
                 continue;
             }
             Ok(Request::Cancel { job }) => handle_cancel(shared, job),
             Ok(Request::Shutdown) => {
                 write_frame(&mut writer, &Response::ShuttingDown)?;
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.ready.notify_all();
-                let _ = TcpStream::connect(shared.addr);
+                shared.begin_shutdown();
                 return Ok(());
             }
             Err(
@@ -923,6 +983,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::proto::parse_response;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
     #[test]
     fn fair_queue_round_robins_across_tenants() {
@@ -1009,5 +1073,187 @@ mod tests {
             ..spec
         };
         assert_eq!(starved.planned_evaluations(4), 9);
+    }
+
+    // One wake-up test per transition a watcher can wait for. Each blocks
+    // a waiter in `await_change` with a timeout that only a missed
+    // notification can reach.
+
+    const WAIT: Duration = Duration::from_secs(60);
+
+    /// A daemon with `workers` workers in a fresh data dir.
+    fn start(tag: &str, workers: usize) -> (DaemonHandle, PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "calibd-wake-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DaemonConfig {
+            workers,
+            ..DaemonConfig::local(&dir)
+        };
+        (Daemon::start(config).expect("daemon starts"), dir)
+    }
+
+    /// A batch job that finishes in well under a second.
+    fn tiny_spec() -> JobSpec {
+        JobSpec {
+            family: "batch".into(),
+            fast: true,
+            budget_evals: 2,
+            total_evals: None,
+            restarts: 1,
+            seed: 7,
+            epsilon: 0.1,
+            shards: 1,
+            tenant: "t".into(),
+            sh_eta: None,
+            sh_min_scenarios: None,
+        }
+    }
+
+    /// The starved successive-halving total of
+    /// `starved_sh_job_fails_typed_and_refunds_quota`: admitted, then
+    /// failed by the worker.
+    fn starved_spec() -> JobSpec {
+        JobSpec {
+            budget_evals: 6,
+            total_evals: Some(9),
+            seed: 3,
+            sh_eta: Some(2),
+            ..tiny_spec()
+        }
+    }
+
+    fn submit(shared: &Shared, spec: JobSpec) -> u64 {
+        match admit(shared, spec) {
+            Response::Accepted { job } => job,
+            other => panic!("not admitted: {other:?}"),
+        }
+    }
+
+    fn state_of(shared: &Shared, id: u64) -> JobState {
+        shared.registry.lock().expect("registry lock").jobs[&id].state
+    }
+
+    /// Block a waiter in `await_change` on job `id`, run `trigger`, and
+    /// assert that a notification, not the timeout, woke the waiter. It
+    /// announces itself while it still holds the registry lock, and every
+    /// transition needs that lock, so `trigger` cannot make its change
+    /// before the waiter blocks.
+    fn assert_wakes(shared: &Arc<Shared>, id: u64, trigger: impl FnOnce()) {
+        let (blocked, is_blocked) = mpsc::channel();
+        let waiter = {
+            let shared = Arc::clone(shared);
+            std::thread::spawn(move || {
+                let registry = shared.registry.lock().expect("registry lock");
+                let start = Instant::now();
+                blocked.send(()).expect("test thread listens");
+                drop(await_change(&shared, registry, id, WAIT));
+                start.elapsed()
+            })
+        };
+        is_blocked.recv().expect("waiter announces itself");
+        trigger();
+        let waited = waiter.join().expect("waiter thread");
+        assert!(waited < WAIT / 4, "missed wake-up: waited {waited:?}");
+    }
+
+    #[test]
+    fn a_watcher_wakes_when_its_job_completes() {
+        let (handle, dir) = start("completed", 1);
+        let shared = Arc::clone(&handle.shared);
+        // Job 1 does not exist yet when the waiter blocks: the enqueue
+        // must wake the idle worker, and the completion the waiter.
+        assert_wakes(&shared, 1, || assert_eq!(submit(&shared, tiny_spec()), 1));
+        assert_eq!(state_of(&shared, 1), JobState::Completed);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_watcher_wakes_when_its_job_fails() {
+        let (handle, dir) = start("failed", 1);
+        let shared = Arc::clone(&handle.shared);
+        assert_wakes(&shared, 1, || {
+            assert_eq!(submit(&shared, starved_spec()), 1);
+        });
+        assert_eq!(state_of(&shared, 1), JobState::Failed);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_watcher_wakes_when_its_queued_job_is_cancelled() {
+        let (handle, dir) = start("cancel-queued", 0);
+        let shared = Arc::clone(&handle.shared);
+        let id = submit(&shared, tiny_spec());
+        assert_wakes(&shared, id, || {
+            handle_cancel(&shared, id);
+        });
+        assert_eq!(state_of(&shared, id), JobState::Cancelled);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_watcher_wakes_when_its_running_job_is_cancelled() {
+        let (handle, dir) = start("cancel-running", 0);
+        let shared = Arc::clone(&handle.shared);
+        let id = submit(&shared, tiny_spec());
+        // Claim the job as a worker does, so the cancel only raises the
+        // flag.
+        {
+            let mut registry = shared.registry.lock().expect("registry lock");
+            assert_eq!(registry.queue.pop(), Some(id));
+            registry.jobs.get_mut(&id).expect("admitted").state = JobState::Running;
+        }
+        let Response::Jobs { jobs } = handle_cancel(&shared, id) else {
+            panic!("a running job can be cancelled");
+        };
+        assert_eq!(jobs[0].state, JobState::Running);
+        // The worker finds the flag at its first shard boundary.
+        assert_wakes(&shared, id, || execute_job(&shared, id));
+        assert_eq!(state_of(&shared, id), JobState::Cancelled);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_watcher_wakes_when_the_daemon_handle_shuts_down() {
+        let (handle, dir) = start("shutdown-handle", 0);
+        let shared = Arc::clone(&handle.shared);
+        let id = submit(&shared, tiny_spec());
+        assert_wakes(&shared, id, || handle.shutdown());
+        assert_eq!(state_of(&shared, id), JobState::Queued);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_watcher_wakes_when_a_client_shuts_the_daemon_down() {
+        let (handle, dir) = start("shutdown-request", 0);
+        let shared = Arc::clone(&handle.shared);
+        let id = submit(&shared, tiny_spec());
+        let addr = handle.addr().to_string();
+        assert_wakes(&shared, id, || {
+            let mut client = Client::connect(&addr).expect("daemon accepts");
+            client.shutdown().expect("daemon acknowledges");
+        });
+        // The woken watch ends with the shutdown error frame.
+        let mut frames = Vec::new();
+        handle_watch(&shared, id, WAIT, &mut frames).expect("writes to a buffer");
+        let line = read_frame(&mut frames.as_slice())
+            .expect("one frame")
+            .expect("not empty");
+        assert_eq!(
+            parse_response(&line),
+            Some(Response::Error {
+                message: "daemon shutting down".into()
+            })
+        );
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
