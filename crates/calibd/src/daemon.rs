@@ -4,8 +4,8 @@
 //! ## Durability and replay
 //!
 //! Every state transition a restart must survive is appended to
-//! `data_dir/jobs.jsonl` (a [`JobEvent`] per line, read leniently like
-//! the run ledger). On startup the daemon replays the log: jobs with a
+//! `data_dir/jobs.jsonl`, a [`simcal::jsonl`] log of [`JobEvent`]s. On
+//! startup the daemon replays the log: jobs with a
 //! `Submitted` event but no terminal event are re-queued in id order and
 //! resume from their ledger shards under `data_dir/job-<id>/` — every
 //! calibration run already checkpointed there is served without
@@ -55,11 +55,10 @@ use lodsel::prelude::{
 use lodsel::shard::{merge_shards, run_shard, shard_path};
 use lodsel::sweep::try_run_sweep;
 use serde::{Deserialize, Serialize};
-use simcal::cache::retry_transient;
+use simcal::jsonl::JsonlLog;
 use simcal::prelude::{Budget, QuotaBook};
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::OpenOptions;
-use std::io::{self, BufReader, Write as _};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -242,6 +241,19 @@ struct Registry {
     queue: FairQueue,
 }
 
+impl Registry {
+    /// Take the next queued job for a worker and mark it `Running` in the
+    /// same critical section, so a cancel finds it either queued (and
+    /// removes it) or running (and raises its flag), never in between.
+    fn claim(&mut self) -> Option<u64> {
+        let id = self.queue.pop()?;
+        if let Some(job) = self.jobs.get_mut(&id) {
+            job.state = JobState::Running;
+        }
+        Some(id)
+    }
+}
+
 struct Shared {
     config: DaemonConfig,
     addr: SocketAddr,
@@ -250,32 +262,15 @@ struct Shared {
     changed: Condvar,
     shutdown: AtomicBool,
     quotas: QuotaBook,
-    jobs_log: Mutex<std::fs::File>,
+    jobs_log: Mutex<JsonlLog>,
 }
 
 impl Shared {
-    /// Append one event to `jobs.jsonl`, retrying transient write errors
-    /// like every append-only log. A failed append must not take the
-    /// daemon down (the job still runs; only its durability across a
+    /// Append one event to `jobs.jsonl`. A failed append must not take
+    /// the daemon down (the job still runs; only its durability across a
     /// restart degrades), but it is reported, never swallowed.
     fn log_event(&self, event: &JobEvent) {
-        let appended = serde_json::to_string(event)
-            .map_err(|e| io::Error::other(e.to_string()))
-            .and_then(|line| {
-                let mut file = self.jobs_log.lock().expect("jobs log lock");
-                // A retry starts on a fresh line, so the record is never
-                // glued to a torn prefix of itself.
-                let mut dirty = false;
-                retry_transient(|| {
-                    if dirty {
-                        file.write_all(b"\n")?;
-                    }
-                    dirty = true;
-                    file.write_all(format!("{line}\n").as_bytes())?;
-                    file.flush()
-                })
-            });
-        if let Err(e) = appended {
+        if let Err(e) = self.jobs_log.lock().expect("jobs log lock").append(event) {
             obs::diag!("jobs.jsonl append failed: {e}");
         }
     }
@@ -333,31 +328,12 @@ pub struct Daemon;
 impl Daemon {
     /// Bind, replay `jobs.jsonl`, and start worker + accept threads.
     pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
-        std::fs::create_dir_all(&config.data_dir)?;
         let quotas = QuotaBook::new(config.default_quota);
         for (tenant, limit) in &config.tenant_quotas {
             quotas.set_limit(tenant, *limit);
         }
-        let log_path = config.data_dir.join("jobs.jsonl");
-        let text = match std::fs::read_to_string(&log_path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let registry = replay(&text, &quotas);
-        let mut jobs_log = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log_path)?;
-        // Heal a torn tail (a kill mid-append leaves no trailing newline):
-        // the next record must start on a line of its own, or the lenient
-        // replay would drop it together with the torn one.
-        if !text.is_empty() && !text.ends_with('\n') {
-            retry_transient(|| {
-                jobs_log.write_all(b"\n")?;
-                jobs_log.flush()
-            })?;
-        }
+        let (jobs_log, events) = JsonlLog::open(&config.data_dir.join("jobs.jsonl"))?;
+        let registry = replay(events, &quotas);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -383,14 +359,11 @@ impl Daemon {
     }
 }
 
-/// Rebuild the registry from the job log's text, re-applying quota charges and
-/// refunds, and re-queue every non-terminal job in id order.
-fn replay(text: &str, quotas: &QuotaBook) -> Registry {
+/// Rebuild the registry from the job log's events, re-applying quota
+/// charges and refunds, and re-queue every non-terminal job in id order.
+fn replay(events: Vec<JobEvent>, quotas: &QuotaBook) -> Registry {
     let mut registry = Registry::default();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(event) = serde_json::from_str::<JobEvent>(line) else {
-            continue; // torn tail or foreign line: lenient, like the ledger
-        };
+    for event in events {
         match event {
             JobEvent::Submitted {
                 id,
@@ -498,7 +471,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(id) = registry.queue.pop() {
+                if let Some(id) = registry.claim() {
                     break id;
                 }
                 registry = shared.changed.wait(registry).expect("registry lock");
@@ -510,11 +483,10 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn execute_job(shared: &Arc<Shared>, id: u64) {
     let (spec, shards, cancel) = {
-        let mut registry = shared.registry.lock().expect("registry lock");
-        let Some(job) = registry.jobs.get_mut(&id) else {
+        let registry = shared.registry.lock().expect("registry lock");
+        let Some(job) = registry.jobs.get(&id) else {
             return;
         };
-        job.state = JobState::Running;
         (job.spec.clone(), job.shards, job.cancel.clone())
     };
     obs::counter(obs::Counter::JobsActive, 1);
@@ -543,10 +515,14 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             // Dying mid-job: no terminal event, so the next start
-            // re-queues the job and resumes from the shard ledgers.
-            let mut registry = shared.registry.lock().expect("registry lock");
+            // re-queues the job and resumes from the shard ledgers. It
+            // goes back in the queue too, where a cancel can still take
+            // it; no worker claims anything once `shutdown` is set.
+            let mut guard = shared.registry.lock().expect("registry lock");
+            let registry = &mut *guard;
             if let Some(job) = registry.jobs.get_mut(&id) {
                 job.state = JobState::Queued;
+                registry.queue.push(&job.spec.tenant, id);
             }
             return;
         }
@@ -734,9 +710,13 @@ fn handle_cancel(shared: &Shared, id: u64) -> Response {
     };
     let status = match job.state {
         JobState::Queued => {
-            registry.queue.remove(id);
+            // Of two concurrent cancels, only the one that dequeued the
+            // job records it.
+            let dequeued = registry.queue.remove(id);
             drop(registry);
-            finish(shared, id, JobEvent::Cancelled { id });
+            if dequeued {
+                finish(shared, id, JobEvent::Cancelled { id });
+            }
             let registry = shared.registry.lock().expect("registry lock");
             job_status_of(id, &registry.jobs[&id])
         }
@@ -1204,11 +1184,10 @@ mod tests {
         let id = submit(&shared, tiny_spec());
         // Claim the job as a worker does, so the cancel only raises the
         // flag.
-        {
-            let mut registry = shared.registry.lock().expect("registry lock");
-            assert_eq!(registry.queue.pop(), Some(id));
-            registry.jobs.get_mut(&id).expect("admitted").state = JobState::Running;
-        }
+        assert_eq!(
+            shared.registry.lock().expect("registry lock").claim(),
+            Some(id)
+        );
         let Response::Jobs { jobs } = handle_cancel(&shared, id) else {
             panic!("a running job can be cancelled");
         };
@@ -1216,6 +1195,80 @@ mod tests {
         // The worker finds the flag at its first shard boundary.
         assert_wakes(&shared, id, || execute_job(&shared, id));
         assert_eq!(state_of(&shared, id), JobState::Cancelled);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Job `id`'s terminal records in `dir`'s `jobs.jsonl`.
+    fn terminal_records(dir: &Path, id: u64) -> Vec<JobEvent> {
+        simcal::jsonl::read(&dir.join("jobs.jsonl"))
+            .expect("jobs.jsonl reads")
+            .into_iter()
+            .filter(|event| match event {
+                JobEvent::Completed { id: of, .. }
+                | JobEvent::Failed { id: of, .. }
+                | JobEvent::Cancelled { id: of } => *of == id,
+                JobEvent::Submitted { .. } => false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_job_cancelled_right_after_its_claim_ends_once() {
+        let (handle, dir) = start("claim-cancel", 0);
+        let shared = Arc::clone(&handle.shared);
+        let id = submit(&shared, tiny_spec());
+        assert_eq!(
+            shared.registry.lock().expect("registry lock").claim(),
+            Some(id)
+        );
+        handle_cancel(&shared, id);
+        execute_job(&shared, id);
+        assert_eq!(terminal_records(&dir, id), vec![JobEvent::Cancelled { id }]);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_job_paused_by_shutdown_can_still_be_cancelled() {
+        let (handle, dir) = start("pause-cancel", 0);
+        let shared = Arc::clone(&handle.shared);
+        let id = submit(&shared, tiny_spec());
+        assert_eq!(
+            shared.registry.lock().expect("registry lock").claim(),
+            Some(id)
+        );
+        handle.shutdown();
+        execute_job(&shared, id);
+        assert_eq!(state_of(&shared, id), JobState::Queued);
+        handle_cancel(&shared, id);
+        assert_eq!(terminal_records(&dir, id), vec![JobEvent::Cancelled { id }]);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_the_canceller_that_dequeued_a_job_logs_and_refunds() {
+        let (handle, dir) = start("double-cancel", 0);
+        let shared = Arc::clone(&handle.shared);
+        let first = submit(&shared, tiny_spec());
+        let second = submit(&shared, tiny_spec());
+        // A first canceller has dequeued job 1 but not yet recorded it.
+        assert!(shared
+            .registry
+            .lock()
+            .expect("registry lock")
+            .queue
+            .remove(first));
+        handle_cancel(&shared, first);
+        finish(&shared, first, JobEvent::Cancelled { id: first });
+        assert_eq!(
+            terminal_records(&dir, first),
+            vec![JobEvent::Cancelled { id: first }]
+        );
+        let second_charge =
+            shared.registry.lock().expect("registry lock").jobs[&second].planned_evals;
+        assert_eq!(shared.quotas.charged("t"), second_charge);
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -233,6 +233,8 @@ fn cancelled_jobs_survive_restart_as_cancelled() {
 }
 
 #[test]
+// Writes a torn tail by hand, behind the log's back.
+#[allow(clippy::disallowed_methods)]
 fn job_submitted_after_a_torn_log_tail_survives_restart() {
     // A kill mid-append leaves `jobs.jsonl` ending in a partial line.
     // Regression: the log was reopened in append mode as-is, so the next

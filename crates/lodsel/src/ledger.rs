@@ -10,21 +10,20 @@
 //! resume can only ever replay a checkpoint against the exact
 //! configuration that wrote it.
 //!
-//! Reads are lenient: a torn final line (the usual signature of a kill
-//! mid-write) or any other unparseable line is skipped, not fatal —
-//! the corresponding work simply re-runs.
+//! The file is a [`simcal::jsonl`] log, so a torn final line (the usual
+//! signature of a kill mid-write) or any other unparseable line is
+//! skipped, not fatal — the corresponding work simply re-runs.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use simcal::jsonl::{self, JsonlLog};
 use simcal::prelude::{Budget, CalibrationResult};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// 64-bit FNV-1a hash (the workspace's one content hash, from simcal).
 pub use simcal::cache::fnv1a;
-use simcal::cache::retry_transient;
 
 /// Checkpoint key of one calibration run.
 pub fn run_key(
@@ -424,7 +423,7 @@ pub struct FailureHistory {
 }
 
 struct Inner {
-    file: File,
+    log: JsonlLog,
     events: Vec<LedgerEvent>,
 }
 
@@ -484,32 +483,10 @@ impl Ledger {
                 format!("cannot open ledger {}: {e}", path.display()),
             )
         };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(at)?;
-            }
-        }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(at)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text).map_err(at)?;
-        // Heal a torn tail (a kill mid-write leaves no trailing newline):
-        // start the next append on a fresh line so it parses on its own.
-        if !text.is_empty() && !text.ends_with('\n') {
-            retry_transient(|| {
-                file.write_all(b"\n")?;
-                file.flush()
-            })
-            .map_err(at)?;
-        }
-        let events = parse_events(&text);
+        let (log, events) = JsonlLog::open(&path).map_err(at)?;
         Ok(Ledger {
             path,
-            inner: Mutex::new(Inner { file, events }),
+            inner: Mutex::new(Inner { log, events }),
         })
     }
 
@@ -520,34 +497,12 @@ impl Ledger {
 
     /// Append one event as a JSONL line and flush it to disk.
     ///
-    /// Transient write errors (interrupted / would-block / timed out) are
-    /// retried a bounded number of times with a short backoff; anything
-    /// else — including an event that fails to serialize — is returned as
-    /// an error rather than panicking, because a ledger hiccup must never
+    /// An error — including an event that fails to serialize — is
+    /// returned rather than panicking, because a ledger hiccup must never
     /// take down a sweep that is otherwise making progress.
     pub fn append(&self, event: &LedgerEvent) -> io::Result<()> {
-        let line = serde_json::to_string(event).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ledger event does not serialize: {e}"),
-            )
-        })?;
-        let mut inner = self.inner.lock();
-        let file = &mut inner.file;
-        // A failed attempt may have emitted a partial line; retries open a
-        // fresh line first so the eventual complete record parses on its
-        // own (the partial fragment is skipped by the lenient reader).
-        let mut dirty = false;
-        retry_transient(|| {
-            if dirty {
-                file.write_all(b"\n")?;
-            }
-            dirty = true;
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.flush()
-        })
-        .map_err(|e| {
+        let mut inner = self.inner.lock().unwrap();
+        inner.log.append(event).map_err(|e| {
             io::Error::new(
                 e.kind(),
                 format!("cannot append to ledger {}: {e}", self.path.display()),
@@ -559,7 +514,7 @@ impl Ledger {
 
     /// Snapshot of all events seen so far (loaded plus appended).
     pub fn events(&self) -> Vec<LedgerEvent> {
-        self.inner.lock().events.clone()
+        self.inner.lock().unwrap().events.clone()
     }
 
     /// The run and unit checkpoints currently in the ledger, keyed by
@@ -568,7 +523,7 @@ impl Ledger {
     pub fn checkpoints(&self) -> (HashMap<u64, RunRecord>, HashMap<u64, UnitRecord>) {
         let mut runs = HashMap::new();
         let mut units = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().unwrap().events.iter() {
             match event {
                 LedgerEvent::RunCompleted { record } => {
                     runs.insert(record.key, record.clone());
@@ -587,7 +542,7 @@ impl Ledger {
     /// (a re-run of identical work writes an identical record anyway).
     pub fn rung_checkpoints(&self) -> HashMap<(u64, usize), RunRecord> {
         let mut rungs = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().unwrap().events.iter() {
             if let LedgerEvent::RungCompleted { base, rung, record } = event {
                 rungs.insert((*base, *rung), record.clone());
             }
@@ -602,7 +557,7 @@ impl Ledger {
     /// coverage) replays its final decision set.
     pub fn rung_decisions(&self) -> HashMap<(u64, usize), bool> {
         let mut decisions = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().unwrap().events.iter() {
             match event {
                 LedgerEvent::RunPromoted { key, rung } => {
                     decisions.insert((*key, *rung), true);
@@ -623,7 +578,7 @@ impl Ledger {
     /// a key that has a checkpoint — checkpoints win.
     pub fn failure_history(&self) -> HashMap<u64, FailureHistory> {
         let mut failures: HashMap<u64, FailureHistory> = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().unwrap().events.iter() {
             if let LedgerEvent::RunFailed {
                 key, stage, reason, ..
             } = event
@@ -644,20 +599,8 @@ impl Ledger {
     /// Read the events of a ledger file without opening it for appends.
     /// A missing file reads as empty.
     pub fn read(path: impl AsRef<Path>) -> io::Result<Vec<LedgerEvent>> {
-        match std::fs::read_to_string(path.as_ref()) {
-            Ok(text) => Ok(parse_events(&text)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
+        jsonl::read(path.as_ref())
     }
-}
-
-/// Parse JSONL leniently: skip blank and unparseable lines.
-fn parse_events(text: &str) -> Vec<LedgerEvent> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<LedgerEvent>(l).ok())
-        .collect()
 }
 
 #[cfg(test)]

@@ -4,10 +4,10 @@
 //! summaries — the `lodsel --trace-report` subcommand.
 //!
 //! The schema is produced by `obs::TraceRecorder` and documented in
-//! `obs::trace`; this parser is lenient the same way the ledger reader
-//! is: unknown events and unknown fields are ignored, so a version-1
-//! reader keeps working on traces from newer writers that only add
-//! fields.
+//! `obs::trace`; after the strict header line it reads like every
+//! [`simcal::jsonl`] log: unparseable lines are skipped, and unknown
+//! events and unknown fields are ignored, so a version-1 reader keeps
+//! working on traces from newer writers that only add fields.
 
 use crate::report::{fnum, Table};
 use serde::Value;
@@ -76,8 +76,10 @@ fn get_str(v: &Value, key: &str) -> Option<String> {
 /// this reader understands; skips malformed or unknown event lines
 /// (forward compatibility, mirroring the ledger's lenient reads).
 pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
-    let mut lines = text.lines();
-    let meta_line = lines.next().ok_or("empty trace file")?;
+    if text.is_empty() {
+        return Err("empty trace file".into());
+    }
+    let (meta_line, body) = text.split_once('\n').unwrap_or((text, ""));
     let meta: Value = serde_json::from_str(meta_line).map_err(|e| format!("bad meta line: {e}"))?;
     match get_str(&meta, "schema") {
         Some(s) if s == obs::trace::SCHEMA_NAME => {}
@@ -101,13 +103,7 @@ pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
         version,
         ..TraceFile::default()
     };
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
-            continue; // torn tail or foreign line: skip, like the ledger
-        };
+    for v in simcal::jsonl::parse::<Value>(body.as_bytes()) {
         match get_str(&v, "event").as_deref() {
             Some("span") => {
                 let (Some(id), Some(name)) = (get_u64(&v, "id"), get_str(&v, "name")) else {

@@ -23,9 +23,9 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Serializes tests that install a global fault plan. `std::sync::Mutex`
-/// (not parking_lot) so a panicking test poisons visibly instead of
-/// deadlocking the rest of the suite.
+/// Serializes tests that install a global fault plan. A test that panics
+/// while holding it poisons the lock; [`lock`] takes it anyway, so one
+/// failure does not fail the rest of the suite.
 static FAULTS: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {

@@ -11,13 +11,12 @@ use crate::cache::{self, CachedOutcome, DiskCache};
 use crate::fault::{self, EvalFailure, FaultKind, FaultPlan};
 use crate::objective::Objective;
 use crate::param::Calibration;
-use parking_lot::{Mutex, RwLock};
 use rayon::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// A bound on the calibration effort.
@@ -285,7 +284,7 @@ impl<'a> Evaluator<'a> {
 
     fn record(&self, unit_point: &[f64], loss: f64) {
         let evaluations = self.count.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut best = self.best.lock();
+        let mut best = self.best.lock().unwrap();
         if loss < best.loss {
             best.loss = loss;
             best.unit_point = unit_point.to_vec();
@@ -319,9 +318,10 @@ impl<'a> Evaluator<'a> {
         if let Some(key) = key {
             self.cache
                 .write()
+                .unwrap()
                 .insert(key.to_vec(), Cached::Quarantined(failure.clone()));
         }
-        self.failures.lock().push((index, failure));
+        self.failures.lock().unwrap().push((index, failure));
     }
 
     /// The persistent-cache shard for this evaluator, opened on first
@@ -365,7 +365,10 @@ impl<'a> Evaluator<'a> {
         match outcome {
             CachedOutcome::Loss { loss } => {
                 self.record(unit_point, loss);
-                self.cache.write().insert(key.to_vec(), Cached::Loss(loss));
+                self.cache
+                    .write()
+                    .unwrap()
+                    .insert(key.to_vec(), Cached::Loss(loss));
                 Ok(loss)
             }
             CachedOutcome::Panic { message } => {
@@ -447,7 +450,7 @@ impl<'a> Evaluator<'a> {
         let calib = self.objective.space().denormalize(unit_point);
         let key = cache::canonical_key(&calib);
         if let Some(key) = &key {
-            if let Some(cached) = self.cache.read().get(key).cloned() {
+            if let Some(cached) = self.cache.read().unwrap().get(key).cloned() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 obs::counter(obs::Counter::EvalCacheHits, 1);
                 return match cached {
@@ -486,7 +489,10 @@ impl<'a> Evaluator<'a> {
                 }
                 self.record(unit_point, loss);
                 if let Some(key) = &key {
-                    self.cache.write().insert(key.clone(), Cached::Loss(loss));
+                    self.cache
+                        .write()
+                        .unwrap()
+                        .insert(key.clone(), Cached::Loss(loss));
                 }
                 if !injected {
                     self.persist(&calib, key.as_ref(), CachedOutcome::Loss { loss });
@@ -567,7 +573,9 @@ impl<'a> Evaluator<'a> {
             while j < unit_points.len() && pending_inputs.len() < take {
                 let calib = self.objective.space().denormalize(&unit_points[j]);
                 let key = cache::canonical_key(&calib);
-                let memo = key.as_ref().and_then(|k| self.cache.read().get(k).cloned());
+                let memo = key
+                    .as_ref()
+                    .and_then(|k| self.cache.read().unwrap().get(k).cloned());
                 if let Some(cached) = memo {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     window.push(Ok(match cached {
@@ -654,7 +662,10 @@ impl<'a> Evaluator<'a> {
                             Ok(l) if l.is_finite() => {
                                 self.record(&unit_points[input], l);
                                 if let Some(k) = key {
-                                    self.cache.write().insert(k.clone(), Cached::Loss(l));
+                                    self.cache
+                                        .write()
+                                        .unwrap()
+                                        .insert(k.clone(), Cached::Loss(l));
                                 }
                                 if !injected {
                                     self.persist(
@@ -742,14 +753,14 @@ impl<'a> Evaluator<'a> {
     /// Every failed evaluation as `(evaluation index, failure)`, in the
     /// order the failures were recorded.
     pub fn failures(&self) -> Vec<(usize, EvalFailure)> {
-        self.failures.lock().clone()
+        self.failures.lock().unwrap().clone()
     }
 
     /// The incumbent `(loss, unit_point, natural calibration)`, or `None`
     /// if no evaluation produced a finite loss (nothing evaluated, or
     /// every evaluation was quarantined).
     pub fn best(&self) -> Option<(f64, Vec<f64>, Calibration)> {
-        let best = self.best.lock();
+        let best = self.best.lock().unwrap();
         if best.loss.is_finite() {
             let calib = self.objective.space().denormalize(&best.unit_point);
             Some((best.loss, best.unit_point.clone(), calib))
@@ -760,7 +771,7 @@ impl<'a> Evaluator<'a> {
 
     /// The convergence trace (one point per incumbent improvement).
     pub fn trace(&self) -> Vec<TracePoint> {
-        self.best.lock().trace.clone()
+        self.best.lock().unwrap().trace.clone()
     }
 
     /// Wall-clock seconds since the evaluator was created.

@@ -15,15 +15,11 @@
 //!   [`canonical_key`]. Changing the simulator version (or the ground-truth
 //!   dataset) changes the digest and therefore the shard — stale entries
 //!   are never consulted, so invalidation is automatic.
-//! - **Never fails a calibration.** Every I/O path retries transient
-//!   errors with bounded backoff and then degrades to memory-only
-//!   operation: a cache that cannot be read or written is diagnosed once
-//!   (via `obs::diag!`) and silently skipped thereafter.
-//! - **Torn tails heal.** Shards are append-only JSONL with the same
-//!   lenient read discipline as the lodsel run ledger: a half-written
-//!   final line (crash mid-append) is terminated on open, and unparsable
-//!   lines are skipped rather than failing the load. Later records win on
-//!   key collision.
+//! - **Never fails a calibration.** A shard is a [`crate::jsonl`] log
+//!   (torn tails heal on open, transient errors retry, unparsable lines
+//!   are skipped). Any error that log still returns degrades the cache
+//!   to memory-only operation: diagnosed once (via `obs::diag!`) and
+//!   silently skipped thereafter. Later records win on key collision.
 //! - **Failures are cached too.** A quarantined evaluation (panic or
 //!   non-finite loss) is persisted as a typed record so a warm run replays
 //!   the quarantine without re-invoking the broken simulator.
@@ -33,11 +29,10 @@
 //! variable; evaluators snapshot the active directory at construction, the
 //! same discipline [`crate::fault`] uses for fault plans.
 
+use crate::jsonl::{self, JsonlLog};
 use crate::param::Calibration;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -60,41 +55,6 @@ pub fn fnv1a_fold(words: impl IntoIterator<Item = u64>) -> u64 {
     words
         .into_iter()
         .fold(FNV_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
-}
-
-/// Backoff before each retry of a transient I/O error.
-const RETRY_BACKOFF_MS: [u64; 3] = [1, 5, 20];
-
-/// Whether an I/O error kind is worth retrying: the operation may succeed
-/// if simply re-attempted a moment later.
-fn is_transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Run `op`, retrying transient I/O errors (interrupted / would-block /
-/// timed out) with a short backoff, at most three retries — the one
-/// retry discipline of the workspace's append-only logs: the loss cache,
-/// lodsel's ledger and calibd's job log. Each retry bumps
-/// [`obs::Counter::LedgerRetries`]. Permanent errors, and transient ones
-/// that outlast the backoff schedule, are returned to the caller.
-pub fn retry_transient<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(e) if attempt < RETRY_BACKOFF_MS.len() && is_transient(e.kind()) => {
-                obs::counter(obs::Counter::LedgerRetries, 1);
-                std::thread::sleep(std::time::Duration::from_millis(RETRY_BACKOFF_MS[attempt]));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Canonical cache bits of one calibration component: `-0.0` folds into
@@ -207,30 +167,29 @@ pub struct CacheRecord {
 pub struct DiskCache {
     path: PathBuf,
     entries: RwLock<HashMap<Vec<u64>, CachedOutcome>>,
-    /// Append handle; `None` once the cache has permanently degraded to
-    /// memory-only after an unrecoverable I/O error.
-    file: Mutex<Option<File>>,
+    /// The shard's log; `None` once the cache has permanently degraded
+    /// to memory-only after an unrecoverable I/O error.
+    log: Mutex<Option<JsonlLog>>,
 }
 
 impl DiskCache {
     /// Open (creating if absent) the shard for `shard` under `dir`,
-    /// loading every parsable record. A half-written final line is
-    /// terminated so the next append starts clean; unparsable lines are
-    /// skipped; records later in the file win on key collision. On
-    /// persistent I/O failure the cache opens degraded (memory-only) and
-    /// diagnoses the reason once — it never returns an error.
+    /// loading every parsable record; records later in the file win on
+    /// key collision. On persistent I/O failure the cache opens degraded
+    /// (memory-only) and diagnoses the reason once — it never returns an
+    /// error.
     pub fn open(dir: &Path, shard: u64) -> Self {
         let path = shard_path(dir, shard);
-        let opened = retry_transient(|| {
-            std::fs::create_dir_all(dir)?;
-            OpenOptions::new()
-                .create(true)
-                .read(true)
-                .append(true)
-                .open(&path)
-        });
-        let mut file = match opened {
-            Ok(f) => Some(f),
+        let mut entries = HashMap::new();
+        let log = match JsonlLog::open::<CacheRecord>(&path) {
+            Ok((log, records)) => {
+                for record in records {
+                    if let Some(key) = canonical_key_of(&record.values) {
+                        entries.insert(key, record.outcome);
+                    }
+                }
+                Some(log)
+            }
             Err(e) => {
                 obs::diag!(
                     "loss cache degraded to memory-only ({}): {e}",
@@ -239,48 +198,10 @@ impl DiskCache {
                 None
             }
         };
-        let mut entries = HashMap::new();
-        if let Some(f) = file.as_mut() {
-            let mut text = String::new();
-            match retry_transient(|| {
-                text.clear();
-                let mut f2 = f.try_clone()?;
-                std::io::Seek::seek(&mut f2, std::io::SeekFrom::Start(0))?;
-                f2.read_to_string(&mut text)?;
-                Ok(())
-            }) {
-                Ok(()) => {
-                    if !text.is_empty() && !text.ends_with('\n') {
-                        // Torn tail from a crash mid-append: terminate it so
-                        // the next append starts on a fresh line. Best
-                        // effort — a failure here only risks one more torn
-                        // line, which the lenient parse below skips anyway.
-                        let _ = retry_transient(|| {
-                            f.write_all(b"\n")?;
-                            f.flush()
-                        });
-                    }
-                    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                        if let Ok(record) = serde_json::from_str::<CacheRecord>(line) {
-                            if let Some(key) = canonical_key_of(&record.values) {
-                                entries.insert(key, record.outcome);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    obs::diag!(
-                        "loss cache degraded to memory-only ({}): {e}",
-                        path.display()
-                    );
-                    file = None;
-                }
-            }
-        }
         Self {
             path,
             entries: RwLock::new(entries),
-            file: Mutex::new(file),
+            log: Mutex::new(log),
         }
     }
 
@@ -308,29 +229,13 @@ impl DiskCache {
             values: values.to_vec(),
             outcome,
         };
-        let line = serde_json::to_string(&record).expect("cache record serializes");
-        let mut file = self.file.lock().unwrap();
-        if let Some(f) = file.as_mut() {
-            // `dirty` guards against a partial write followed by a
-            // transient success: start the retry on a fresh line so the
-            // record is never glued to its own torn prefix.
-            let mut dirty = false;
-            let result = retry_transient(|| {
-                if dirty {
-                    f.write_all(b"\n")?;
-                }
-                dirty = true;
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-                f.flush()
-            });
-            if let Err(e) = result {
-                obs::diag!(
-                    "loss cache degraded to memory-only ({}): {e}",
-                    self.path.display()
-                );
-                *file = None;
-            }
+        let mut log = self.log.lock().unwrap();
+        if let Some(Err(e)) = log.as_mut().map(|l| l.append(&record)) {
+            obs::diag!(
+                "loss cache degraded to memory-only ({}): {e}",
+                self.path.display()
+            );
+            *log = None;
         }
     }
 
@@ -346,7 +251,7 @@ impl DiskCache {
 
     /// True once the cache has fallen back to memory-only operation.
     pub fn degraded(&self) -> bool {
-        self.file.lock().unwrap().is_none()
+        self.log.lock().unwrap().is_none()
     }
 
     /// The shard file this cache reads and appends.
@@ -367,15 +272,10 @@ pub fn load_finite_observations(
     seed: u64,
 ) -> Vec<(Vec<f64>, f64)> {
     let path = shard_path(dir, fingerprint.shard_id(seed));
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Vec::new();
-    };
+    let records = jsonl::read::<CacheRecord>(&path).unwrap_or_default();
     let mut order: Vec<Vec<u64>> = Vec::new();
     let mut by_key: HashMap<Vec<u64>, (Vec<f64>, f64)> = HashMap::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(record) = serde_json::from_str::<CacheRecord>(line) else {
-            continue;
-        };
+    for record in records {
         let Some(key) = canonical_key_of(&record.values) else {
             continue;
         };
@@ -446,59 +346,9 @@ pub fn current() -> Option<Arc<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// The retry counter goes to the process-global recorder: tests that
-    /// retry transient errors must not overlap the one that counts them.
-    static RETRY_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn retry_transient_retries_interrupted_writes_and_counts_them() {
-        use std::io::ErrorKind;
-        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-        let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
-        obs::install(recorder.clone());
-        let mut attempts = 0;
-        let out = retry_transient(|| {
-            attempts += 1;
-            if attempts < 3 {
-                Err(std::io::Error::new(ErrorKind::Interrupted, "interrupted"))
-            } else {
-                Ok(attempts)
-            }
-        });
-        obs::uninstall();
-        assert_eq!(out.unwrap(), 3);
-        assert_eq!(recorder.counter_value(obs::Counter::LedgerRetries), 2);
-    }
-
-    #[test]
-    fn retry_transient_gives_up_on_permanent_errors_immediately() {
-        use std::io::ErrorKind;
-        let mut attempts = 0;
-        let out: std::io::Result<()> = retry_transient(|| {
-            attempts += 1;
-            Err(std::io::Error::new(ErrorKind::PermissionDenied, "nope"))
-        });
-        assert_eq!(out.unwrap_err().kind(), ErrorKind::PermissionDenied);
-        assert_eq!(attempts, 1, "permanent errors must not be retried");
-    }
-
-    #[test]
-    fn retry_transient_is_bounded_for_persistent_transient_errors() {
-        use std::io::ErrorKind;
-        let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-        let mut attempts = 0;
-        let out: std::io::Result<()> = retry_transient(|| {
-            attempts += 1;
-            Err(std::io::Error::new(
-                ErrorKind::Interrupted,
-                "still interrupted",
-            ))
-        });
-        assert_eq!(out.unwrap_err().kind(), ErrorKind::Interrupted);
-        assert_eq!(attempts, 4, "one initial attempt plus three retries");
-    }
 
     /// Collision-free temp directory (tests run concurrently).
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -617,6 +467,8 @@ mod tests {
     }
 
     #[test]
+    // Writes a shard line by hand, behind the log's back.
+    #[allow(clippy::disallowed_methods)]
     fn torn_tail_is_healed_and_skipped() {
         let dir = tmp_dir("torn");
         {
@@ -685,6 +537,8 @@ mod tests {
     }
 
     #[test]
+    // Writes a shard line by hand, behind the log's back.
+    #[allow(clippy::disallowed_methods)]
     fn finite_observations_exclude_failures_and_dedup() {
         let dir = tmp_dir("warm");
         let fp = CacheFingerprint::of("obj", "v1", 9);

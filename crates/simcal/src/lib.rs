@@ -25,6 +25,8 @@
 //!   behind the evaluator's memo map (enabled per objective via
 //!   [`objective::Objective::cache_fingerprint`] plus [`cache::install`]
 //!   or `CALIB_CACHE`);
+//! - [`jsonl`] — the append-only JSONL log behind the cache shards, the
+//!   lodsel run ledger and calibd's job log ([`jsonl::JsonlLog`]);
 //! - [`fault`] — panic isolation ([`fault::guard`]), the typed
 //!   [`fault::EvalFailure`] quarantine taxonomy, and the deterministic
 //!   [`fault::FaultPlan`] injection harness behind the chaos tests;
@@ -73,6 +75,7 @@ pub mod cache;
 pub mod calibrate;
 pub mod fault;
 pub mod fidelity;
+pub mod jsonl;
 pub mod loss;
 pub mod objective;
 pub mod param;

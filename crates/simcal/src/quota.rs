@@ -9,9 +9,9 @@
 //! NOT be re-charged — replayed checkpoints consume no budget — so the
 //! caller only charges genuinely new admissions.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 /// A tenant's admission was refused: the requested evaluations exceed
 /// what remains of its quota.
@@ -63,7 +63,7 @@ impl QuotaBook {
     /// evaluations are kept, so lowering a limit below the charge simply
     /// blocks further admissions.
     pub fn set_limit(&self, tenant: &str, limit: usize) {
-        let mut tenants = self.tenants.lock();
+        let mut tenants = self.tenants.lock().unwrap();
         tenants
             .entry(tenant.to_string())
             .and_modify(|t| t.limit = limit)
@@ -72,12 +72,16 @@ impl QuotaBook {
 
     /// Evaluations the tenant has charged so far.
     pub fn charged(&self, tenant: &str) -> usize {
-        self.tenants.lock().get(tenant).map_or(0, |t| t.charged)
+        self.tenants
+            .lock()
+            .unwrap()
+            .get(tenant)
+            .map_or(0, |t| t.charged)
     }
 
     /// Evaluations the tenant can still charge.
     pub fn remaining(&self, tenant: &str) -> usize {
-        let tenants = self.tenants.lock();
+        let tenants = self.tenants.lock().unwrap();
         match tenants.get(tenant) {
             Some(t) => t.limit.saturating_sub(t.charged),
             None => self.default_limit,
@@ -87,7 +91,7 @@ impl QuotaBook {
     /// Charge `evaluations` against the tenant's quota, or refuse with a
     /// typed [`QuotaExceeded`] leaving the book unchanged.
     pub fn charge(&self, tenant: &str, evaluations: usize) -> Result<(), QuotaExceeded> {
-        let mut tenants = self.tenants.lock();
+        let mut tenants = self.tenants.lock().unwrap();
         let t = tenants.entry(tenant.to_string()).or_insert(Tenant {
             limit: self.default_limit,
             charged: 0,
@@ -107,7 +111,7 @@ impl QuotaBook {
     /// Return `evaluations` to the tenant (a cancelled or failed job
     /// gives its admission charge back). Saturates at zero.
     pub fn refund(&self, tenant: &str, evaluations: usize) {
-        let mut tenants = self.tenants.lock();
+        let mut tenants = self.tenants.lock().unwrap();
         if let Some(t) = tenants.get_mut(tenant) {
             t.charged = t.charged.saturating_sub(evaluations);
         }
