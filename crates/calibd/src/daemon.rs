@@ -49,14 +49,12 @@ use crate::proto::{
     JobState, JobStatus, ProtoError, Request, Response, SCHEMA_NAME, SCHEMA_VERSION,
 };
 use lodsel::ledger::{ledger_status, Ledger, LedgerEvent, LedgerStatus};
-use lodsel::prelude::{
-    BatchFamily, BudgetPolicy, GridFamily, MpiFamily, SweepConfig, VersionFamily, WfFamily,
-};
+use lodsel::prelude::SweepConfig;
 use lodsel::shard::{merge_shards, run_shard, shard_path};
 use lodsel::sweep::try_run_sweep;
 use serde::{Deserialize, Serialize};
 use simcal::jsonl::JsonlLog;
-use simcal::prelude::{Budget, QuotaBook};
+use simcal::prelude::QuotaBook;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -410,33 +408,10 @@ fn replay(events: Vec<JobEvent>, quotas: &QuotaBook) -> Registry {
     registry
 }
 
-/// Instantiate the family a spec names.
-fn make_family(spec: &JobSpec) -> Result<Box<dyn VersionFamily>, String> {
-    match spec.family.as_str() {
-        "wf" => Ok(Box::new(WfFamily::paper(spec.fast, spec.seed))),
-        "mpi" => Ok(Box::new(MpiFamily::paper(spec.fast, spec.seed))),
-        "batch" => Ok(Box::new(BatchFamily::paper(spec.fast, spec.seed))),
-        "grid" => Ok(Box::new(GridFamily::paper(spec.fast, spec.seed))),
-        other => Err(format!(
-            "unknown family {other:?} (want wf, mpi, batch, or grid)"
-        )),
-    }
-}
-
 /// The sweep configuration a spec maps to.
 fn sweep_config(spec: &JobSpec) -> SweepConfig {
     SweepConfig {
-        budget: match (spec.total_evals, spec.sh_eta) {
-            (Some(total), Some(eta)) => BudgetPolicy::SuccessiveHalving {
-                total,
-                eta,
-                min_scenarios: spec.sh_min_scenarios.unwrap_or(1),
-            },
-            (Some(total), None) => BudgetPolicy::TotalEvaluations { total },
-            (None, _) => BudgetPolicy::PerRun {
-                budget: Budget::Evaluations(spec.budget_evals),
-            },
-        },
+        budget: spec.budget_policy(),
         restarts: spec.restarts,
         seed: spec.seed,
         epsilon: spec.epsilon,
@@ -499,7 +474,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     let failed = |error: String| finish(shared, id, JobEvent::Failed { id, error });
     let cancelled = || finish(shared, id, JobEvent::Cancelled { id });
 
-    let family = match make_family(&spec) {
+    let family = match lodsel::families::paper(&spec.family, spec.fast, spec.seed) {
         Ok(f) => f,
         Err(e) => return failed(e),
     };
@@ -602,7 +577,7 @@ fn with_ledger(shared: &Shared, mut status: JobStatus) -> JobStatus {
 
 /// Admit or refuse a submission, under the registry lock.
 fn admit(shared: &Shared, spec: JobSpec) -> Response {
-    let family = match make_family(&spec) {
+    let family = match lodsel::families::paper(&spec.family, spec.fast, spec.seed) {
         Ok(f) => f,
         Err(e) => return Response::Rejected { reason: e },
     };

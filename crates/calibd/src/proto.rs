@@ -25,7 +25,9 @@
 //! (`{"event":"counter","name":...,"value":...}`), so a subscribed
 //! client can feed them to the same tooling that reads `--trace` files.
 
+use lodsel::sweep::{BudgetPolicy, ShSchedule};
 use serde::{Deserialize, Serialize, Value};
+use simcal::prelude::Budget;
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
@@ -105,25 +107,41 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// The budget policy the job's sweep runs under: successive halving
+    /// when `sh_eta` comes with a total, else a fair split of
+    /// `total_evals`, else `budget_evals` per run.
+    pub fn budget_policy(&self) -> BudgetPolicy {
+        match (self.total_evals, self.sh_eta) {
+            (Some(total), Some(eta)) => BudgetPolicy::SuccessiveHalving {
+                total,
+                eta,
+                min_scenarios: self.sh_min_scenarios.unwrap_or(1),
+            },
+            (Some(total), None) => BudgetPolicy::TotalEvaluations { total },
+            (None, _) => BudgetPolicy::PerRun {
+                budget: Budget::Evaluations(self.budget_evals),
+            },
+        }
+    }
+
     /// Evaluations this job will charge against its tenant's quota: the
     /// exact planned count (the plan is deterministic).
     pub fn planned_evaluations(&self, units: usize) -> usize {
-        let restarts = self.restarts.max(1);
-        match (self.total_evals, self.sh_eta) {
+        let runs = units * self.restarts.max(1);
+        match self.budget_policy() {
             // Successive halving spends the scheduled rung budgets, which
             // can deterministically undershoot the requested total; an
             // unplannable (too small) total is charged as requested and
             // refunded when the worker surfaces the typed error.
-            (Some(total), Some(eta)) => lodsel::sweep::ShSchedule::plan(
-                units * restarts,
+            BudgetPolicy::SuccessiveHalving {
                 total,
                 eta,
-                self.sh_min_scenarios.unwrap_or(1),
-            )
-            .map(|s| s.total_evaluations())
-            .unwrap_or(total),
-            (Some(total), None) => total,
-            (None, _) => units * restarts * self.budget_evals,
+                min_scenarios,
+            } => ShSchedule::plan(runs, total, eta, min_scenarios)
+                .map(|s| s.total_evaluations())
+                .unwrap_or(total),
+            BudgetPolicy::TotalEvaluations { total } => total,
+            BudgetPolicy::PerRun { .. } => runs * self.budget_evals,
         }
     }
 }

@@ -211,15 +211,8 @@ fn main() {
         return;
     }
 
-    let family: Box<dyn VersionFamily> = match opts.family.as_str() {
-        "wf" => Box::new(WfFamily::paper(opts.fast, opts.seed)),
-        "mpi" => Box::new(MpiFamily::paper(opts.fast, opts.seed)),
-        "batch" => Box::new(BatchFamily::paper(opts.fast, opts.seed)),
-        "grid" => Box::new(GridFamily::paper(opts.fast, opts.seed)),
-        other => die(&format!(
-            "unknown family {other} (want wf, mpi, batch, or grid)"
-        )),
-    };
+    let family =
+        lodsel::families::paper(&opts.family, opts.fast, opts.seed).unwrap_or_else(|e| die(&e));
     let budget = match (opts.policy, opts.total_evals) {
         (Some(policy), _) => policy,
         (None, Some(total)) => BudgetPolicy::TotalEvaluations { total },

@@ -177,6 +177,23 @@ pub(crate) fn mean_relative_error(observed: &[f64], simulated: &[f64]) -> f64 {
     numeric::mean(&errors)
 }
 
+/// The paper family `name` names — `wf`, `mpi`, `batch` or `grid` — on
+/// its paper dataset (shrunken under `fast`), as the command line and the
+/// calibd daemon look families up.
+pub fn paper(name: &str, fast: bool, seed: u64) -> Result<Box<dyn VersionFamily>, String> {
+    Ok(match name {
+        "wf" => Box::new(wf::WfFamily::paper(fast, seed)),
+        "mpi" => Box::new(mpi::MpiFamily::paper(fast, seed)),
+        "batch" => Box::new(batch::BatchFamily::paper(fast, seed)),
+        "grid" => Box::new(grid::GridFamily::paper(fast, seed)),
+        other => {
+            return Err(format!(
+                "unknown family {other:?} (want wf, mpi, batch, or grid)"
+            ))
+        }
+    })
+}
+
 /// A case study's versions, datasets and loss as a sweepable family: one
 /// unit per (version, split).
 pub struct SimFamily<C: CaseStudy> {

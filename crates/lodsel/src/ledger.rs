@@ -518,14 +518,17 @@ impl Ledger {
     }
 
     /// The run and unit checkpoints currently in the ledger, keyed by
-    /// their content hashes. Later records win on duplicate keys (a
-    /// re-run of identical work writes an identical record anyway).
+    /// their content hashes. Run checkpoints include successive-halving
+    /// rung records, whose keys are their [`rung_key`]s. Later records win
+    /// on duplicate keys (a re-run of identical work writes an identical
+    /// record anyway).
     pub fn checkpoints(&self) -> (HashMap<u64, RunRecord>, HashMap<u64, UnitRecord>) {
         let mut runs = HashMap::new();
         let mut units = HashMap::new();
         for event in self.inner.lock().unwrap().events.iter() {
             match event {
-                LedgerEvent::RunCompleted { record } => {
+                LedgerEvent::RunCompleted { record }
+                | LedgerEvent::RungCompleted { record, .. } => {
                     runs.insert(record.key, record.clone());
                 }
                 LedgerEvent::UnitCompleted { record } => {
@@ -535,19 +538,6 @@ impl Ledger {
             }
         }
         (runs, units)
-    }
-
-    /// Successive-halving rung checkpoints currently in the ledger,
-    /// keyed by `(base plan key, rung)`. Later records win on duplicates
-    /// (a re-run of identical work writes an identical record anyway).
-    pub fn rung_checkpoints(&self) -> HashMap<(u64, usize), RunRecord> {
-        let mut rungs = HashMap::new();
-        for event in self.inner.lock().unwrap().events.iter() {
-            if let LedgerEvent::RungCompleted { base, rung, record } = event {
-                rungs.insert((*base, *rung), record.clone());
-            }
-        }
-        rungs
     }
 
     /// Successive-halving promotion/elimination decisions replayed from

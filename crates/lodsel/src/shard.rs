@@ -27,10 +27,9 @@
 use crate::family::VersionFamily;
 use crate::ledger::{Ledger, LedgerEvent};
 use crate::sweep::{
-    plan_sweep, run_sh_phase, sweep_fingerprint, try_run_sweep, RunExecutor, RunSpec, SweepConfig,
+    climb, plan_sweep, sweep_fingerprint, try_run_sweep, RunExecutor, RunPlan, SweepConfig,
     SweepError, SweepOutcome,
 };
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
@@ -182,67 +181,73 @@ pub fn run_shard(
         })
         .map_err(ShardError::Io)?;
 
-    let active_plans = planned.active_plans(config);
-    let exec = RunExecutor::new(family, &planned, config, Some(&ledger));
-
-    // Successive halving runs the full rung ladder into the (single)
-    // shard ledger: rung records and promotion decisions land there, and
-    // the post-merge replay serves everything from them.
-    if let Some(schedule) = &planned.schedule {
-        return Ok(run_sh_phase(&exec, schedule, &active_plans).executed);
-    }
-
     // This shard's slice: round-robin over the truncation-aware plan
-    // prefix, minus work already checkpointed or out of retries.
-    let pending: Vec<RunSpec> = active_plans
-        .iter()
+    // prefix. It climbs the same ladder a whole sweep does, so successive
+    // halving (one shard only) leaves its rung records and promotion
+    // decisions here for the post-merge replay.
+    let slice: Vec<&RunPlan> = planned
+        .active_plans(config)
+        .into_iter()
         .enumerate()
         .filter(|(i, _)| i % shards == index)
-        .map(|(_, p)| RunSpec::fixed(p))
-        .filter(|run| exec.is_pending(run))
+        .map(|(_, p)| p)
         .collect();
-
+    let exec = RunExecutor::new(family, &planned, config, Some(&ledger));
     let shard_span = obs::span!(
         "shard",
         index = index,
         shards = shards,
-        pending = pending.len()
+        pending = exec.pending(&planned.ladder[0], &slice)
     );
-    let shard_id = shard_span.id();
-    let outcomes: Vec<_> = pending
-        .par_iter()
-        .map(|run| exec.execute(run, shard_id))
-        .collect();
-    Ok(outcomes.len())
+    Ok(climb(&exec, &planned.ladder, &slice, shard_span.id()).executed)
+}
+
+/// What [`merge_shards`] deduplicates an event by, in the target and
+/// in every shard alike.
+#[derive(PartialEq, Eq, Hash)]
+enum MergeKey {
+    /// Run and rung checkpoints: content-keyed, so first write wins.
+    Run(u64),
+    /// Unit evaluations: content-keyed, first write wins.
+    Unit(u64),
+    /// Failures and promotion decisions, by their full line, so retry
+    /// counting stays correct across repeated merges.
+    Line(String),
+}
+
+/// The event's [`MergeKey`]; `None` for events that stay in their shard
+/// file.
+fn merge_key(event: &LedgerEvent) -> Option<MergeKey> {
+    match event {
+        // Rung keys are content hashes of (base, rung, budget, subset), so
+        // first-write-wins per key is as idempotent for them as for plain
+        // run records.
+        LedgerEvent::RunCompleted { record } | LedgerEvent::RungCompleted { record, .. } => {
+            Some(MergeKey::Run(record.key))
+        }
+        LedgerEvent::UnitCompleted { record } => Some(MergeKey::Unit(record.key)),
+        LedgerEvent::RunFailed { .. }
+        | LedgerEvent::RunPromoted { .. }
+        | LedgerEvent::RunEliminated { .. } => Some(MergeKey::Line(
+            serde_json::to_string(event).unwrap_or_default(),
+        )),
+        // Shard headers and per-execution markers stay in their shard
+        // files; the merged ledger is a plain sweep ledger.
+        LedgerEvent::ShardStarted { .. }
+        | LedgerEvent::SweepStarted { .. }
+        | LedgerEvent::SweepCompleted { .. } => None,
+    }
 }
 
 /// Merge shard ledgers into the target ledger at `target`, validating
-/// that every shard belongs to the same sweep. First write wins on
-/// duplicate run keys (re-merging is idempotent); failure events are
-/// deduplicated by full content so retry counting stays correct across
-/// repeated merges. Returns the open merged ledger, ready to be passed
-/// to [`run_sweep`](crate::sweep::run_sweep).
+/// that every shard belongs to the same sweep. An event already in the
+/// target, or merged earlier, is skipped — checkpoints by key, failures
+/// and promotion decisions by content — so re-merging is idempotent.
+/// Returns the open merged ledger, ready to be passed to
+/// [`run_sweep`](crate::sweep::run_sweep).
 pub fn merge_shards(shard_paths: &[PathBuf], target: &Path) -> Result<Ledger, ShardError> {
     let merged = Ledger::open(target)?;
-    let mut seen_runs: HashSet<u64> = HashSet::new();
-    let mut seen_units: HashSet<u64> = HashSet::new();
-    let mut seen_failures: HashSet<String> = HashSet::new();
-    for event in merged.events() {
-        match &event {
-            LedgerEvent::RunCompleted { record } => {
-                seen_runs.insert(record.key);
-            }
-            LedgerEvent::UnitCompleted { record } => {
-                seen_units.insert(record.key);
-            }
-            LedgerEvent::RunFailed { .. } => {
-                if let Ok(line) = serde_json::to_string(&event) {
-                    seen_failures.insert(line);
-                }
-            }
-            _ => {}
-        }
-    }
+    let mut seen: HashSet<MergeKey> = merged.events().iter().filter_map(merge_key).collect();
 
     let mut expected: Option<u64> = None;
     for path in shard_paths {
@@ -260,34 +265,8 @@ pub fn merge_shards(shard_paths: &[PathBuf], target: &Path) -> Result<Ledger, Sh
             Some(_) => {}
         }
         for event in &events {
-            match event {
-                // Rung keys are content hashes of (base, rung, budget,
-                // subset), so first-write-wins per key is as idempotent
-                // for them as for plain run records.
-                LedgerEvent::RunCompleted { record }
-                | LedgerEvent::RungCompleted { record, .. } => {
-                    if seen_runs.insert(record.key) {
-                        merged.append(event).map_err(ShardError::Io)?;
-                    }
-                }
-                LedgerEvent::UnitCompleted { record } => {
-                    if seen_units.insert(record.key) {
-                        merged.append(event).map_err(ShardError::Io)?;
-                    }
-                }
-                LedgerEvent::RunFailed { .. }
-                | LedgerEvent::RunPromoted { .. }
-                | LedgerEvent::RunEliminated { .. } => {
-                    let line = serde_json::to_string(event).unwrap_or_default();
-                    if seen_failures.insert(line) {
-                        merged.append(event).map_err(ShardError::Io)?;
-                    }
-                }
-                // Shard headers and per-execution markers stay in their
-                // shard files; the merged ledger is a plain sweep ledger.
-                LedgerEvent::ShardStarted { .. }
-                | LedgerEvent::SweepStarted { .. }
-                | LedgerEvent::SweepCompleted { .. } => {}
+            if merge_key(event).is_some_and(|key| seen.insert(key)) {
+                merged.append(event).map_err(ShardError::Io)?;
             }
         }
         obs::counter(obs::Counter::ShardMerges, 1);

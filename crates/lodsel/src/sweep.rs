@@ -508,15 +508,18 @@ impl ShSchedule {
     }
 }
 
-/// Per-run budgets for a plan of `runs` runs under `policy`. For
-/// successive halving the plan's nominal per-run budget is the rung-0
-/// budget (rung executions carry their own budgets).
+/// Per-run budgets for a plan of `runs` runs under `policy`, and the rung
+/// schedule when the policy is successive halving (its plans carry the
+/// rung-0 budget as their nominal budget; each rung supplies its own).
 ///
 /// Errs with [`SweepError::BudgetTooSmall`] when a total budget cannot
-/// give every run at least one evaluation.
-fn run_budgets(policy: &BudgetPolicy, runs: usize) -> Result<Vec<Budget>, SweepError> {
+/// give every run (every rung entrant) at least one evaluation.
+fn run_budgets(
+    policy: &BudgetPolicy,
+    runs: usize,
+) -> Result<(Vec<Budget>, Option<ShSchedule>), SweepError> {
     match *policy {
-        BudgetPolicy::PerRun { budget } => Ok(vec![budget; runs]),
+        BudgetPolicy::PerRun { budget } => Ok((vec![budget; runs], None)),
         BudgetPolicy::TotalEvaluations { total } => {
             if total < runs {
                 return Err(SweepError::BudgetTooSmall {
@@ -527,9 +530,10 @@ fn run_budgets(policy: &BudgetPolicy, runs: usize) -> Result<Vec<Budget>, SweepE
             }
             let base = total / runs;
             let extra = total % runs;
-            Ok((0..runs)
+            let budgets = (0..runs)
                 .map(|i| Budget::Evaluations(base + usize::from(i < extra)))
-                .collect())
+                .collect();
+            Ok((budgets, None))
         }
         BudgetPolicy::SuccessiveHalving {
             total,
@@ -537,7 +541,8 @@ fn run_budgets(policy: &BudgetPolicy, runs: usize) -> Result<Vec<Budget>, SweepE
             min_scenarios,
         } => {
             let schedule = ShSchedule::plan(runs, total, eta, min_scenarios)?;
-            Ok(vec![Budget::Evaluations(schedule.rungs[0].budget); runs])
+            let nominal = Budget::Evaluations(schedule.rungs[0].budget);
+            Ok((vec![nominal; runs], Some(schedule)))
         }
     }
 }
@@ -561,8 +566,11 @@ pub(crate) struct PlannedSweep {
     pub(crate) restarts: usize,
     pub(crate) policy_json: String,
     pub(crate) plans: Vec<RunPlan>,
-    /// The rung ladder, for successive-halving sweeps only.
+    /// The rung schedule, for successive-halving sweeps only.
     pub(crate) schedule: Option<ShSchedule>,
+    /// The ladder every run climbs: the schedule's rungs, or one
+    /// full-fidelity rung for a fixed-budget sweep.
+    pub(crate) ladder: Vec<Rung>,
 }
 
 impl PlannedSweep {
@@ -596,20 +604,25 @@ pub(crate) fn plan_sweep(
     let name = family.name().to_string();
     let fingerprint = family.fingerprint();
     let policy_json = serde_json::to_string(&config.budget).expect("policy serializes");
-    let schedule = match config.budget {
-        BudgetPolicy::SuccessiveHalving {
-            total,
-            eta,
-            min_scenarios,
-        } => Some(ShSchedule::plan(
-            units.len() * restarts,
-            total,
-            eta,
-            min_scenarios,
-        )?),
-        _ => None,
-    };
-    let budgets = run_budgets(&config.budget, units.len() * restarts)?;
+    let (budgets, schedule) = run_budgets(&config.budget, units.len() * restarts)?;
+    // A fixed-budget sweep is the one-rung ladder at full fidelity.
+    let ladder = schedule.as_ref().map_or_else(
+        || {
+            vec![Rung {
+                sh: None,
+                fidelity: Fidelity::full(),
+            }]
+        },
+        |s| {
+            s.rungs
+                .iter()
+                .map(|rung| Rung {
+                    sh: Some(rung.clone()),
+                    fidelity: s.fidelity(rung.rung),
+                })
+                .collect()
+        },
+    );
     let plans: Vec<RunPlan> = units
         .iter()
         .enumerate()
@@ -656,59 +669,79 @@ pub(crate) fn plan_sweep(
         policy_json,
         plans,
         schedule,
+        ladder,
     })
 }
 
-/// One calibration run as the executor sees it: a fixed-budget run of
-/// the plan, or one rung execution of a successive-halving run. The two
-/// differ only in data — checkpoint key, budget, fidelity, and which
-/// ledger event variant records success.
-pub(crate) struct RunSpec<'a> {
-    pub(crate) plan: &'a RunPlan,
-    /// `Some(r)`: rung `r` of a successive-halving run, recorded as
-    /// [`LedgerEvent::RungCompleted`] under the plan's base key. `None`:
-    /// a fixed-budget run, recorded as [`LedgerEvent::RunCompleted`].
-    pub(crate) rung: Option<usize>,
-    /// Checkpoint key ([`run_key`] or [`rung_key`]): keys the success
-    /// record and the failure history.
-    pub(crate) key: u64,
-    pub(crate) budget: Budget,
-    pub(crate) fidelity: Fidelity,
+/// One rung of the budget ladder every sweep climbs. Successive halving
+/// climbs its schedule's rungs; a fixed-budget sweep is the one-rung
+/// ladder at full fidelity, on which each run keeps its planned budget
+/// and checkpoint key.
+pub(crate) struct Rung {
+    /// The schedule's rung, or `None` on a fixed-budget sweep's one rung:
+    /// its runs record [`LedgerEvent::RunCompleted`] under their plan
+    /// keys, sit directly under the caller's span, and go unreported.
+    sh: Option<ShRung>,
+    fidelity: Fidelity,
 }
 
-impl<'a> RunSpec<'a> {
-    /// The plan's own full-fidelity run under its planned budget.
-    pub(crate) fn fixed(plan: &'a RunPlan) -> Self {
-        Self {
+impl Rung {
+    /// What `plan` runs on this rung.
+    fn run<'a>(&self, plan: &'a RunPlan) -> RunSpec<'a> {
+        let Some(sh) = &self.sh else {
+            return RunSpec {
+                plan,
+                rung: None,
+                key: plan.key,
+                budget: plan.budget,
+                fidelity: self.fidelity,
+            };
+        };
+        let budget = Budget::Evaluations(sh.budget);
+        RunSpec {
             plan,
-            rung: None,
-            key: plan.key,
-            budget: plan.budget,
-            fidelity: Fidelity::full(),
+            rung: Some(sh.rung),
+            key: rung_key(plan.key, sh.rung, &budget, sh.scenario_denom),
+            budget,
+            fidelity: self.fidelity,
         }
     }
 }
 
-/// What the executor made of one run.
-pub(crate) struct RunOutcome {
-    /// The calibration result, or the failure row to report.
-    pub(crate) result: Result<CalibrationResult, RunFailure>,
-    /// Whether the calibration was invoked now; `false` when the ledger
-    /// answered (a checkpoint, or a failure history out of retries).
-    pub(crate) executed: bool,
+/// One calibration run as the executor sees it: one plan's execution on
+/// one rung of the ladder ([`Rung::run`]).
+struct RunSpec<'a> {
+    plan: &'a RunPlan,
+    /// `Some(r)`: rung `r` of a successive-halving run, recorded as
+    /// [`LedgerEvent::RungCompleted`] under the plan's base key. `None`:
+    /// a fixed-budget run, recorded as [`LedgerEvent::RunCompleted`].
+    rung: Option<usize>,
+    /// Checkpoint key ([`run_key`] or [`rung_key`]): keys the success
+    /// record and the failure history.
+    key: u64,
+    budget: Budget,
+    fidelity: Fidelity,
 }
 
-/// The single place a sweep invokes a family's calibration: shared by the
-/// fixed-budget phase, every successive-halving rung and the sharded
-/// executor ([`crate::shard::run_shard`]), so a shard's or a rung's
-/// records are bit-for-bit what any other path would have written.
+/// What the executor made of one run.
+struct RunOutcome {
+    /// The calibration result, or the failure row to report.
+    result: Result<CalibrationResult, RunFailure>,
+    /// Whether the calibration was invoked now; `false` when the ledger
+    /// answered (a checkpoint, or a failure history out of retries).
+    executed: bool,
+}
+
+/// The single place a sweep invokes a family's calibration, on behalf of
+/// [`climb`], so a shard's or a rung's records are bit-for-bit what any
+/// other execution would have written.
 pub(crate) struct RunExecutor<'a> {
     family: &'a dyn VersionFamily,
     labels: &'a [String],
     units: &'a [SweepUnit],
     pub(crate) ledger: Option<&'a Ledger>,
+    /// Run and rung checkpoints, by their record keys.
     runs: HashMap<u64, RunRecord>,
-    rungs: HashMap<(u64, usize), RunRecord>,
     pub(crate) unit_checkpoints: HashMap<u64, UnitRecord>,
     pub(crate) failure_history: HashMap<u64, FailureHistory>,
     pub(crate) max_attempts: usize,
@@ -730,7 +763,6 @@ impl<'a> RunExecutor<'a> {
             ledger,
             runs,
             unit_checkpoints,
-            rungs: ledger.map(|l| l.rung_checkpoints()).unwrap_or_default(),
             failure_history: ledger.map(|l| l.failure_history()).unwrap_or_default(),
             max_attempts: 1 + config.max_fault_retries,
         }
@@ -741,21 +773,23 @@ impl<'a> RunExecutor<'a> {
         self.failure_history.get(&key).map_or(0, |h| h.attempts)
     }
 
-    /// The ledger checkpoint of `plan`'s fixed-budget run (`rung` is
-    /// `None`) or of its rung `r` execution, if it completed in an
-    /// earlier execution.
-    pub(crate) fn checkpoint(&self, plan: &RunPlan, rung: Option<usize>) -> Option<&RunRecord> {
-        match rung {
-            None => self.runs.get(&plan.key),
-            Some(r) => self.rungs.get(&(plan.key, r)),
-        }
+    /// The ledger checkpoint of `run`, if it completed in an earlier
+    /// execution.
+    fn checkpoint(&self, run: &RunSpec) -> Option<&RunRecord> {
+        self.runs.get(&run.key)
     }
 
-    /// Whether [`RunExecutor::execute`] would invoke the calibration: no
-    /// checkpoint, and recorded failures within the retry allowance.
-    pub(crate) fn is_pending(&self, run: &RunSpec) -> bool {
-        self.checkpoint(run.plan, run.rung).is_none()
-            && self.attempts_of(run.key) < self.max_attempts
+    /// How many of `plans` [`RunExecutor::execute`] would calibrate on
+    /// `rung`: no checkpoint, and recorded failures within the retry
+    /// allowance.
+    pub(crate) fn pending(&self, rung: &Rung, plans: &[&RunPlan]) -> usize {
+        plans
+            .iter()
+            .map(|p| rung.run(p))
+            .filter(|run| {
+                self.checkpoint(run).is_none() && self.attempts_of(run.key) < self.max_attempts
+            })
+            .count()
     }
 
     /// The failure row of `plan`'s run.
@@ -779,7 +813,7 @@ impl<'a> RunExecutor<'a> {
     }
 
     /// The row of a run's most recent recorded failure, if any.
-    pub(crate) fn recorded_failure(&self, run: &RunSpec) -> Option<RunFailure> {
+    fn recorded_failure(&self, run: &RunSpec) -> Option<RunFailure> {
         let h = self.failure_history.get(&run.key)?;
         let mut row = self.failure_row(run.plan, &h.stage, h.attempts, h.last_reason.clone());
         row.retriable = false;
@@ -790,8 +824,8 @@ impl<'a> RunExecutor<'a> {
     /// its retries are exhausted, or execute it under the fault guard —
     /// inside a `run` span under `parent` — appending its checkpoint (or
     /// failure) to the ledger.
-    pub(crate) fn execute(&self, run: &RunSpec, parent: Option<obs::SpanId>) -> RunOutcome {
-        if let Some(record) = self.checkpoint(run.plan, run.rung) {
+    fn execute(&self, run: &RunSpec, parent: Option<obs::SpanId>) -> RunOutcome {
+        if let Some(record) = self.checkpoint(run) {
             return RunOutcome {
                 result: Ok(record.result.clone()),
                 executed: false,
@@ -881,65 +915,62 @@ impl<'a> RunExecutor<'a> {
     }
 }
 
-/// Everything the successive-halving phase hands back to the sweep.
-pub(crate) struct ShPhase {
-    /// Per base plan key: the highest rung the run reached and its result
+/// What climbing the ladder made of a set of runs.
+pub(crate) struct Climb {
+    /// Per run, in plan order: the highest rung it reached and its result
     /// there (eliminated runs keep their last rung's result, so every
-    /// version still gets outcomes for the Pareto reduction).
-    pub(crate) results: HashMap<u64, (usize, CalibrationResult)>,
-    /// Runs that produced no result on any rung.
-    pub(crate) failed: HashMap<u64, RunFailure>,
-    /// Rung executions actually computed now (not replayed).
+    /// version still gets outcomes for the Pareto reduction), or the
+    /// failure of a run that produced no result on any rung.
+    pub(crate) runs: Vec<Result<(usize, CalibrationResult), RunFailure>>,
+    /// Calibrations actually invoked now (not replayed).
     pub(crate) executed: usize,
-    /// The deterministic summary for [`SweepOutcome::sh`].
-    pub(crate) report: ShReport,
+    /// What happened on each successive-halving rung (none on a
+    /// fixed-budget sweep's one rung).
+    pub(crate) rungs: Vec<ShRungReport>,
 }
 
-/// Execute (or replay) the successive-halving ladder over `active_plans`.
+/// Climb `ladder` with `plans`: the one loop that runs calibrations, for
+/// every budget policy, whole sweeps and shards alike.
 ///
-/// Per rung: serve each entrant's rung calibration from its ledger
-/// checkpoint or run it fresh (as [`LedgerEvent::RungCompleted`]), then
-/// promote. If the ledger already holds a decision for every entrant the
-/// recorded decisions are *replayed*; otherwise entrants are ranked by
-/// rung loss (ascending `total_cmp`, ties broken by plan order) and the
-/// top `survivors(r+1)` promoted, with every decision appended in plan
-/// order. A run whose rung calibration failed is never promoted.
-pub(crate) fn run_sh_phase(
+/// Per rung: serve each entrant's calibration from its ledger checkpoint
+/// or run it fresh, then promote. The last rung decides nothing, so the
+/// one rung of a fixed-budget sweep only runs. Below it, if the ledger
+/// already holds a decision for every entrant the recorded decisions are
+/// *replayed*; otherwise entrants are ranked by rung loss (ascending
+/// `total_cmp`, ties broken by plan order) and the top `survivors(r+1)`
+/// promoted, with every decision appended in plan order. A run whose
+/// rung calibration failed is never promoted.
+pub(crate) fn climb(
     exec: &RunExecutor,
-    schedule: &ShSchedule,
-    active_plans: &[&RunPlan],
-) -> ShPhase {
+    ladder: &[Rung],
+    plans: &[&RunPlan],
+    parent: Option<obs::SpanId>,
+) -> Climb {
     let decisions = exec.ledger.map(|l| l.rung_decisions()).unwrap_or_default();
 
-    let levels = schedule.rungs.len();
-    let mut highest: Vec<Option<(usize, CalibrationResult)>> = vec![None; active_plans.len()];
-    let mut last_failure: Vec<Option<RunFailure>> = vec![None; active_plans.len()];
-    let mut active: Vec<usize> = (0..active_plans.len()).collect();
+    let mut highest: Vec<Option<(usize, CalibrationResult)>> = vec![None; plans.len()];
+    let mut last_failure: Vec<Option<RunFailure>> = vec![None; plans.len()];
+    let mut active: Vec<usize> = (0..plans.len()).collect();
     let mut rung_reports: Vec<ShRungReport> = Vec::new();
     let mut executed = 0usize;
 
-    for rung in &schedule.rungs {
-        let r = rung.rung;
+    for (r, rung) in ladder.iter().enumerate() {
         let entering = active.clone();
-        let fidelity = schedule.fidelity(r);
-        let rung_budget = Budget::Evaluations(rung.budget);
-        let rung_span = obs::span!("rung", rung = r, entrants = entering.len());
-        let rung_span_id = rung_span.id();
+        let next = ladder.get(r + 1).and_then(|next| next.sh.as_ref());
+        // A successive-halving rung opens its own span; a fixed-budget
+        // sweep's runs sit directly under the caller's.
+        let rung_span = rung
+            .sh
+            .as_ref()
+            .map(|_| obs::span!("rung", rung = r, entrants = entering.len()));
+        let parent = rung_span.as_ref().map_or(parent, obs::SpanGuard::id);
         // A rung's decision is sealed once the ledger covers every
-        // entrant; replay then substitutes for re-ranking. (The final
-        // rung decides nothing.)
-        let sealed = r + 1 < levels
+        // entrant; replay then substitutes for re-ranking.
+        let sealed = next.is_some()
             && entering
                 .iter()
-                .all(|&i| decisions.contains_key(&(active_plans[i].key, r)));
+                .all(|&i| decisions.contains_key(&(plans[i].key, r)));
 
-        let rung_run = |i: usize| RunSpec {
-            plan: active_plans[i],
-            rung: Some(r),
-            key: rung_key(active_plans[i].key, r, &rung_budget, rung.scenario_denom),
-            budget: rung_budget,
-            fidelity,
-        };
         // `None`: not executed — the rung's decision is sealed in the
         // ledger and this run was eliminated without leaving a rung
         // record, i.e. its rung calibration failed in the recorded
@@ -948,64 +979,50 @@ pub(crate) fn run_sh_phase(
         let outcomes: Vec<Option<RunOutcome>> = entering
             .par_iter()
             .map(|&i| {
-                let run = rung_run(i);
+                let run = rung.run(plans[i]);
                 let eliminated = sealed && decisions.get(&(run.plan.key, r)) == Some(&false);
-                if eliminated && exec.checkpoint(run.plan, run.rung).is_none() {
+                if eliminated && exec.checkpoint(&run).is_none() {
                     return None;
                 }
-                Some(exec.execute(&run, rung_span_id))
+                Some(exec.execute(&run, parent))
             })
             .collect();
 
         let mut succeeded: Vec<usize> = Vec::new();
-        let mut rung_losses: HashMap<usize, f64> = HashMap::new();
-        let mut failed_count = 0usize;
         for (&i, outcome) in entering.iter().zip(outcomes) {
-            match outcome {
-                Some(RunOutcome {
-                    result: Ok(result),
-                    executed: fresh,
-                }) => {
-                    if fresh {
-                        executed += 1;
-                    }
-                    rung_losses.insert(i, result.loss);
+            let Some(outcome) = outcome else {
+                if let Some(failure) = exec.recorded_failure(&rung.run(plans[i])) {
+                    last_failure[i] = Some(failure);
+                }
+                continue;
+            };
+            executed += usize::from(outcome.executed);
+            match outcome.result {
+                Ok(result) => {
                     highest[i] = Some((r, result));
                     succeeded.push(i);
                 }
-                Some(RunOutcome {
-                    result: Err(failure),
-                    ..
-                }) => {
-                    failed_count += 1;
-                    last_failure[i] = Some(failure);
-                }
-                None => {
-                    failed_count += 1;
-                    if let Some(failure) = exec.recorded_failure(&rung_run(i)) {
-                        last_failure[i] = Some(failure);
-                    }
-                }
+                Err(failure) => last_failure[i] = Some(failure),
             }
         }
 
-        let promoted: Vec<usize> = if r + 1 < levels {
-            if sealed {
-                entering
-                    .iter()
-                    .copied()
-                    .filter(|&i| decisions.get(&(active_plans[i].key, r)) == Some(&true))
-                    .collect()
-            } else {
-                let target = schedule.rungs[r + 1].survivors.min(succeeded.len());
+        let promoted: Vec<usize> = match next {
+            None => entering.clone(),
+            Some(_) if sealed => entering
+                .iter()
+                .copied()
+                .filter(|&i| decisions.get(&(plans[i].key, r)) == Some(&true))
+                .collect(),
+            Some(next) => {
                 // Stable sort by rung loss: ties keep plan order, and
                 // only successful entrants are rankable at all.
-                let mut order = succeeded.clone();
-                order.sort_by(|&a, &b| rung_losses[&a].total_cmp(&rung_losses[&b]));
-                let mut chosen = order[..target].to_vec();
+                let loss = |i: usize| highest[i].as_ref().map_or(f64::NAN, |(_, res)| res.loss);
+                let mut chosen = succeeded.clone();
+                chosen.sort_by(|&a, &b| loss(a).total_cmp(&loss(b)));
+                chosen.truncate(next.survivors);
                 chosen.sort_unstable();
                 for &i in &entering {
-                    let key = active_plans[i].key;
+                    let key = plans[i].key;
                     exec.append(if chosen.contains(&i) {
                         LedgerEvent::RunPromoted { key, rung: r }
                     } else {
@@ -1014,55 +1031,41 @@ pub(crate) fn run_sh_phase(
                 }
                 chosen
             }
-        } else {
-            entering.clone()
         };
 
-        rung_reports.push(ShRungReport {
-            rung: r,
-            entrants: entering.len(),
-            budget: rung.budget,
-            scenario_denom: rung.scenario_denom,
-            promoted: promoted.len(),
-            failed: failed_count,
-        });
+        if let Some(sh) = &rung.sh {
+            rung_reports.push(ShRungReport {
+                rung: r,
+                entrants: entering.len(),
+                budget: sh.budget,
+                scenario_denom: sh.scenario_denom,
+                promoted: promoted.len(),
+                failed: entering.len() - succeeded.len(),
+            });
+        }
         active = promoted;
     }
 
-    let mut results = HashMap::new();
-    let mut failed = HashMap::new();
-    for (p, (reached, last_failure)) in active_plans
+    let runs = plans
         .iter()
         .zip(highest.into_iter().zip(last_failure))
-    {
-        match reached {
-            Some(reached) => {
-                results.insert(p.key, reached);
-            }
-            None => {
-                let failure = last_failure.unwrap_or_else(|| {
+        .map(|(p, (reached, last_failure))| {
+            reached.ok_or_else(|| {
+                last_failure.unwrap_or_else(|| {
                     exec.failure_row(
                         p,
                         "calibrate",
                         exec.max_attempts,
                         "rung execution skipped after recorded elimination".into(),
                     )
-                });
-                failed.insert(p.key, failure);
-            }
-        }
-    }
-    ShPhase {
-        results,
-        failed,
+                })
+            })
+        })
+        .collect();
+    Climb {
+        runs,
         executed,
-        report: ShReport {
-            eta: schedule.eta,
-            total: schedule.total,
-            min_scenarios: schedule.min_scenarios,
-            planned_evaluations: schedule.total_evaluations(),
-            rungs: rung_reports,
-        },
+        rungs: rung_reports,
     }
 }
 
@@ -1134,74 +1137,47 @@ pub fn try_run_sweep(
         policy_json,
         plans,
         schedule,
+        ladder,
     } = &planned;
     let (fingerprint, restarts) = (*fingerprint, *restarts);
 
     let active_units = planned.active_units(config);
     let exec = RunExecutor::new(family, &planned, config, ledger);
 
-    // Phase 1: calibration runs, fanned onto the pool, one item per run.
-    // A run's evaluator batches and BO acquisition blocks nest inside it
-    // through the pool's help-while-waiting scheduling.
-    // A run is pending unless it has a checkpoint or its recorded failed
-    // attempts already exhausted the retry allowance (then it is reported
-    // from the ledger without re-running).
+    // Phase 1: calibration runs climb the ladder, each rung fanned onto
+    // the pool one item per run. A run's evaluator batches and BO
+    // acquisition blocks nest inside it through the pool's
+    // help-while-waiting scheduling. A run is pending unless its first
+    // rung has a checkpoint or its recorded failed attempts already
+    // exhausted the retry allowance (later rungs depend on decisions, so a
+    // count on the first rung is the honest summary).
     let active_plans = planned.active_plans(config);
-    let pending_count = active_plans
-        .iter()
-        .filter(|p| match schedule {
-            // Under successive halving a run is "pending" until its
-            // rung-0 record exists (later rungs depend on decisions, so a
-            // flat count is the honest summary here).
-            Some(_) => exec.checkpoint(p, Some(0)).is_none(),
-            None => exec.is_pending(&RunSpec::fixed(p)),
-        })
-        .count();
-    if let Some(l) = ledger {
-        log_io(l.append(&LedgerEvent::SweepStarted {
-            family: name.clone(),
-            fingerprint,
-            seed: config.seed,
-            restarts,
-            units: units.len(),
-            pending_runs: pending_count,
-        }));
-    }
+    let pending_count = exec.pending(&ladder[0], &active_plans);
+    exec.append(LedgerEvent::SweepStarted {
+        family: name.clone(),
+        fingerprint,
+        seed: config.seed,
+        restarts,
+        units: units.len(),
+        pending_runs: pending_count,
+    });
     drop(plan_span);
     let calibrate_span = obs::span!("calibrate", pending = pending_count);
-    let calibrate_id = calibrate_span.id();
-
-    // Per plan key: the rung a run's result comes from (0 outside
-    // successive halving) with the result, or its failure row.
-    let mut results: HashMap<u64, (usize, CalibrationResult)> = HashMap::new();
-    let mut failed_runs: HashMap<u64, RunFailure> = HashMap::new();
-    let mut sh_report: Option<ShReport> = None;
-    if let Some(schedule) = schedule {
-        let phase = run_sh_phase(&exec, schedule, &active_plans);
-        results = phase.results;
-        failed_runs = phase.failed;
-        sh_report = Some(phase.report);
-    } else {
-        let outcomes: Vec<RunOutcome> = active_plans
-            .par_iter()
-            .map(|p| exec.execute(&RunSpec::fixed(p), calibrate_id))
-            .collect();
-        for (p, outcome) in active_plans.iter().zip(outcomes) {
-            match outcome.result {
-                Ok(result) => {
-                    results.insert(p.key, (0, result));
-                }
-                Err(failure) => {
-                    failed_runs.insert(p.key, failure);
-                }
-            }
-        }
-    }
-    // Deterministic report order: plan order, regardless of which pool
-    // worker observed the failure.
-    let mut failures: Vec<RunFailure> = active_plans
+    let climbed = climb(&exec, ladder, &active_plans, calibrate_span.id());
+    let sh_report = schedule.as_ref().map(|s| ShReport {
+        eta: s.eta,
+        total: s.total,
+        min_scenarios: s.min_scenarios,
+        planned_evaluations: s.total_evaluations(),
+        rungs: climbed.rungs,
+    });
+    // Per active run, in plan order: the rung its result comes from with
+    // the result, or its failure row (reported in plan order, regardless
+    // of which pool worker observed it).
+    let runs = climbed.runs;
+    let mut failures: Vec<RunFailure> = runs
         .iter()
-        .filter_map(|p| failed_runs.get(&p.key).cloned())
+        .filter_map(|r| r.as_ref().err().cloned())
         .collect();
     drop(calibrate_span);
 
@@ -1227,7 +1203,7 @@ pub fn try_run_sweep(
             // subset is not comparable to a later rung's fuller loss.
             let per_restart: Vec<(usize, usize, CalibrationResult)> = (0..restarts)
                 .filter_map(|r| {
-                    let (rung, result) = results.get(&plans[ui * restarts + r].key)?;
+                    let (rung, result) = runs[ui * restarts + r].as_ref().ok()?;
                     Some((r, *rung, result.clone()))
                 })
                 .collect();
@@ -1287,17 +1263,15 @@ pub fn try_run_sweep(
                         Err(message) => message,
                     };
                     let attempt = prior_attempts + 1;
-                    if let Some(l) = ledger {
-                        log_io(l.append(&LedgerEvent::RunFailed {
-                            key: ukey,
-                            unit: unit.label.clone(),
-                            restart: best_restart,
-                            seed: config.seed,
-                            attempt,
-                            stage: "evaluate".into(),
-                            reason: reason.clone(),
-                        }));
-                    }
+                    exec.append(LedgerEvent::RunFailed {
+                        key: ukey,
+                        unit: unit.label.clone(),
+                        restart: best_restart,
+                        seed: config.seed,
+                        attempt,
+                        stage: "evaluate".into(),
+                        reason: reason.clone(),
+                    });
                     return UnitStatus::Failed(exec.failure_row(
                         winner_plan,
                         "evaluate",
@@ -1320,9 +1294,7 @@ pub fn try_run_sweep(
             // winner may change, and a stale checkpoint would pin the old
             // evaluation forever.
             if !degraded {
-                if let Some(l) = ledger {
-                    log_io(l.append(&LedgerEvent::UnitCompleted { record }));
-                }
+                exec.append(LedgerEvent::UnitCompleted { record });
             }
             UnitStatus::Done(Box::new(UnitOutcome {
                 label: unit.label.clone(),
@@ -1441,7 +1413,8 @@ mod tests {
 
     #[test]
     fn total_budget_divides_fairly_with_remainder_to_earliest() {
-        let b = run_budgets(&BudgetPolicy::TotalEvaluations { total: 100 }, 8).unwrap();
+        let (b, schedule) = run_budgets(&BudgetPolicy::TotalEvaluations { total: 100 }, 8).unwrap();
+        assert!(schedule.is_none());
         let evals: Vec<usize> = b
             .iter()
             .map(|b| match b {
@@ -1455,7 +1428,7 @@ mod tests {
 
     #[test]
     fn per_run_budget_is_replicated() {
-        let b = run_budgets(
+        let (b, schedule) = run_budgets(
             &BudgetPolicy::PerRun {
                 budget: Budget::Evaluations(7),
             },
@@ -1463,6 +1436,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(b, vec![Budget::Evaluations(7); 3]);
+        assert!(schedule.is_none());
     }
 
     #[test]
@@ -1532,7 +1506,7 @@ mod tests {
 
     #[test]
     fn sh_run_budgets_use_the_rung_zero_budget() {
-        let b = run_budgets(
+        let (b, schedule) = run_budgets(
             &BudgetPolicy::SuccessiveHalving {
                 total: 48,
                 eta: 2,
@@ -1542,5 +1516,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(b, vec![Budget::Evaluations(1); 8]);
+        assert_eq!(schedule, Some(ShSchedule::plan(8, 48, 2, 1).unwrap()));
     }
 }

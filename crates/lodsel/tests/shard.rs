@@ -212,3 +212,44 @@ fn merge_is_idempotent() {
     assert_eq!(first, second, "re-merging must not duplicate events");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn re_merging_a_successive_halving_shard_is_idempotent() {
+    // A daemon killed between merging a job's shard and recording the job
+    // as done merges the same shard again on restart. Rung checkpoints and
+    // promotion decisions already in the target must not be appended twice.
+    let config = SweepConfig {
+        budget: BudgetPolicy::SuccessiveHalving {
+            total: 48,
+            eta: 2,
+            min_scenarios: 1,
+        },
+        ..toy_config(17)
+    };
+    let dir = tmp_dir("sh-idempotent");
+    let family = ToyFamily::new(true);
+    run_shard(&family, &config, 0, 1, &dir).unwrap();
+    let paths = [shard_path(&dir, 0)];
+    let target = dir.join("merged.jsonl");
+    let merged = merge_shards(&paths, &target).unwrap();
+    let outcome = run_sweep(&family, &config, Some(&merged));
+    let replayed = merged.events();
+    drop(merged);
+
+    let again = merge_shards(&paths, &target).unwrap().events();
+    assert_eq!(
+        again.len(),
+        replayed.len(),
+        "re-merging must not duplicate events"
+    );
+    // 8 runs under eta 2 climb 8 -> 4 -> 2 -> 1: 15 rung checkpoints and
+    // 14 decisions, once each.
+    let status = ledger_status(&again);
+    assert_eq!(
+        (status.rungs_done, status.promotions, status.eliminations),
+        (15, 7, 7)
+    );
+    let fresh = ToyFamily::new(true);
+    assert_eq!(outcome.digest(), run_sweep(&fresh, &config, None).digest());
+    let _ = std::fs::remove_dir_all(&dir);
+}
