@@ -21,6 +21,9 @@
 //! cancellation refund it in full. Replayed `Submitted` events re-charge
 //! (the in-memory book dies with the process), and replayed terminal
 //! events re-apply their refunds — resumed jobs are never charged twice.
+//! A job's first terminal record wins; a later one (only logs written
+//! before terminal records were made unique hold them) is ignored, so
+//! no job is refunded twice.
 //!
 //! ## Scheduling
 //!
@@ -210,8 +213,13 @@ struct Job {
 impl Job {
     /// Enter the terminal state `event` records, live or on replay.
     /// Failure and cancellation refund the admission charge; `Submitted`
-    /// is not terminal and changes nothing.
+    /// is not terminal and changes nothing. The first terminal record
+    /// wins: once the job is terminal every later event is ignored, so a
+    /// log that ends one job twice never refunds it twice.
     fn finish(&mut self, event: JobEvent, quotas: &QuotaBook) {
+        if self.state.terminal() {
+            return;
+        }
         match event {
             JobEvent::Completed { digest, chosen, .. } => {
                 self.state = JobState::Completed;
@@ -1028,6 +1036,46 @@ mod tests {
             ..spec
         };
         assert_eq!(starved.planned_evaluations(4), 9);
+    }
+
+    #[test]
+    fn replay_keeps_the_first_terminal_record_of_a_job() {
+        // A log written before terminal records were made unique can end
+        // one job twice. Job 1 was cancelled (refunded) and job 3 failed
+        // (refunded); their second records must change nothing, so the
+        // tenant is charged only for the queued job 2.
+        let submitted = |id| JobEvent::Submitted {
+            id,
+            spec: tiny_spec(),
+            shards: 1,
+            planned_evals: 10,
+        };
+        let events = vec![
+            submitted(1),
+            submitted(2),
+            submitted(3),
+            JobEvent::Cancelled { id: 1 },
+            JobEvent::Completed {
+                id: 1,
+                digest: "d".into(),
+                chosen: None,
+            },
+            JobEvent::Failed {
+                id: 3,
+                error: "e".into(),
+            },
+            JobEvent::Cancelled { id: 3 },
+        ];
+        let quotas = QuotaBook::new(100);
+        let registry = replay(events, &quotas);
+        let states: Vec<JobState> = registry.jobs.values().map(|j| j.state).collect();
+        assert_eq!(
+            states,
+            vec![JobState::Cancelled, JobState::Queued, JobState::Failed]
+        );
+        assert_eq!(registry.jobs[&1].digest, None);
+        assert_eq!(quotas.charged("t"), 10);
+        assert_eq!(registry.queue.len(), 1);
     }
 
     // One wake-up test per transition a watcher can wait for. Each blocks

@@ -125,14 +125,14 @@ struct Best {
     trace: Vec<TracePoint>,
 }
 
-/// A memoized evaluation outcome: either a finite loss, or a quarantine
-/// marker for a point whose evaluation failed (panicked or returned a
-/// non-finite loss). Quarantined points are served on re-proposal without
-/// re-invoking the objective and are never reported as valid losses.
-#[derive(Clone)]
-enum Cached {
-    Loss(f64),
-    Quarantined(EvalFailure),
+/// A point of one chunk that consumes a budget evaluation: replayed from
+/// the disk shard when `replay` holds its stored outcome, run through
+/// the objective otherwise.
+struct Slot<'p> {
+    unit_point: &'p [f64],
+    calib: Calibration,
+    key: Option<Vec<u64>>,
+    replay: Option<CachedOutcome>,
 }
 
 /// Budget-enforcing, trace-recording gateway between search algorithms and
@@ -140,6 +140,12 @@ enum Cached {
 /// the evaluator denormalizes, invokes the objective (a batch in
 /// parallel, one pool item per point), counts evaluations, tracks the
 /// incumbent, and reports budget exhaustion.
+///
+/// There is one evaluation path: [`Evaluator::try_eval`] is a batch of
+/// one, and [`Evaluator::eval_batch`] is the same path with failures
+/// reported as `+inf`. Proposing points one at a time or in batches of
+/// any size yields the same evaluation indices, losses, incumbent,
+/// trace, failures, counters and disk records.
 ///
 /// # Memoization
 ///
@@ -181,6 +187,14 @@ enum Cached {
 /// cache without re-invoking the objective. Failure counts are exposed
 /// via [`Evaluator::eval_panics`] / [`Evaluator::eval_nonfinite`] /
 /// [`Evaluator::failures`].
+///
+/// # Trace counters
+///
+/// A disk-cache miss is counted only for a keyed point that was looked
+/// up on an open shard and not found (a NaN-component point never
+/// consults the disk). Every point the objective ran for records one
+/// `eval_latency_secs` observation, failures included: a failed run
+/// still spent simulator time.
 pub struct Evaluator<'a> {
     objective: &'a dyn Objective,
     budget: Budget,
@@ -201,7 +215,9 @@ pub struct Evaluator<'a> {
     start: Instant,
     count: AtomicUsize,
     best: Mutex<Best>,
-    cache: RwLock<HashMap<Vec<u64>, Cached>>,
+    /// Memo map: each evaluated canonical point's finite loss, or the
+    /// failure that quarantined it.
+    cache: RwLock<HashMap<Vec<u64>, Result<f64, EvalFailure>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     panics: AtomicUsize,
@@ -282,48 +298,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn record(&self, unit_point: &[f64], loss: f64) {
-        let evaluations = self.count.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut best = self.best.lock().unwrap();
-        if loss < best.loss {
-            best.loss = loss;
-            best.unit_point = unit_point.to_vec();
-            let elapsed_secs = self.start.elapsed().as_secs_f64();
-            best.trace.push(TracePoint {
-                evaluations,
-                elapsed_secs,
-                best_loss: loss,
-            });
-        }
-    }
-
-    /// Record a failed evaluation: it consumes one budget evaluation
-    /// (keeping `cache_misses == evaluations`), bumps the matching
-    /// failure counter, and quarantines the point (when it has a
-    /// canonical key) so re-proposals never re-invoke the objective. The
-    /// incumbent and trace are untouched.
-    fn record_failure(&self, key: Option<&[u64]>, failure: EvalFailure) {
-        let index = self.count.fetch_add(1, Ordering::Relaxed);
-        match &failure {
-            EvalFailure::Panic { .. } => {
-                self.panics.fetch_add(1, Ordering::Relaxed);
-                obs::counter(obs::Counter::EvalPanics, 1);
-            }
-            EvalFailure::NonFinite { .. } => {
-                self.nonfinite.fetch_add(1, Ordering::Relaxed);
-                obs::counter(obs::Counter::EvalNonfinite, 1);
-            }
-            EvalFailure::BudgetExhausted => {}
-        }
-        if let Some(key) = key {
-            self.cache
-                .write()
-                .unwrap()
-                .insert(key.to_vec(), Cached::Quarantined(failure.clone()));
-        }
-        self.failures.lock().unwrap().push((index, failure));
-    }
-
     /// The persistent-cache shard for this evaluator, opened on first
     /// use; `None` when the objective declares no fingerprint or no cache
     /// directory was active at construction.
@@ -340,52 +314,6 @@ impl<'a> Evaluator<'a> {
             .as_deref()
     }
 
-    /// Persist a fresh evaluation outcome to the disk shard. Skipped for
-    /// keyless (NaN-component) points and for outcomes synthesized by an
-    /// injected fault — a chaos run must never poison the shared cache.
-    fn persist(&self, calib: &Calibration, key: Option<&Vec<u64>>, outcome: CachedOutcome) {
-        if key.is_none() {
-            return;
-        }
-        if let Some(disk) = self.disk() {
-            disk.store(&calib.values, outcome);
-        }
-    }
-
-    /// Replay a disk-cached outcome as if the objective had just produced
-    /// it: identical budget consumption, incumbent/trace updates, failure
-    /// accounting, and memo-map population — only the simulation itself
-    /// is skipped.
-    fn replay(
-        &self,
-        unit_point: &[f64],
-        key: &[u64],
-        outcome: CachedOutcome,
-    ) -> Result<f64, EvalFailure> {
-        match outcome {
-            CachedOutcome::Loss { loss } => {
-                self.record(unit_point, loss);
-                self.cache
-                    .write()
-                    .unwrap()
-                    .insert(key.to_vec(), Cached::Loss(loss));
-                Ok(loss)
-            }
-            CachedOutcome::Panic { message } => {
-                let failure = EvalFailure::Panic { message };
-                self.record_failure(Some(key), failure.clone());
-                Err(failure)
-            }
-            CachedOutcome::NonFinite { loss_bits } => {
-                let failure = EvalFailure::NonFinite {
-                    loss: f64::from_bits(loss_bits),
-                };
-                self.record_failure(Some(key), failure.clone());
-                Err(failure)
-            }
-        }
-    }
-
     /// The fault (if any) the active plan injects into evaluation
     /// `index` of this evaluator.
     fn fault_for(&self, index: usize) -> Option<FaultKind> {
@@ -398,8 +326,8 @@ impl<'a> Evaluator<'a> {
     /// loss under [`fault::guard`], or the fault the active plan injects
     /// at that index, synthesized through the same guard (an injected
     /// panic really panics and really unwinds).
-    fn run_point(&self, index: usize, calib: &Calibration) -> Result<f64, String> {
-        match self.fault_for(index) {
+    fn run_point(&self, index: usize, calib: &Calibration) -> CachedOutcome {
+        let loss = match self.fault_for(index) {
             Some(FaultKind::Panic) => fault::guard(|| {
                 panic!(
                     "injected fault: panic at evaluation {index} (seed {})",
@@ -408,28 +336,198 @@ impl<'a> Evaluator<'a> {
             }),
             Some(FaultKind::Nan) => Ok(f64::NAN),
             None => fault::guard(|| self.objective.loss(calib)),
+        };
+        match loss {
+            Ok(loss) if loss.is_finite() => CachedOutcome::Loss { loss },
+            Ok(loss) => CachedOutcome::NonFinite {
+                loss_bits: loss.to_bits(),
+            },
+            Err(message) => CachedOutcome::Panic { message },
         }
     }
 
-    /// Evaluate one chunk of uncached (evaluation index, calibration)
-    /// points, one pool item per point. Each outcome depends only on its
-    /// own point and index, so the chunk is bit-for-bit the same at every
-    /// thread count, and a panic fails only the point that raised it.
-    fn run_chunk(&self, points: &[(usize, &Calibration)]) -> Vec<Result<f64, String>> {
-        points
-            .par_iter()
-            .map(|&(index, calib)| self.run_point(index, calib))
-            .collect()
+    /// Settle `outcome`, fresh or replayed from disk, as the next budget
+    /// evaluation. A finite loss may become the incumbent; a failure
+    /// bumps its counter and joins [`Evaluator::failures`], leaving the
+    /// incumbent and trace untouched. A keyed point memoizes the result,
+    /// so a re-proposal never re-invokes the objective.
+    fn settle(
+        &self,
+        unit_point: &[f64],
+        key: Option<Vec<u64>>,
+        outcome: CachedOutcome,
+    ) -> Result<f64, EvalFailure> {
+        let index = self.count.fetch_add(1, Ordering::Relaxed);
+        let result = match outcome {
+            CachedOutcome::Loss { loss } => {
+                let mut best = self.best.lock().expect("incumbent lock");
+                if loss < best.loss {
+                    best.loss = loss;
+                    best.unit_point = unit_point.to_vec();
+                    best.trace.push(TracePoint {
+                        evaluations: index + 1,
+                        elapsed_secs: self.start.elapsed().as_secs_f64(),
+                        best_loss: loss,
+                    });
+                }
+                Ok(loss)
+            }
+            CachedOutcome::Panic { message } => {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                obs::counter(obs::Counter::EvalPanics, 1);
+                Err(EvalFailure::Panic { message })
+            }
+            CachedOutcome::NonFinite { loss_bits } => {
+                self.nonfinite.fetch_add(1, Ordering::Relaxed);
+                obs::counter(obs::Counter::EvalNonfinite, 1);
+                Err(EvalFailure::NonFinite {
+                    loss: f64::from_bits(loss_bits),
+                })
+            }
+        };
+        if let Err(failure) = &result {
+            self.failures
+                .lock()
+                .expect("failure list lock")
+                .push((index, failure.clone()));
+        }
+        if let Some(key) = key {
+            self.cache
+                .write()
+                .expect("memo map lock")
+                .insert(key, result.clone());
+        }
+        result
+    }
+
+    /// The one evaluation path: resolve, run and record `unit_points`,
+    /// returning the results of the resolved prefix in input order.
+    ///
+    /// Points are taken in chunks of at most 32 budget-consuming points,
+    /// capped by [`Evaluator::remaining`], which is re-checked between
+    /// chunks so a wall-clock deadline stops a large batch at the next
+    /// chunk boundary. Within a chunk a memo hit, or a repeat of a point
+    /// already pending in the chunk, is served without budget. Every
+    /// other point takes a slot: a keyed point is looked up on the disk
+    /// shard, and the slots not found there run as one fan-out, one
+    /// [`Objective::loss`] per pool item (a single slot runs on the
+    /// calling thread). Each run's outcome depends only on its point and
+    /// index, and a panic fails only its own point. The slots then settle
+    /// in slot order, replayed or fresh alike, so indices and the
+    /// incumbent never depend on pool scheduling or on how the points
+    /// were batched.
+    fn eval_points<P: AsRef<[f64]>>(&self, unit_points: &[P]) -> Vec<Result<f64, EvalFailure>> {
+        // Small enough that a wall-clock overrun is bounded by one chunk,
+        // large enough to keep the pool's workers saturated.
+        const CHUNK: usize = 32;
+        let mut results = Vec::with_capacity(unit_points.len());
+        let mut next = 0;
+        while next < unit_points.len() {
+            let take = CHUNK.min(self.remaining());
+            if take == 0 {
+                break;
+            }
+            // Each input of the chunk resolves to its memoized result
+            // (`Ok`) or to the slot that evaluates it (`Err`).
+            let mut window: Vec<Result<Result<f64, EvalFailure>, usize>> = Vec::new();
+            let mut slots: Vec<Slot<'_>> = Vec::new();
+            let mut disk_misses = 0;
+            while next < unit_points.len() && slots.len() < take {
+                let unit_point = unit_points[next].as_ref();
+                next += 1;
+                let calib = self.objective.space().denormalize(unit_point);
+                let key = cache::canonical_key(&calib);
+                if let Some(key) = &key {
+                    if let Some(result) = self.cache.read().expect("memo map lock").get(key) {
+                        window.push(Ok(result.clone()));
+                        continue;
+                    }
+                    if let Some(s) = slots.iter().position(|slot| slot.key.as_ref() == Some(key)) {
+                        window.push(Err(s));
+                        continue;
+                    }
+                }
+                let replay = key.as_deref().and_then(|key| {
+                    let found = self.disk()?.lookup(key);
+                    disk_misses += usize::from(found.is_none());
+                    found
+                });
+                window.push(Err(slots.len()));
+                slots.push(Slot {
+                    unit_point,
+                    calib,
+                    key,
+                    replay,
+                });
+            }
+            let hits = window.len() - slots.len();
+            self.hits.fetch_add(hits, Ordering::Relaxed);
+            self.misses.fetch_add(slots.len(), Ordering::Relaxed);
+            // Slot `s` settles as evaluation `base + s`. Exact as long as
+            // one thread drives the evaluator (every shipped algorithm
+            // does), which is what makes fault targeting by index
+            // deterministic.
+            let base = self.count.load(Ordering::Relaxed);
+            let runs: Vec<(usize, &Calibration)> = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, slot)| slot.replay.is_none())
+                .map(|(s, slot)| (base + s, &slot.calib))
+                .collect();
+            obs::counter(obs::Counter::EvalCacheHits, hits as u64);
+            obs::counter(
+                obs::Counter::DiskCacheHits,
+                (slots.len() - runs.len()) as u64,
+            );
+            obs::counter(obs::Counter::DiskCacheMisses, disk_misses as u64);
+            obs::counter(obs::Counter::EvalCacheMisses, runs.len() as u64);
+            let t0 = obs::enabled().then(Instant::now);
+            let outcomes: Vec<CachedOutcome> = runs
+                .par_iter()
+                .map(|&(index, calib)| self.run_point(index, calib))
+                .collect();
+            if let Some(t0) = t0.filter(|_| !runs.is_empty()) {
+                // The chunk runs as one fan-out; attribute its wall time
+                // evenly across the points it actually evaluated.
+                let per_point = t0.elapsed().as_secs_f64() / runs.len() as f64;
+                for _ in 0..runs.len() {
+                    obs::observe(obs::Hist::EvalLatency, per_point);
+                }
+            }
+            let mut fresh = outcomes.into_iter();
+            let settled: Vec<Result<f64, EvalFailure>> = slots
+                .into_iter()
+                .enumerate()
+                .map(|(s, slot)| {
+                    let outcome = slot.replay.unwrap_or_else(|| {
+                        let outcome = fresh.next().expect("one outcome per run slot");
+                        // An outcome synthesized by an injected fault is
+                        // never persisted: chaos runs must not poison the
+                        // shared cache.
+                        if slot.key.is_some() && self.fault_for(base + s).is_none() {
+                            if let Some(disk) = self.disk() {
+                                disk.store(&slot.calib.values, outcome.clone());
+                            }
+                        }
+                        outcome
+                    });
+                    self.settle(slot.unit_point, slot.key, outcome)
+                })
+                .collect();
+            results.extend(
+                window
+                    .into_iter()
+                    .map(|w| w.unwrap_or_else(|s| settled[s].clone())),
+            );
+        }
+        results
     }
 
     /// Evaluate one unit-hypercube point. Returns `None` (without
     /// evaluating) when the budget is exhausted, and `+inf` for a point
     /// whose evaluation failed (panic or non-finite loss) — see
-    /// [`Evaluator::try_eval`] for the typed variant. Routes through the
-    /// same memoization and recording path as [`Evaluator::eval_batch`]:
-    /// a cached point returns its loss without consuming a budget
-    /// evaluation, and an uncached point runs [`Objective::loss`] on the
-    /// calling thread.
+    /// [`Evaluator::try_eval`] for the typed variant, which this maps:
+    /// the point is a batch of one on the evaluator's single path.
     pub fn eval(&self, unit_point: &[f64]) -> Option<f64> {
         match self.try_eval(unit_point) {
             Ok(loss) => Some(loss),
@@ -439,91 +537,20 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate one unit-hypercube point, reporting failures as typed
-    /// [`EvalFailure`] values instead of sentinel losses. A failed
+    /// [`EvalFailure`] values instead of sentinel losses. The point is a
+    /// batch of one on the same path as [`Evaluator::eval_batch`], so it
+    /// follows the memo, disk, fault and counter rules in the
+    /// [`Evaluator`] docs: a cached point returns without consuming a
+    /// budget evaluation, an uncached one runs [`Objective::loss`] on the
+    /// calling thread, a disk miss is counted only for a keyed point, and
+    /// a failed run records its latency like a successful one. A failed
     /// evaluation consumes one budget evaluation and quarantines the
     /// point: re-proposing it returns the same failure as a cache hit,
     /// without re-invoking the objective.
     pub fn try_eval(&self, unit_point: &[f64]) -> Result<f64, EvalFailure> {
-        if self.exhausted() {
-            return Err(EvalFailure::BudgetExhausted);
-        }
-        let calib = self.objective.space().denormalize(unit_point);
-        let key = cache::canonical_key(&calib);
-        if let Some(key) = &key {
-            if let Some(cached) = self.cache.read().unwrap().get(key).cloned() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::counter(obs::Counter::EvalCacheHits, 1);
-                return match cached {
-                    Cached::Loss(loss) => Ok(loss),
-                    Cached::Quarantined(failure) => Err(failure),
-                };
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Disk lookup behind the memo map: a hit replays the stored
-        // outcome (consuming budget, skipping the simulation).
-        if let Some(key) = &key {
-            if let Some(disk) = self.disk() {
-                if let Some(outcome) = disk.lookup(key) {
-                    obs::counter(obs::Counter::DiskCacheHits, 1);
-                    return self.replay(unit_point, key, outcome);
-                }
-                obs::counter(obs::Counter::DiskCacheMisses, 1);
-            }
-        }
-        obs::counter(obs::Counter::EvalCacheMisses, 1);
-        // The clock read is gated so the disabled path stays one
-        // relaxed atomic load.
-        let t0 = obs::enabled().then(Instant::now);
-        // The index this evaluation will record under. Exact as long as
-        // evaluations are driven from one search thread (all shipped
-        // algorithms), which is what makes fault targeting by index
-        // deterministic.
-        let index = self.count.load(Ordering::Relaxed);
-        let injected = self.fault_for(index).is_some();
-        let outcome = self.run_point(index, &calib);
-        match outcome {
-            Ok(loss) if loss.is_finite() => {
-                if let Some(t0) = t0 {
-                    obs::observe(obs::Hist::EvalLatency, t0.elapsed().as_secs_f64());
-                }
-                self.record(unit_point, loss);
-                if let Some(key) = &key {
-                    self.cache
-                        .write()
-                        .unwrap()
-                        .insert(key.clone(), Cached::Loss(loss));
-                }
-                if !injected {
-                    self.persist(&calib, key.as_ref(), CachedOutcome::Loss { loss });
-                }
-                Ok(loss)
-            }
-            Ok(loss) => {
-                let failure = EvalFailure::NonFinite { loss };
-                self.record_failure(key.as_deref(), failure.clone());
-                if !injected {
-                    self.persist(
-                        &calib,
-                        key.as_ref(),
-                        CachedOutcome::NonFinite {
-                            loss_bits: loss.to_bits(),
-                        },
-                    );
-                }
-                Err(failure)
-            }
-            Err(message) => {
-                let failure = EvalFailure::Panic {
-                    message: message.clone(),
-                };
-                self.record_failure(key.as_deref(), failure.clone());
-                if !injected {
-                    self.persist(&calib, key.as_ref(), CachedOutcome::Panic { message });
-                }
-                Err(failure)
-            }
-        }
+        self.eval_points(&[unit_point])
+            .pop()
+            .unwrap_or(Err(EvalFailure::BudgetExhausted))
     }
 
     /// Evaluate a batch of points in parallel. The batch is truncated to
@@ -544,185 +571,12 @@ impl<'a> Evaluator<'a> {
     /// losses and is quarantined; it still consumes its budget
     /// evaluation.
     pub fn eval_batch(&self, unit_points: &[Vec<f64>]) -> Option<Vec<f64>> {
-        // Small enough that a wall-clock overrun is bounded by one chunk,
-        // large enough to keep the pool's workers saturated.
-        const CHUNK: usize = 32;
-        if self.exhausted() {
-            return None;
-        }
-        let mut losses: Vec<f64> = Vec::with_capacity(unit_points.len());
-        let mut idx = 0;
-        while idx < unit_points.len() {
-            let take = CHUNK.min(self.remaining());
-            if take == 0 {
-                break;
-            }
-            // Build the next window: memo hits resolve immediately;
-            // budget-consuming points accumulate (deduplicated) until the
-            // chunk budget is full. `window` maps each input to Ok(cached
-            // loss) or Err(index into the pending chunk). A pending slot
-            // is either a disk-cache replay or a real invocation — both
-            // consume budget, in slot order, so evaluation indices match
-            // an uncached run exactly.
-            let mut window: Vec<Result<f64, usize>> = Vec::new();
-            let mut pending_keys: Vec<Option<Vec<u64>>> = Vec::new();
-            let mut pending_calibs: Vec<Calibration> = Vec::new();
-            let mut pending_inputs: Vec<usize> = Vec::new();
-            let mut pending_disk: Vec<Option<CachedOutcome>> = Vec::new();
-            let mut j = idx;
-            while j < unit_points.len() && pending_inputs.len() < take {
-                let calib = self.objective.space().denormalize(&unit_points[j]);
-                let key = cache::canonical_key(&calib);
-                let memo = key
-                    .as_ref()
-                    .and_then(|k| self.cache.read().unwrap().get(k).cloned());
-                if let Some(cached) = memo {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    window.push(Ok(match cached {
-                        Cached::Loss(l) => l,
-                        // Quarantined points are served as +inf without
-                        // re-invoking the objective or re-recording the
-                        // failure.
-                        Cached::Quarantined(_) => f64::INFINITY,
-                    }));
-                } else if let Some(dup) = key
-                    .as_ref()
-                    .and_then(|k| pending_keys.iter().position(|p| p.as_ref() == Some(k)))
-                {
-                    // Same canonical point already pending in this chunk:
-                    // evaluate once, serve both slots.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    window.push(Err(dup));
-                } else {
-                    let disk_hit = key
-                        .as_ref()
-                        .and_then(|k| self.disk().and_then(|d| d.lookup(k)));
-                    window.push(Err(pending_inputs.len()));
-                    pending_keys.push(key);
-                    pending_calibs.push(calib);
-                    pending_inputs.push(j);
-                    pending_disk.push(disk_hit);
-                }
-                j += 1;
-            }
-            self.misses
-                .fetch_add(pending_inputs.len(), Ordering::Relaxed);
-            obs::counter(
-                obs::Counter::EvalCacheHits,
-                (window.len() - pending_inputs.len()) as u64,
-            );
-            // Split the pending slots: disk replays are recorded in the
-            // slot loop below; run slots go to the objective as one
-            // fan-out with their exact evaluation indices.
-            let base = self.count.load(Ordering::Relaxed);
-            let run_points: Vec<(usize, &Calibration)> = pending_disk
-                .iter()
-                .zip(&pending_calibs)
-                .enumerate()
-                .filter(|(_, (d, _))| d.is_none())
-                .map(|(s, (_, c))| (base + s, c))
-                .collect();
-            let disk_hits = pending_inputs.len() - run_points.len();
-            obs::counter(obs::Counter::DiskCacheHits, disk_hits as u64);
-            if self.disk().is_some() {
-                obs::counter(obs::Counter::DiskCacheMisses, run_points.len() as u64);
-            }
-            obs::counter(obs::Counter::EvalCacheMisses, run_points.len() as u64);
-            let t0 = obs::enabled().then(Instant::now);
-            let outcomes = self.run_chunk(&run_points);
-            if let Some(t0) = t0.filter(|_| !run_points.is_empty()) {
-                // The chunk runs as one fan-out; attribute its wall time
-                // evenly across the points it actually evaluated.
-                let per_point = t0.elapsed().as_secs_f64() / run_points.len() as f64;
-                for _ in 0..run_points.len() {
-                    obs::observe(obs::Hist::EvalLatency, per_point);
-                }
-            }
-            // Record sequentially in slot order: slot `s` consumes
-            // evaluation index `base + s` whether it was replayed from
-            // disk or freshly evaluated — deterministic regardless of
-            // pool scheduling, bit-for-bit identical to an uncached run.
-            let mut run_outcomes = outcomes.into_iter();
-            let mut chunk_losses: Vec<f64> = Vec::with_capacity(pending_inputs.len());
-            for s in 0..pending_inputs.len() {
-                let input = pending_inputs[s];
-                let key = &pending_keys[s];
-                match pending_disk[s].take() {
-                    Some(outcome) => {
-                        let key = key.as_ref().expect("disk hits always have a key");
-                        match self.replay(&unit_points[input], key, outcome) {
-                            Ok(l) => chunk_losses.push(l),
-                            Err(_) => chunk_losses.push(f64::INFINITY),
-                        }
-                    }
-                    None => {
-                        let injected = self.fault_for(base + s).is_some();
-                        let outcome = run_outcomes.next().expect("one outcome per run slot");
-                        match outcome {
-                            Ok(l) if l.is_finite() => {
-                                self.record(&unit_points[input], l);
-                                if let Some(k) = key {
-                                    self.cache
-                                        .write()
-                                        .unwrap()
-                                        .insert(k.clone(), Cached::Loss(l));
-                                }
-                                if !injected {
-                                    self.persist(
-                                        &pending_calibs[s],
-                                        key.as_ref(),
-                                        CachedOutcome::Loss { loss: l },
-                                    );
-                                }
-                                chunk_losses.push(l);
-                            }
-                            Ok(l) => {
-                                self.record_failure(
-                                    key.as_deref(),
-                                    EvalFailure::NonFinite { loss: l },
-                                );
-                                if !injected {
-                                    self.persist(
-                                        &pending_calibs[s],
-                                        key.as_ref(),
-                                        CachedOutcome::NonFinite {
-                                            loss_bits: l.to_bits(),
-                                        },
-                                    );
-                                }
-                                chunk_losses.push(f64::INFINITY);
-                            }
-                            Err(message) => {
-                                self.record_failure(
-                                    key.as_deref(),
-                                    EvalFailure::Panic {
-                                        message: message.clone(),
-                                    },
-                                );
-                                if !injected {
-                                    self.persist(
-                                        &pending_calibs[s],
-                                        key.as_ref(),
-                                        CachedOutcome::Panic { message },
-                                    );
-                                }
-                                chunk_losses.push(f64::INFINITY);
-                            }
-                        }
-                    }
-                }
-            }
-            losses.extend(window.into_iter().map(|w| match w {
-                Ok(l) => l,
-                Err(k) => chunk_losses[k],
-            }));
-            idx = j;
-        }
-        if losses.is_empty() {
-            None
-        } else {
-            Some(losses)
-        }
+        let losses: Vec<f64> = self
+            .eval_points(unit_points)
+            .into_iter()
+            .map(|result| result.unwrap_or(f64::INFINITY))
+            .collect();
+        (!losses.is_empty()).then_some(losses)
     }
 
     /// Memoization hits: evaluations served from the cache without
@@ -1437,5 +1291,182 @@ mod tests {
         assert!((warm[1] - 0.1).abs() < 1e-12, "the poisoned slot healed");
         assert_eq!(clean.eval_panics(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Counter totals and histogram observation counts recorded on one
+    /// thread. What the pool's workers or concurrently running tests
+    /// record elsewhere is ignored, and so are the pool's own counters,
+    /// which follow scheduling.
+    struct ThreadTally {
+        thread: std::thread::ThreadId,
+        tally: Mutex<std::collections::BTreeMap<&'static str, u64>>,
+    }
+
+    impl ThreadTally {
+        fn bump(&self, name: &'static str, delta: u64) {
+            if std::thread::current().id() == self.thread && !name.starts_with("pool_") {
+                *self.tally.lock().unwrap().entry(name).or_default() += delta;
+            }
+        }
+    }
+
+    impl obs::Recorder for ThreadTally {
+        fn span_start(
+            &self,
+            _: &'static str,
+            _: Option<obs::SpanId>,
+            _: &[(&'static str, String)],
+        ) -> obs::SpanId {
+            1
+        }
+        fn span_end(&self, _: obs::SpanId) {}
+        fn add(&self, counter: obs::Counter, delta: u64) {
+            self.bump(counter.name(), delta);
+        }
+        fn observe(&self, hist: obs::Hist, _: f64) {
+            self.bump(hist.name(), 1);
+        }
+    }
+
+    /// Run `f` and return what it recorded on the calling thread.
+    fn tallied<R>(f: impl FnOnce() -> R) -> (R, std::collections::BTreeMap<&'static str, u64>) {
+        let tally = Arc::new(ThreadTally {
+            thread: std::thread::current().id(),
+            tally: Mutex::default(),
+        });
+        obs::install(tally.clone());
+        let out = f();
+        obs::uninstall();
+        let seen = tally.tally.lock().unwrap().clone();
+        (out, seen)
+    }
+
+    /// Every file of a cache directory with its bytes, by name.
+    fn shard_bytes(dir: &PathBuf) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("cache dir exists")
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn try_eval_one_at_a_time_matches_eval_batch_in_chunks() {
+        let _cache = CACHE_LOCK.lock().unwrap();
+        let _faults = FAULTS.lock().unwrap();
+        let _obs = crate::OBS_RECORDER
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let space = ParameterSpace::new()
+            .with("a", ParamKind::Continuous { lo: -1.0, hi: 1.0 })
+            .with("b", ParamKind::Continuous { lo: -1.0, hi: 1.0 })
+            .with("lod", ParamKind::Integer { lo: 1, hi: 3 });
+        let obj = FnObjective::new(space, |c: &Calibration| {
+            if c.values[0] > 0.5 {
+                panic!("simulator diverged at a={}", c.values[0]);
+            }
+            if c.values[1] > 0.5 {
+                return f64::NAN;
+            }
+            c.values[0] * c.values[0] + c.values[1] * c.values[1] + 0.1 * c.values[2]
+        })
+        .with_cache_fingerprint(crate::cache::CacheFingerprint::of("parity", "toy-v1", 5));
+        let proposals: Vec<Vec<f64>> = vec![
+            vec![0.25, 0.25, 0.1],
+            vec![0.6, 0.4, 0.5],
+            vec![0.95, 0.25, 0.1],    // panics
+            vec![0.25, 0.25, 0.2],    // snaps onto proposal 0
+            vec![0.25, 0.95, 0.9],    // non-finite loss
+            vec![f64::NAN, 0.3, 0.5], // no canonical key
+            vec![0.95, 0.25, 0.1],    // quarantined repeat
+            vec![0.4, 0.4, 0.9],
+            vec![0.6, 0.4, 0.5],      // repeat of proposal 1
+            vec![0.4, 0.4, 0.7],      // snaps onto proposal 7, in its chunk
+            vec![0.1, 0.3, 0.4],      // evaluation 6
+            vec![0.7, 0.2, 0.3],      // evaluation 7
+            vec![0.3, 0.7, 0.6],      // evaluation 8
+            vec![0.2, 0.1, 0.8],      // evaluation 9
+            vec![f64::NAN, 0.6, 0.2], // no canonical key
+            vec![0.55, 0.45, 0.1],
+        ];
+        // Half-warm shards: every other proposal (outcomes for proposals
+        // 0, 1, 2, 4, 10 and 12) is already on disk, written by an
+        // unfaulted run.
+        let dirs = [tmp_cache_dir("parity-one"), tmp_cache_dir("parity-batch")];
+        let warm: Vec<Vec<f64>> = proposals.iter().step_by(2).cloned().collect();
+        for dir in &dirs {
+            let ev = evaluator_with_cache(&obj, Budget::Evaluations(64), FAULT_SEED, dir);
+            ev.eval_batch(&warm).unwrap();
+        }
+        // Injected faults on a keyless point (4), on a disk replay (6,
+        // which a replay never consults) and on fresh points (7, 9).
+        crate::fault::install(
+            crate::fault::FaultPlan::new()
+                .with_seeded_fault(crate::fault::FaultKind::Panic, 4, FAULT_SEED)
+                .with_seeded_fault(crate::fault::FaultKind::Panic, 6, FAULT_SEED)
+                .with_seeded_fault(crate::fault::FaultKind::Panic, 7, FAULT_SEED)
+                .with_seeded_fault(crate::fault::FaultKind::Nan, 9, FAULT_SEED),
+        );
+        let one = evaluator_with_cache(&obj, Budget::Evaluations(64), FAULT_SEED, &dirs[0]);
+        let batch = evaluator_with_cache(&obj, Budget::Evaluations(64), FAULT_SEED, &dirs[1]);
+        crate::fault::uninstall();
+
+        let (one_losses, one_obs) = tallied(|| {
+            proposals
+                .iter()
+                .map(|p| one.try_eval(p).unwrap_or(f64::INFINITY))
+                .collect::<Vec<_>>()
+        });
+        let (batch_losses, batch_obs) = tallied(|| {
+            proposals
+                .chunks(5)
+                .flat_map(|chunk| batch.eval_batch(chunk).unwrap())
+                .collect::<Vec<_>>()
+        });
+        let bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one_losses), bits(&batch_losses));
+        let summary = |ev: &Evaluator<'_>| {
+            (
+                ev.evaluations(),
+                ev.cache_hits(),
+                ev.cache_misses(),
+                ev.eval_panics(),
+                ev.eval_nonfinite(),
+                ev.failures()
+                    .iter()
+                    .map(|(i, f)| (*i, f.to_string()))
+                    .collect::<Vec<_>>(),
+                ev.best().map(|(l, u, c)| (l.to_bits(), u, c)),
+                ev.trace()
+                    .iter()
+                    .map(|t| (t.evaluations, t.best_loss.to_bits()))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let one_summary = summary(&one);
+        assert_eq!(one_summary, summary(&batch));
+        assert_eq!(one_summary.0, 12, "four memo hits, twelve evaluations");
+        let injected: Vec<usize> = one_summary
+            .5
+            .iter()
+            .filter(|(_, f)| f.contains("injected fault"))
+            .map(|(i, _)| *i)
+            .collect();
+        assert_eq!(injected, vec![4, 7], "a disk replay is never faulted");
+        drop((one, batch));
+        assert_eq!(shard_bytes(&dirs[0]), shard_bytes(&dirs[1]));
+        assert_eq!(one_obs, batch_obs);
+        // A disk miss is a keyed lookup that found nothing; every point
+        // the objective ran for, failed or not, spent simulator time.
+        assert_eq!(one_obs.get("disk_cache_hits"), Some(&6));
+        assert_eq!(one_obs.get("disk_cache_misses"), Some(&4));
+        assert_eq!(one_obs.get("eval_latency_secs"), Some(&6));
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -146,6 +146,9 @@ mod tests {
     #[test]
     fn retry_transient_retries_interrupted_writes_and_counts_them() {
         let _serial = RETRY_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let _recorder = crate::OBS_RECORDER
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
         obs::install(recorder.clone());
         let mut attempts = 0;

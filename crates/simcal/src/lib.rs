@@ -83,6 +83,12 @@ pub mod quota;
 pub mod surrogate;
 pub mod synthetic;
 
+/// Serializes the unit tests that install the process-global `obs`
+/// recorder: each install replaces the recorder another test may be
+/// reading.
+#[cfg(test)]
+pub(crate) static OBS_RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// One-stop imports for framework users.
 pub mod prelude {
     pub use crate::algorithms::{
