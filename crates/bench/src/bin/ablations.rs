@@ -15,7 +15,7 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::report::{fnum, Table};
+use lodsel::report::{fnum, Table};
 use simcal::algorithms::BayesianOpt;
 use simcal::budget::Evaluator;
 use simcal::prelude::*;

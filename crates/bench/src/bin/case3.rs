@@ -17,83 +17,34 @@
 
 use batchsim::prelude::*;
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::summarize;
-use lodcal_bench::report::{pct, Table};
+use lodcal_bench::sweep_figure::{self, SweepFigure};
 use lodsel::prelude::*;
 
 fn main() {
-    let args = ExpArgs::parse(150);
-    let family = BatchFamily::paper(args.fast, args.seed);
-    obs::diag!(
-        "{} training / {} testing workload traces",
-        family.train().len(),
-        family.test().len()
-    );
-
+    let args = ExpArgs::parse_sweep(150);
     // Best of three restarts by training loss, as in Figures 2/5. The
     // per-trace metric is the mean relative per-job *turnaround* error.
-    let config = SweepConfig {
-        budget: BudgetPolicy::PerRun {
-            budget: args.budget,
+    // Spec-style baseline: nominal node speed 1.0, no overheads.
+    let baseline = BatchVersion::lowest_detail();
+    let nominal = baseline
+        .parameter_space()
+        .calibration_from_pairs(&[("node_speed", 1.0)]);
+    sweep_figure::run(
+        &BatchFamily::paper(args.fast, args.seed),
+        &args,
+        SweepFigure {
+            restarts: 3,
+            title: "Case study #3 (future work): batch scheduling, 4 calibrated versions".into(),
+            version_header: "version (overhead/runtime)",
+            params_column: true,
+            baseline_heading: "uncalibrated baseline:",
+            baseline_label: "nominal values, lowest detail",
+            baseline: (baseline, nominal),
+            note: Some(
+                "(shape check: the cycle/* versions — which model the RJMS's periodic\n\
+                 scheduling behaviour — should beat the instant/* versions, mirroring the\n\
+                 'simulating HTCondor is crucial' finding of case study #1)",
+            ),
         },
-        restarts: 3,
-        seed: args.seed,
-        epsilon: args.epsilon,
-        max_units: None,
-        max_fault_retries: 2,
-        cache: args.cache.as_ref().map(std::path::PathBuf::from),
-    };
-    let ledger = args.open_ledger();
-    let recorder = args.install_trace();
-    let outcome = run_sweep(&family, &config, ledger.as_ref());
-    args.write_trace(recorder);
-
-    let mut table = Table::new(&[
-        "version (overhead/runtime)",
-        "params",
-        "avg err %",
-        "min err %",
-        "max err %",
-    ]);
-    for v in &outcome.versions {
-        let (avg, min, max) = summarize(&v.samples);
-        table.row(vec![
-            v.label.clone(),
-            v.dim.to_string(),
-            pct(avg),
-            pct(min),
-            pct(max),
-        ]);
-    }
-
-    println!("Case study #3 (future work): batch scheduling, 4 calibrated versions\n");
-    println!("{}", table.render());
-
-    if args.uncalibrated {
-        // Spec-style baseline: nominal node speed 1.0, no overheads.
-        let version = BatchVersion::lowest_detail();
-        let spec = version
-            .parameter_space()
-            .calibration_from_pairs(&[("node_speed", 1.0)]);
-        let errs = evaluate_on(family.case(), &version, family.test(), &spec).samples;
-        let (avg, min, max) = summarize(&errs);
-        let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
-        t.row(vec![
-            "nominal values, lowest detail".into(),
-            pct(avg),
-            pct(min),
-            pct(max),
-        ]);
-        println!("uncalibrated baseline:\n\n{}", t.render());
-    }
-
-    println!(
-        "(shape check: the cycle/* versions — which model the RJMS's periodic\n\
-         scheduling behaviour — should beat the instant/* versions, mirroring the\n\
-         'simulating HTCondor is crucial' finding of case study #1)"
     );
-    if let Some(rec) = &outcome.recommendation {
-        eprint!("{}", render_recommendation(rec));
-    }
-    args.maybe_write_tsv(&table);
 }

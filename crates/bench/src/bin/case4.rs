@@ -17,89 +17,40 @@
 
 use gridsim::prelude::*;
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::summarize;
-use lodcal_bench::report::{pct, Table};
+use lodcal_bench::sweep_figure::{self, SweepFigure};
 use lodsel::prelude::*;
 
 fn main() {
-    let args = ExpArgs::parse(150);
-    let family = GridFamily::paper(args.fast, args.seed);
-    obs::diag!(
-        "{} training / {} testing grid workloads",
-        family.train().len(),
-        family.test().len()
-    );
-
+    let args = ExpArgs::parse_sweep(150);
     // Best of three restarts by training loss, as in Figures 2/5. The
     // per-workload metric is the mean relative per-job *turnaround*
-    // error on the held-out workloads.
-    let config = SweepConfig {
-        budget: BudgetPolicy::PerRun {
-            budget: args.budget,
-        },
-        restarts: 3,
-        seed: args.seed,
-        epsilon: args.epsilon,
-        max_units: None,
-        max_fault_retries: 2,
-        cache: args.cache.as_ref().map(std::path::PathBuf::from),
-    };
-    let ledger = args.open_ledger();
-    let recorder = args.install_trace();
-    let outcome = run_sweep(&family, &config, ledger.as_ref());
-    args.write_trace(recorder);
-
-    let mut table = Table::new(&[
-        "version (transfer/cache/broker)",
-        "params",
-        "avg err %",
-        "min err %",
-        "max err %",
+    // error on the held-out workloads. Spec-style baseline: nominal
+    // platform values, lowest detail.
+    let baseline = GridVersion::lowest_detail();
+    let nominal = baseline.parameter_space().calibration_from_pairs(&[
+        ("core_speed", 1.0),
+        ("wan_bandwidth", 10.0),
+        ("wan_latency", 0.1),
+        ("disk_bandwidth", 100.0),
+        ("hit_ratio", 0.5),
     ]);
-    for v in &outcome.versions {
-        let (avg, min, max) = summarize(&v.samples);
-        table.row(vec![
-            v.label.clone(),
-            v.dim.to_string(),
-            pct(avg),
-            pct(min),
-            pct(max),
-        ]);
-    }
-
-    println!("Case study #4: federated data grid, 8 calibrated versions\n");
-    println!("{}", table.render());
-
-    if args.uncalibrated {
-        // Spec-style baseline: nominal platform values, lowest detail.
-        let version = GridVersion::lowest_detail();
-        let spec = version.parameter_space().calibration_from_pairs(&[
-            ("core_speed", 1.0),
-            ("wan_bandwidth", 10.0),
-            ("wan_latency", 0.1),
-            ("disk_bandwidth", 100.0),
-            ("hit_ratio", 0.5),
-        ]);
-        let errs = evaluate_on(family.case(), &version, family.test(), &spec).samples;
-        let (avg, min, max) = summarize(&errs);
-        let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
-        t.row(vec![
-            "nominal values, lowest detail".into(),
-            pct(avg),
-            pct(min),
-            pct(max),
-        ]);
-        println!("uncalibrated baseline:\n\n{}", t.render());
-    }
-
-    println!(
-        "(shape check: the hidden grid stages per-file WAN flows through LRU\n\
-         caches behind a serial broker, so the perfile/lru/* versions should\n\
-         beat flow/hitratio/* — the data-grid echo of the other case studies'\n\
-         'model the middleware' conclusion)"
+    sweep_figure::run(
+        &GridFamily::paper(args.fast, args.seed),
+        &args,
+        SweepFigure {
+            restarts: 3,
+            title: "Case study #4: federated data grid, 8 calibrated versions".into(),
+            version_header: "version (transfer/cache/broker)",
+            params_column: true,
+            baseline_heading: "uncalibrated baseline:",
+            baseline_label: "nominal values, lowest detail",
+            baseline: (baseline, nominal),
+            note: Some(
+                "(shape check: the hidden grid stages per-file WAN flows through LRU\n\
+                 caches behind a serial broker, so the perfile/lru/* versions should\n\
+                 beat flow/hitratio/* — the data-grid echo of the other case studies'\n\
+                 'model the middleware' conclusion)",
+            ),
+        },
     );
-    if let Some(rec) = &outcome.recommendation {
-        eprint!("{}", render_recommendation(rec));
-    }
-    args.maybe_write_tsv(&table);
 }

@@ -10,8 +10,9 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::{calibrate_version, dataset_options};
-use lodcal_bench::report::{fnum, Table};
+use lodcal_bench::case1::calibrate_version;
+use lodcal_bench::print_convergence;
+use lodsel::families::wf::dataset_options;
 use simcal::prelude::*;
 use wfsim::prelude::*;
 
@@ -35,23 +36,7 @@ fn main() {
         args.seed,
     );
 
-    let mut table = Table::new(&["evaluations", "elapsed_s", "best_loss"]);
-    for p in &result.trace {
-        table.row(vec![
-            p.evaluations.to_string(),
-            format!("{:.3}", p.elapsed_secs),
-            format!("{:.5}", p.best_loss),
-        ]);
-    }
-
-    println!("Figure 1: loss vs. time, Epigenomics, BO-GP + L1\n");
-    println!("{}", table.render());
-    println!(
-        "final loss {} after {} evaluations in {:.2}s",
-        fnum(result.loss),
-        result.evaluations,
-        result.elapsed_secs
-    );
+    let table = print_convergence("Figure 1: loss vs. time, Epigenomics, BO-GP + L1", &result);
 
     // The paper's qualitative claim: most of the improvement happens in
     // the early fraction of the budget.

@@ -21,85 +21,29 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::summarize;
-use lodcal_bench::report::{pct, Table};
-use lodsel::families::wf::WfCase;
+use lodcal_bench::sweep_figure::{self, SweepFigure};
 use lodsel::prelude::*;
 use wfsim::prelude::*;
 
 fn main() {
-    let args = ExpArgs::parse(150);
-    // The paper's §5.4 per-application train/test splits.
-    let family = WfFamily::paper(args.fast, args.seed);
-    for s in family.splits() {
-        obs::diag!(
-            "{}: {} train / {} test records",
-            s.name,
-            s.train.len(),
-            s.test.len()
-        );
-    }
-
-    // One calibration per (version, application), best of 3 restarts by
-    // training loss, then aggregate across apps — the bars (avg) and
-    // error bars (min/max) of Figure 2.
-    let config = SweepConfig {
-        budget: BudgetPolicy::PerRun {
-            budget: args.budget,
+    let args = ExpArgs::parse_sweep(150);
+    // One calibration per (version, application) of the paper's §5.4
+    // train/test splits, best of 3 restarts by training loss; each
+    // application's mean error is one sample, so the table's avg and
+    // min/max are the bars and error bars of Figure 2.
+    let baseline = SimulatorVersion::lowest_detail();
+    sweep_figure::run(
+        &WfFamily::paper(args.fast, args.seed),
+        &args,
+        SweepFigure {
+            restarts: 3,
+            title: "Figure 2: percent relative makespan error, all 12 calibrated versions".into(),
+            version_header: "version (net/storage/compute)",
+            params_column: false,
+            baseline_heading: "§5.4 uncalibrated baseline (hardware-spec values, no calibration):",
+            baseline_label: "spec-based, lowest detail",
+            baseline: (baseline, spec_calibration(baseline)),
+            note: None,
         },
-        restarts: 3,
-        seed: args.seed,
-        epsilon: args.epsilon,
-        max_units: None,
-        max_fault_retries: 2,
-        cache: args.cache.as_ref().map(std::path::PathBuf::from),
-    };
-    let ledger = args.open_ledger();
-    let recorder = args.install_trace();
-    let outcome = run_sweep(&family, &config, ledger.as_ref());
-    args.write_trace(recorder);
-
-    let mut table = Table::new(&[
-        "version (net/storage/compute)",
-        "avg err %",
-        "min err %",
-        "max err %",
-    ]);
-    for v in &outcome.versions {
-        let (avg, min, max) = summarize(&v.samples);
-        table.row(vec![v.label.clone(), pct(avg), pct(min), pct(max)]);
-    }
-
-    println!("Figure 2: percent relative makespan error, all 12 calibrated versions\n");
-    println!("{}", table.render());
-
-    if args.uncalibrated {
-        let version = SimulatorVersion::lowest_detail();
-        let calib = spec_calibration(version);
-        let mut per_app = Vec::new();
-        for s in family.splits() {
-            let errs = evaluate_on(&WfCase, &version, &s.test, &calib).samples;
-            per_app.push(numeric::mean(&errs));
-            obs::diag!(
-                "uncalibrated / {}: {:.0}%",
-                s.name,
-                numeric::mean(&errs) * 100.0
-            );
-        }
-        let (avg, min, max) = summarize(&per_app);
-        let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
-        t.row(vec![
-            "spec-based, lowest detail".into(),
-            pct(avg),
-            pct(min),
-            pct(max),
-        ]);
-        println!("§5.4 uncalibrated baseline (hardware-spec values, no calibration):\n");
-        println!("{}", t.render());
-    }
-
-    if let Some(rec) = &outcome.recommendation {
-        eprint!("{}", render_recommendation(rec));
-    }
-    args.maybe_write_tsv(&table);
+    );
 }

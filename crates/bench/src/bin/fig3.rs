@@ -16,8 +16,9 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::{calibrate_version, dataset_options, fixed_loss};
-use lodcal_bench::report::{fnum, Table};
+use lodcal_bench::case1::{calibrate_version, fixed_loss};
+use lodsel::families::wf::dataset_options;
+use lodsel::report::{fnum, Table};
 use simcal::prelude::*;
 use wfsim::prelude::*;
 

@@ -8,8 +8,9 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case2::{calibrate_version, emulator_config, node_counts};
-use lodcal_bench::report::{fnum, Table};
+use lodcal_bench::case2::calibrate_version;
+use lodcal_bench::print_convergence;
+use lodsel::families::mpi::{emulator_config, node_counts};
 use mpisim::prelude::*;
 use simcal::prelude::*;
 
@@ -36,24 +37,12 @@ fn main() {
         loss,
         args.budget,
         args.seed,
+        1,
     );
 
-    let mut table = Table::new(&["evaluations", "elapsed_s", "best_loss"]);
-    for p in &result.trace {
-        table.row(vec![
-            p.evaluations.to_string(),
-            format!("{:.3}", p.elapsed_secs),
-            format!("{:.5}", p.best_loss),
-        ]);
-    }
-
-    println!("Figure 4: loss vs. time, {base_nodes}-node ground truth, BO-GP + L1\n");
-    println!("{}", table.render());
-    println!(
-        "final loss {} after {} evaluations in {:.2}s",
-        fnum(result.loss),
-        result.evaluations,
-        result.elapsed_secs
+    let table = print_convergence(
+        &format!("Figure 4: loss vs. time, {base_nodes}-node ground truth, BO-GP + L1"),
+        &result,
     );
     args.maybe_write_tsv(&table);
 }

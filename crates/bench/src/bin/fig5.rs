@@ -23,70 +23,33 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::summarize;
-use lodcal_bench::case2::node_counts;
-use lodcal_bench::report::{pct, Table};
+use lodcal_bench::sweep_figure::{self, SweepFigure};
+use lodsel::families::mpi::node_counts;
 use lodsel::prelude::*;
 use mpisim::prelude::*;
 
 fn main() {
-    let args = ExpArgs::parse(500);
+    let args = ExpArgs::parse_sweep(500);
     let base_nodes = node_counts(args.fast)[0];
-    let family = MpiFamily::paper(args.fast, args.seed);
-
-    // Best of 5 restarts per version by training loss, as in the paper.
-    let config = SweepConfig {
-        budget: BudgetPolicy::PerRun {
-            budget: args.budget,
+    // Best of 5 restarts per version by training loss, as in the paper;
+    // the per-benchmark errors give the bars (avg) and error bars
+    // (min/max).
+    let baseline = MpiSimulatorVersion::lowest_detail();
+    sweep_figure::run(
+        &MpiFamily::paper(args.fast, args.seed),
+        &args,
+        SweepFigure {
+            restarts: 5,
+            title: format!(
+                "Figure 5: percent relative transfer-rate error, all 16 calibrated versions \
+                 ({base_nodes}-node ground truth)"
+            ),
+            version_header: "version (topology/node/protocol)",
+            params_column: false,
+            baseline_heading: "§6.4 uncalibrated baseline (Summit spec values, no calibration):",
+            baseline_label: "spec-based, lowest detail",
+            baseline: (baseline, spec_calibration(baseline)),
+            note: None,
         },
-        restarts: 5,
-        seed: args.seed,
-        epsilon: args.epsilon,
-        max_units: None,
-        max_fault_retries: 2,
-        cache: args.cache.as_ref().map(std::path::PathBuf::from),
-    };
-    let ledger = args.open_ledger();
-    let recorder = args.install_trace();
-    let outcome = run_sweep(&family, &config, ledger.as_ref());
-    args.write_trace(recorder);
-
-    let mut table = Table::new(&[
-        "version (topology/node/protocol)",
-        "avg err %",
-        "min err %",
-        "max err %",
-    ]);
-    for v in &outcome.versions {
-        // Per-benchmark errors: bars (avg) and error bars (min/max).
-        let (avg, min, max) = summarize(&v.samples);
-        table.row(vec![v.label.clone(), pct(avg), pct(min), pct(max)]);
-    }
-
-    println!(
-        "Figure 5: percent relative transfer-rate error, all 16 calibrated versions \
-         ({base_nodes}-node ground truth)\n"
     );
-    println!("{}", table.render());
-
-    if args.uncalibrated {
-        let version = MpiSimulatorVersion::lowest_detail();
-        let calib = spec_calibration(version);
-        let errs = evaluate_on(family.case(), &version, family.scenarios(), &calib).samples;
-        let (avg, min, max) = summarize(&errs);
-        let mut t = Table::new(&["baseline", "avg err %", "min err %", "max err %"]);
-        t.row(vec![
-            "spec-based, lowest detail".into(),
-            pct(avg),
-            pct(min),
-            pct(max),
-        ]);
-        println!("§6.4 uncalibrated baseline (Summit spec values, no calibration):\n");
-        println!("{}", t.render());
-    }
-
-    if let Some(rec) = &outcome.recommendation {
-        eprint!("{}", render_recommendation(rec));
-    }
-    args.maybe_write_tsv(&table);
 }

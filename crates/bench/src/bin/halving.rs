@@ -30,14 +30,8 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::report::Table;
 use lodsel::prelude::*;
 use simcal::prelude::Budget;
-
-struct FamilyCase {
-    name: &'static str,
-    family: Box<dyn VersionFamily>,
-}
 
 fn sweep_with(family: &dyn VersionFamily, budget: BudgetPolicy, seed: u64) -> SweepOutcome {
     let config = SweepConfig {
@@ -57,7 +51,6 @@ fn main() {
     if !std::env::args().any(|a| a == "--seed") {
         args.seed = 42;
     }
-    args.install_cache();
     let per_run = match args.budget {
         Budget::Evaluations(n) => n,
         _ => {
@@ -66,16 +59,8 @@ fn main() {
         }
     };
 
-    let cases = vec![
-        FamilyCase {
-            name: "wf",
-            family: Box::new(WfFamily::paper(true, args.seed)),
-        },
-        FamilyCase {
-            name: "grid",
-            family: Box::new(GridFamily::paper(true, args.seed)),
-        },
-    ];
+    let families = ["wf", "grid"]
+        .map(|name| lodsel::families::paper(name, true, args.seed).expect("a paper family"));
 
     println!(
         "successive halving vs fixed budget (fast grids, {per_run} evals/run fixed, \
@@ -95,8 +80,8 @@ fn main() {
     ]);
     let mut all_agree = true;
 
-    for case in &cases {
-        let family = case.family.as_ref();
+    for family in &families {
+        let family = family.as_ref();
         let runs = family.units().len() * 2;
         let fixed_total = runs * per_run;
         let sh_total = fixed_total / 2;
@@ -124,7 +109,7 @@ fn main() {
         all_agree &= agree;
 
         table.row(vec![
-            case.name.to_string(),
+            family.name().to_string(),
             runs.to_string(),
             fixed_total.to_string(),
             sh_evals.to_string(),
@@ -136,7 +121,7 @@ fn main() {
         ]);
         obs::diag!(
             "{}: fixed {} evals -> {}, SH {} evals -> {}",
-            case.name,
+            family.name(),
             fixed_total,
             fixed_rec.chosen,
             sh_evals,

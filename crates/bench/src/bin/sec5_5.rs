@@ -14,8 +14,10 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case1::{calibrate_version, dataset_options, fixed_loss};
-use lodcal_bench::report::Table;
+use lodcal_bench::case1::{calibrate_version, fixed_loss};
+use lodsel::families::wf::dataset_options;
+use lodsel::multistart::restart_seed;
+use lodsel::report::Table;
 use simcal::prelude::*;
 use wfsim::prelude::*;
 
@@ -36,14 +38,14 @@ fn main() {
     // concurrency is invisible to single-worker chain training).
     let calibrate_and_test = |train: &[GroundTruthRecord]| -> f64 {
         let scenarios = WfScenario::from_records(train);
-        let losses: Vec<f64> = (0..3u64)
+        let losses: Vec<f64> = (0..3)
             .map(|r| {
                 let result = calibrate_version(
                     version,
                     &scenarios,
                     loss.clone(),
                     args.budget,
-                    args.seed ^ r << 32,
+                    restart_seed(args.seed, r),
                 );
                 fixed_loss(version, &result.calibration, &test_scenarios, &loss)
             })

@@ -15,9 +15,10 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case2::{calibrate_version_best_of, emulator_config, node_counts};
-use lodcal_bench::report::{pct, Table};
+use lodcal_bench::case2::calibrate_version;
+use lodsel::families::mpi::{emulator_config, node_counts};
 use lodsel::families::{evaluate_on, mpi::MpiCase};
+use lodsel::report::{pct, Table};
 use mpisim::prelude::*;
 use simcal::prelude::*;
 
@@ -33,10 +34,9 @@ fn main() {
     let train_p2p = dataset(&BenchmarkKind::CALIBRATION_SET, &[base], &cfg, args.seed);
     let stencil = dataset(&[BenchmarkKind::Stencil], &[base], &cfg, args.seed);
 
-    let from_p2p =
-        calibrate_version_best_of(version, &train_p2p, loss.clone(), args.budget, args.seed, 5);
+    let from_p2p = calibrate_version(version, &train_p2p, loss.clone(), args.budget, args.seed, 5);
     let from_stencil =
-        calibrate_version_best_of(version, &stencil, loss.clone(), args.budget, args.seed, 5);
+        calibrate_version(version, &stencil, loss.clone(), args.budget, args.seed, 5);
 
     // Mean held-out rate error of a calibration on a scenario set.
     let rate_error = |result: &CalibrationResult, scenarios: &[MpiScenario]| {

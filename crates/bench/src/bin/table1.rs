@@ -8,7 +8,7 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::report::{fnum, Table};
+use lodsel::report::{fnum, Table};
 use wfsim::prelude::*;
 
 fn main() {

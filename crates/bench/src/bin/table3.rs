@@ -12,7 +12,7 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::report::{fnum, Table};
+use lodsel::report::{fnum, Table};
 use simcal::prelude::*;
 use wfsim::prelude::*;
 

@@ -14,8 +14,9 @@
 //! ```
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case2::node_counts;
-use lodcal_bench::report::{fnum, Table};
+use lodsel::families::mpi::node_counts;
+use lodsel::multistart::{best_result, restart_seed};
+use lodsel::report::{fnum, Table};
 use mpisim::prelude::*;
 use simcal::prelude::*;
 
@@ -73,17 +74,15 @@ fn main() {
                 let obj = objective(&sim, scenarios, loss.clone());
                 // Best of three restarts by training loss, applied
                 // uniformly to every (algorithm, loss) cell.
-                let result = (0..3u64)
-                    .map(|r| {
-                        Calibrator {
-                            algorithm: alg,
-                            budget: args.budget,
-                            seed: args.seed ^ r << 32,
-                        }
-                        .calibrate(&obj)
-                    })
-                    .min_by(|a, b| a.loss.partial_cmp(&b.loss).expect("finite losses"))
-                    .expect("non-empty restarts");
+                let result = best_result((0..3).map(|r| {
+                    Calibrator {
+                        algorithm: alg,
+                        budget: args.budget,
+                        seed: restart_seed(args.seed, r),
+                    }
+                    .calibrate(&obj)
+                }))
+                .expect("non-empty restarts");
                 cal_errs.push(calibration_error(&space, &result.calibration, reference));
                 rate_errs.push(numeric::mean(
                     &scenarios

@@ -32,9 +32,10 @@
 //! used (reused across runs, demonstrating cross-run reuse).
 
 use lodcal_bench::args::ExpArgs;
-use lodcal_bench::case2::{cache_fingerprint, emulator_config, node_counts};
-use lodcal_bench::report::{pct, Table};
+use lodcal_bench::case2::cache_fingerprint;
+use lodsel::families::mpi::{emulator_config, node_counts};
 use lodsel::families::{evaluate_on, mpi::MpiCase};
+use lodsel::report::{pct, Table};
 use mpisim::prelude::*;
 use simcal::prelude::*;
 use std::path::PathBuf;

@@ -9,10 +9,6 @@
 use simcal::prelude::*;
 use wfsim::prelude::*;
 
-// The experiment grid lives with the sweepable family definition now; the
-// old path keeps working for the single-version binaries.
-pub use lodsel::families::wf::dataset_options;
-
 /// Calibrate `version` against `train` under `loss`, returning the result.
 pub fn calibrate_version(
     version: SimulatorVersion,
@@ -36,9 +32,4 @@ pub fn fixed_loss(
     let sim = WorkflowSimulator::new(version);
     let outs: Vec<ScenarioError> = scenarios.iter().map(|s| sim.run(s, calibration)).collect();
     loss.aggregate(&outs)
-}
-
-/// Summary statistics `(avg, min, max)` of a slice.
-pub fn summarize(xs: &[f64]) -> (f64, f64, f64) {
-    (numeric::mean(xs), numeric::min(xs), numeric::max(xs))
 }

@@ -1,11 +1,8 @@
 //! Shared plumbing for the case-study-2 (MPI) experiment binaries.
 
+use lodsel::families::mpi::dataset_fingerprint;
 use mpisim::prelude::*;
 use simcal::prelude::*;
-
-// The experiment grid lives with the sweepable family definition now; the
-// old paths keep working for the single-version binaries.
-pub use lodsel::families::mpi::{dataset_fingerprint, emulator_config, node_counts};
 
 /// Cache fingerprint of one (version, training set, loss) calibration —
 /// the same identity the MPI sweep family uses, so standalone binaries
@@ -22,25 +19,12 @@ pub fn cache_fingerprint(
     )
 }
 
-/// Calibrate `version` against `train` under `loss`.
+/// Calibrate `version` against `train` under `loss` with `restarts`
+/// independent seeds, keeping the calibration with the lowest *training*
+/// loss. Thin wrapper over the shared multi-start helper (same seed
+/// derivation and tie-breaking as every other case study); one restart is
+/// the plain calibration under `seed`.
 pub fn calibrate_version(
-    version: MpiSimulatorVersion,
-    train: &[MpiScenario],
-    loss: MatrixLoss,
-    budget: Budget,
-    seed: u64,
-) -> CalibrationResult {
-    let sim = MpiSimulator::new(version);
-    let fingerprint = cache_fingerprint(version, train, &loss);
-    let obj = objective(&sim, train, loss).with_cache_fingerprint(fingerprint);
-    Calibrator::bo_gp(budget, seed).calibrate(&obj)
-}
-
-/// Calibrate with `restarts` independent seeds, keeping the calibration
-/// with the lowest *training* loss. Thin wrapper over the shared
-/// multi-start helper (same seed derivation and tie-breaking as every
-/// other case study).
-pub fn calibrate_version_best_of(
     version: MpiSimulatorVersion,
     train: &[MpiScenario],
     loss: MatrixLoss,
