@@ -39,7 +39,6 @@ fn sweep_with(family: &dyn VersionFamily, budget: BudgetPolicy, seed: u64) -> Sw
         restarts: 2,
         seed,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     };

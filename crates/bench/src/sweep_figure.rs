@@ -58,7 +58,6 @@ pub fn run<C: CaseStudy>(family: &SimFamily<C>, args: &ExpArgs, figure: SweepFig
         restarts: figure.restarts,
         seed: args.seed,
         epsilon: args.epsilon,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     };

@@ -211,6 +211,20 @@ struct Job {
 }
 
 impl Job {
+    /// A job admitted (or replayed from the job log) and not yet run.
+    fn queued(spec: JobSpec, shards: usize, planned_evals: usize) -> Job {
+        Job {
+            spec,
+            shards,
+            planned_evals,
+            state: JobState::Queued,
+            digest: None,
+            chosen: None,
+            error: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
     /// Enter the terminal state `event` records, live or on replay.
     /// Failure and cancellation refund the admission charge; `Submitted`
     /// is not terminal and changes nothing. The first terminal record
@@ -381,19 +395,9 @@ fn replay(events: Vec<JobEvent>, quotas: &QuotaBook) -> Registry {
                 // gate future admissions.
                 let _ = quotas.charge(&spec.tenant, planned_evals);
                 registry.next_id = registry.next_id.max(id + 1);
-                registry.jobs.insert(
-                    id,
-                    Job {
-                        spec,
-                        shards,
-                        planned_evals,
-                        state: JobState::Queued,
-                        digest: None,
-                        chosen: None,
-                        error: None,
-                        cancel: Arc::new(AtomicBool::new(false)),
-                    },
-                );
+                registry
+                    .jobs
+                    .insert(id, Job::queued(spec, shards, planned_evals));
             }
             JobEvent::Completed { id, .. }
             | JobEvent::Failed { id, .. }
@@ -423,7 +427,6 @@ fn sweep_config(spec: &JobSpec) -> SweepConfig {
         restarts: spec.restarts,
         seed: spec.seed,
         epsilon: spec.epsilon,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     }
@@ -636,19 +639,7 @@ fn admit(shared: &Shared, spec: JobSpec) -> Response {
         planned_evals: planned,
     });
     let tenant = spec.tenant.clone();
-    registry.jobs.insert(
-        id,
-        Job {
-            spec,
-            shards,
-            planned_evals: planned,
-            state: JobState::Queued,
-            digest: None,
-            chosen: None,
-            error: None,
-            cancel: Arc::new(AtomicBool::new(false)),
-        },
-    );
+    registry.jobs.insert(id, Job::queued(spec, shards, planned));
     registry.queue.push(&tenant, id);
     drop(registry);
     obs::counter(obs::Counter::JobsAccepted, 1);

@@ -56,7 +56,6 @@ fn toy_config(seed: u64) -> SweepConfig {
         restarts: 1,
         seed,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     }
@@ -396,7 +395,6 @@ fn sh_job_completes_with_rung_progress_and_the_single_process_digest() {
         restarts: 2,
         seed: 7,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     };

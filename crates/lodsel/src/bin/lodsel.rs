@@ -225,7 +225,6 @@ fn main() {
         restarts: opts.restarts,
         seed: opts.seed,
         epsilon: opts.epsilon,
-        max_units: None,
         max_fault_retries: opts.max_fault_retries,
         cache: opts.cache.as_ref().map(std::path::PathBuf::from),
     };
@@ -333,7 +332,6 @@ fn main() {
     }
     match &outcome.recommendation {
         Some(rec) => print!("{}", render_recommendation(rec)),
-        None if !outcome.complete => println!("sweep incomplete: no recommendation"),
         None => println!("no recommendation: every version failed or none has a finite test error"),
     }
 }

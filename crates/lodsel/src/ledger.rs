@@ -57,6 +57,26 @@ pub fn rung_key(base: u64, rung: usize, budget: &Budget, scenario_denom: usize) 
     )
 }
 
+/// Base key of one successive-halving run, which its [`rung_key`]s and
+/// promotion decisions hang off. It covers the whole budget policy, so two
+/// SH configurations sharing a rung-0 budget never replay each other.
+pub fn sh_run_key(
+    family: &str,
+    fingerprint: u64,
+    unit: &str,
+    restart: usize,
+    seed: u64,
+    budget_policy_json: &str,
+) -> u64 {
+    fnv1a(
+        format!(
+            "shrun|family={family}|fp={fingerprint:016x}|unit={unit}|restart={restart}|\
+             seed={seed}|policy={budget_policy_json}"
+        )
+        .as_bytes(),
+    )
+}
+
 /// Checkpoint key of one unit's held-out evaluation (covers the full
 /// multi-start configuration the evaluated calibration was selected from).
 pub fn unit_key(
@@ -143,8 +163,9 @@ pub enum LedgerEvent {
     /// resume retries the keyed work until its recorded attempts reach
     /// `1 + max_fault_retries` (see [`crate::sweep::SweepConfig`]).
     RunFailed {
-        /// Checkpoint key of the failed work ([`run_key`] for calibrate
-        /// failures, [`unit_key`] for evaluate failures).
+        /// Checkpoint key of the failed work ([`run_key`] or
+        /// [`rung_key`] for calibrate failures, [`unit_key`] for evaluate
+        /// failures).
         key: u64,
         /// Unit label.
         unit: String,
@@ -446,7 +467,6 @@ struct Inner {
 ///     restarts: 1,
 ///     seed: 7,
 ///     epsilon: 0.1,
-///     max_units: None,
 ///     max_fault_retries: 2,
 ///     cache: None,
 /// };
@@ -642,6 +662,9 @@ mod tests {
         let policy = r#"{"PerRun":{"budget":{"Evaluations":8}}}"#;
         let unit = unit_key("toy", 0x70f0, "v1", 2, 42, policy);
         assert_eq!(unit, 0x81af_0a14_5a78_bf52);
+        let sh = r#"{"SuccessiveHalving":{"total":48,"eta":2,"min_scenarios":1}}"#;
+        let sh_run = sh_run_key("toy", 0x70f0, "v1", 1, 42, sh);
+        assert_eq!(sh_run, 0x0c29_60cd_f4da_6b4f);
     }
 
     #[test]

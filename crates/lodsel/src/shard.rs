@@ -181,17 +181,11 @@ pub fn run_shard(
         })
         .map_err(ShardError::Io)?;
 
-    // This shard's slice: round-robin over the truncation-aware plan
-    // prefix. It climbs the same ladder a whole sweep does, so successive
-    // halving (one shard only) leaves its rung records and promotion
-    // decisions here for the post-merge replay.
-    let slice: Vec<&RunPlan> = planned
-        .active_plans(config)
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % shards == index)
-        .map(|(_, p)| p)
-        .collect();
+    // This shard's slice: round-robin over the plan. It climbs the same
+    // ladder a whole sweep does, so successive halving (one shard only)
+    // leaves its rung records and promotion decisions here for the
+    // post-merge replay.
+    let slice: Vec<&RunPlan> = planned.plans.iter().skip(index).step_by(shards).collect();
     let exec = RunExecutor::new(family, &planned, config, Some(&ledger));
     let shard_span = obs::span!(
         "shard",
@@ -199,7 +193,8 @@ pub fn run_shard(
         shards = shards,
         pending = exec.pending(&planned.ladder[0], &slice)
     );
-    Ok(climb(&exec, &planned.ladder, &slice, shard_span.id()).executed)
+    climb(&exec, &planned.ladder, &slice, shard_span.id());
+    Ok(exec.executed())
 }
 
 /// What [`merge_shards`] deduplicates an event by, in the target and

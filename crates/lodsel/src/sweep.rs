@@ -12,8 +12,8 @@
 //!
 //! Failure model: a simulator version that panics or yields only
 //! non-finite values must not take the whole sweep down. Every
-//! `family.calibrate_at` / `family.evaluate` call runs under
-//! [`simcal::fault::guard`]; a crash becomes a
+//! `family.calibrate_at` / `family.evaluate` call is the same
+//! checkpointed step under [`simcal::fault::guard`]; a crash becomes a
 //! [`LedgerEvent::RunFailed`] event and a [`RunFailure`] row in the
 //! outcome, the affected version drops out of the recommendation, and a
 //! resume retries the failed work up to
@@ -23,7 +23,8 @@
 
 use crate::family::{SweepUnit, VersionFamily};
 use crate::ledger::{
-    fnv1a, run_key, rung_key, unit_key, FailureHistory, Ledger, LedgerEvent, RunRecord, UnitRecord,
+    run_key, rung_key, sh_run_key, unit_key, FailureHistory, Ledger, LedgerEvent, RunRecord,
+    UnitRecord,
 };
 use crate::multistart::{pick_best, restart_seed};
 use crate::pareto::{pareto_front, try_recommend, Recommendation};
@@ -32,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use simcal::prelude::{Budget, CalibrationResult, Fidelity};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How the sweep's evaluation budget is distributed over calibration runs.
@@ -46,9 +48,8 @@ pub enum BudgetPolicy {
     /// A shared evaluation budget divided fairly across the full
     /// (unit × restart) plan: every run gets `total / runs`, and the
     /// remainder goes to the earliest runs in plan order. The division is
-    /// computed over the *full* plan even when execution is truncated by
-    /// [`SweepConfig::max_units`], so an interrupted sweep and its resume
-    /// assign identical budgets to every run.
+    /// computed over the *full* plan, so an interrupted sweep, its resume
+    /// and every shard assign identical budgets to every run.
     TotalEvaluations {
         /// Total loss evaluations available to the whole sweep.
         total: usize,
@@ -85,11 +86,9 @@ pub struct SweepConfig {
     /// Master seed; restart seeds derive from it exactly as the
     /// standalone experiment binaries always have.
     pub seed: u64,
-    /// Relative accuracy tolerance of the recommendation.
+    /// Relative accuracy tolerance of the recommendation (finite and
+    /// non-negative, else [`SweepError::InvalidEpsilon`]).
     pub epsilon: f64,
-    /// Stop after this many units (test hook for interruption; `None`
-    /// sweeps everything). Budgets and checkpoint keys are unaffected.
-    pub max_units: Option<usize>,
     /// How many times a resume may retry a run (or unit evaluation) that
     /// failed in an earlier execution. Within one execution each pending
     /// item is attempted once; across executions a keyed item is
@@ -117,7 +116,6 @@ impl SweepConfig {
             restarts,
             seed,
             epsilon: 0.1,
-            max_units: None,
             max_fault_retries: 2,
             cache: None,
         }
@@ -130,7 +128,7 @@ impl SweepConfig {
 /// (version × restart) run plans — identical checkpoint keys, budgets,
 /// and seeds — so their ledger shards can be merged
 /// ([`crate::shard::merge_shards`]). Settings that do not change any run
-/// (ε, truncation, retry allowance, cache directory) are excluded.
+/// (ε, retry allowance, cache directory) are excluded.
 pub fn sweep_fingerprint(family: &dyn VersionFamily, config: &SweepConfig) -> u64 {
     let policy_json = serde_json::to_string(&config.budget).expect("policy serializes");
     crate::ledger::fnv1a(
@@ -285,19 +283,15 @@ pub struct ShReport {
 pub struct SweepOutcome {
     /// Family identifier.
     pub family: String,
-    /// Whether every unit of the family was covered (false only under
-    /// [`SweepConfig::max_units`] truncation).
-    pub complete: bool,
-    /// Completed versions, in family order. Under truncation a version
-    /// with only some units done is omitted entirely, as is a version
-    /// none of whose runs survived its faults.
+    /// Completed versions, in family order. A version is omitted when
+    /// every run of one of its units failed, or a unit's evaluation did.
     pub versions: Vec<VersionOutcome>,
     /// Runs and unit evaluations that failed (panicked or produced only
     /// non-finite values), in deterministic plan order. Empty for a
     /// healthy sweep.
     pub failures: Vec<RunFailure>,
-    /// The recommendation; present only for complete sweeps that left at
-    /// least one version with usable results.
+    /// The recommendation; present only when at least one version has
+    /// usable results.
     pub recommendation: Option<Recommendation>,
     /// Successive-halving summary; `None` for fixed-budget sweeps.
     pub sh: Option<ShReport>,
@@ -331,7 +325,8 @@ impl SweepOutcome {
     pub fn digest(&self) -> String {
         let doc = DigestDoc {
             family: self.family.clone(),
-            complete: self.complete,
+            // Every sweep covers every unit; kept so recorded digests hold.
+            complete: true,
             versions: self
                 .versions
                 .iter()
@@ -379,11 +374,10 @@ impl SweepOutcome {
 /// A sweep configuration that cannot be planned. Surfaced as a typed
 /// error (not a panic) so services embedding sweeps — calibd worker
 /// threads in particular — can fail the one job instead of aborting.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepError {
-    /// The total evaluation budget cannot give every planned run (or,
-    /// under successive halving, every rung entrant) at least one
-    /// evaluation.
+    /// The budget cannot give every planned run (or, under successive
+    /// halving, every rung entrant) at least one evaluation.
     BudgetTooSmall {
         /// The configured total budget.
         total: usize,
@@ -391,6 +385,11 @@ pub enum SweepError {
         runs: usize,
         /// Smallest total the policy accepts for this plan.
         needed: usize,
+    },
+    /// The recommendation's tolerance ε is negative or not finite.
+    InvalidEpsilon {
+        /// The configured ε.
+        epsilon: f64,
     },
 }
 
@@ -406,6 +405,9 @@ impl std::fmt::Display for SweepError {
                 "total budget of {total} evaluations cannot cover {runs} runs \
                  (at least {needed} needed)"
             ),
+            SweepError::InvalidEpsilon { epsilon } => {
+                write!(f, "epsilon must be finite and non-negative, got {epsilon}")
+            }
         }
     }
 }
@@ -512,13 +514,20 @@ impl ShSchedule {
 /// schedule when the policy is successive halving (its plans carry the
 /// rung-0 budget as their nominal budget; each rung supplies its own).
 ///
-/// Errs with [`SweepError::BudgetTooSmall`] when a total budget cannot
-/// give every run (every rung entrant) at least one evaluation.
+/// Errs with [`SweepError::BudgetTooSmall`] when a budget cannot give
+/// every run (every rung entrant) at least one evaluation.
 fn run_budgets(
     policy: &BudgetPolicy,
     runs: usize,
 ) -> Result<(Vec<Budget>, Option<ShSchedule>), SweepError> {
     match *policy {
+        BudgetPolicy::PerRun { budget } if budget.max_evaluations() == Some(0) => {
+            Err(SweepError::BudgetTooSmall {
+                total: 0,
+                runs,
+                needed: runs,
+            })
+        }
         BudgetPolicy::PerRun { budget } => Ok((vec![budget; runs], None)),
         BudgetPolicy::TotalEvaluations { total } => {
             if total < runs {
@@ -573,30 +582,19 @@ pub(crate) struct PlannedSweep {
     pub(crate) ladder: Vec<Rung>,
 }
 
-impl PlannedSweep {
-    /// Units an execution covers under [`SweepConfig::max_units`]
-    /// truncation.
-    pub(crate) fn active_units(&self, config: &SweepConfig) -> usize {
-        config
-            .max_units
-            .unwrap_or(self.units.len())
-            .min(self.units.len())
-    }
-
-    /// The plan prefix an execution covers: every restart of the active
-    /// units.
-    pub(crate) fn active_plans(&self, config: &SweepConfig) -> Vec<&RunPlan> {
-        let runs = self.active_units(config) * self.restarts;
-        self.plans.iter().take(runs).collect()
-    }
-}
-
 /// Plan the FULL (unit × restart) grid — budgets and checkpoint keys must
 /// not depend on where an interruption (or a shard boundary) lands.
+/// Errs before anything runs on a budget too small for the plan or an ε
+/// that is negative or not finite.
 pub(crate) fn plan_sweep(
     family: &dyn VersionFamily,
     config: &SweepConfig,
 ) -> Result<PlannedSweep, SweepError> {
+    if !(config.epsilon.is_finite() && config.epsilon >= 0.0) {
+        return Err(SweepError::InvalidEpsilon {
+            epsilon: config.epsilon,
+        });
+    }
     let labels = family.version_labels();
     let units = family.units();
     assert!(!units.is_empty(), "family has no units to sweep");
@@ -634,19 +632,8 @@ pub(crate) fn plan_sweep(
             (0..restarts).map(move |r| {
                 let seed = restart_seed(config.seed, r);
                 let budget = budgets[ui * restarts + r];
-                // A successive-halving run's base key covers the whole
-                // policy (not just the nominal rung-0 budget), so two SH
-                // configurations that happen to share a rung-0 budget
-                // never replay each other's rung records or decisions.
                 let key = if sh {
-                    fnv1a(
-                        format!(
-                            "shrun|family={name}|fp={fingerprint:016x}|unit={}|restart={r}|\
-                             seed={seed}|policy={policy_json}",
-                            unit.label
-                        )
-                        .as_bytes(),
-                    )
+                    sh_run_key(name, fingerprint, &unit.label, r, seed, policy_json)
                 } else {
                     run_key(name, fingerprint, &unit.label, r, seed, &budget)
                 };
@@ -688,20 +675,18 @@ pub(crate) struct Rung {
 impl Rung {
     /// What `plan` runs on this rung.
     fn run<'a>(&self, plan: &'a RunPlan) -> RunSpec<'a> {
-        let Some(sh) = &self.sh else {
-            return RunSpec {
-                plan,
-                rung: None,
-                key: plan.key,
-                budget: plan.budget,
-                fidelity: self.fidelity,
-            };
+        let (rung, key, budget) = match &self.sh {
+            None => (None, plan.key, plan.budget),
+            Some(sh) => {
+                let budget = Budget::Evaluations(sh.budget);
+                let key = rung_key(plan.key, sh.rung, &budget, sh.scenario_denom);
+                (Some(sh.rung), key, budget)
+            }
         };
-        let budget = Budget::Evaluations(sh.budget);
         RunSpec {
             plan,
-            rung: Some(sh.rung),
-            key: rung_key(plan.key, sh.rung, &budget, sh.scenario_denom),
+            rung,
+            key,
             budget,
             fidelity: self.fidelity,
         }
@@ -723,18 +708,25 @@ struct RunSpec<'a> {
     fidelity: Fidelity,
 }
 
-/// What the executor made of one run.
-struct RunOutcome {
-    /// The calibration result, or the failure row to report.
-    result: Result<CalibrationResult, RunFailure>,
-    /// Whether the calibration was invoked now; `false` when the ledger
-    /// answered (a checkpoint, or a failure history out of retries).
-    executed: bool,
+/// One checkpointed item of work — a calibration run on one rung, or a
+/// unit's held-out evaluation — as its stage hands it to
+/// [`RunExecutor::step`].
+struct Step<'p, T> {
+    /// Keys the success record and the failure history.
+    key: u64,
+    /// The run a failure is reported against (an evaluation's winner).
+    plan: &'p RunPlan,
+    /// `"calibrate"` or `"evaluate"`.
+    stage: &'static str,
+    /// The seed a [`LedgerEvent::RunFailed`] records.
+    seed: u64,
+    /// The item's record, if an earlier execution completed it.
+    checkpoint: Option<T>,
 }
 
-/// The single place a sweep invokes a family's calibration, on behalf of
-/// [`climb`], so a shard's or a rung's records are bit-for-bit what any
-/// other execution would have written.
+/// The single place a sweep invokes a family's calibration or held-out
+/// evaluation, so a shard's, a rung's or a unit's records are bit-for-bit
+/// what any other execution would have written.
 pub(crate) struct RunExecutor<'a> {
     family: &'a dyn VersionFamily,
     labels: &'a [String],
@@ -742,9 +734,11 @@ pub(crate) struct RunExecutor<'a> {
     pub(crate) ledger: Option<&'a Ledger>,
     /// Run and rung checkpoints, by their record keys.
     runs: HashMap<u64, RunRecord>,
-    pub(crate) unit_checkpoints: HashMap<u64, UnitRecord>,
-    pub(crate) failure_history: HashMap<u64, FailureHistory>,
-    pub(crate) max_attempts: usize,
+    unit_checkpoints: HashMap<u64, UnitRecord>,
+    failure_history: HashMap<u64, FailureHistory>,
+    max_attempts: usize,
+    /// Steps whose work ran in this execution, not answered by the ledger.
+    executed: AtomicUsize,
 }
 
 impl<'a> RunExecutor<'a> {
@@ -765,12 +759,18 @@ impl<'a> RunExecutor<'a> {
             unit_checkpoints,
             failure_history: ledger.map(|l| l.failure_history()).unwrap_or_default(),
             max_attempts: 1 + config.max_fault_retries,
+            executed: AtomicUsize::new(0),
         }
     }
 
     /// Failed attempts recorded against `key` in earlier executions.
-    pub(crate) fn attempts_of(&self, key: u64) -> usize {
+    fn attempts_of(&self, key: u64) -> usize {
         self.failure_history.get(&key).map_or(0, |h| h.attempts)
+    }
+
+    /// Steps whose work ran so far in this execution.
+    pub(crate) fn executed(&self) -> usize {
+        self.executed.load(Ordering::Relaxed)
     }
 
     /// The ledger checkpoint of `run`, if it completed in an earlier
@@ -779,7 +779,7 @@ impl<'a> RunExecutor<'a> {
         self.runs.get(&run.key)
     }
 
-    /// How many of `plans` [`RunExecutor::execute`] would calibrate on
+    /// How many of `plans` [`RunExecutor::calibrate`] would calibrate on
     /// `rung`: no checkpoint, and recorded failures within the retry
     /// allowance.
     pub(crate) fn pending(&self, rung: &Rung, plans: &[&RunPlan]) -> usize {
@@ -793,7 +793,7 @@ impl<'a> RunExecutor<'a> {
     }
 
     /// The failure row of `plan`'s run.
-    pub(crate) fn failure_row(
+    fn failure_row(
         &self,
         plan: &RunPlan,
         stage: &str,
@@ -812,99 +812,122 @@ impl<'a> RunExecutor<'a> {
         }
     }
 
-    /// The row of a run's most recent recorded failure, if any.
-    fn recorded_failure(&self, run: &RunSpec) -> Option<RunFailure> {
-        let h = self.failure_history.get(&run.key)?;
-        let mut row = self.failure_row(run.plan, &h.stage, h.attempts, h.last_reason.clone());
+    /// The row of the most recent failure recorded against `key`, if any,
+    /// reported against `plan`.
+    fn recorded_failure(&self, key: u64, plan: &RunPlan) -> Option<RunFailure> {
+        let h = self.failure_history.get(&key)?;
+        let mut row = self.failure_row(plan, &h.stage, h.attempts, h.last_reason.clone());
         row.retriable = false;
         Some(row)
     }
 
-    /// Serve `run` from its checkpoint, report it from the ledger when
-    /// its retries are exhausted, or execute it under the fault guard —
-    /// inside a `run` span under `parent` — appending its checkpoint (or
-    /// failure) to the ledger.
-    fn execute(&self, run: &RunSpec, parent: Option<obs::SpanId>) -> RunOutcome {
-        if let Some(record) = self.checkpoint(run) {
-            return RunOutcome {
-                result: Ok(record.result.clone()),
-                executed: false,
-            };
+    /// The one checkpointed step both stages take: serve the checkpoint;
+    /// else, once retries are exhausted, report the failure history; else
+    /// run `work` under the fault guard and append what `record` makes of
+    /// its result, or — when it panicked or returned `Err` (a non-finite
+    /// result) — a [`LedgerEvent::RunFailed`] and the failure row.
+    fn step<T>(
+        &self,
+        step: Step<T>,
+        work: impl FnOnce() -> Result<T, String>,
+        record: impl FnOnce(&T) -> Option<LedgerEvent>,
+    ) -> Result<T, RunFailure> {
+        if let Some(done) = step.checkpoint {
+            return Ok(done);
         }
-        // Across executions a keyed run is attempted at most
+        // Across executions a keyed item is attempted at most
         // `max_attempts` times; after that it is reported from the
         // ledger's history, never re-run.
-        let prior = self.attempts_of(run.key);
+        let prior = self.attempts_of(step.key);
         if prior >= self.max_attempts {
-            return RunOutcome {
-                result: Err(self
-                    .recorded_failure(run)
-                    .expect("exhausted retries imply a failure history")),
-                executed: false,
-            };
+            return Err(self
+                .recorded_failure(step.key, step.plan)
+                .expect("exhausted retries imply a failure history"));
         }
-        let plan = run.plan;
-        let unit = &self.units[plan.unit_idx];
-        let attrs = if obs::enabled() {
-            vec![
-                ("unit", unit.label.clone()),
-                ("restart", plan.restart.to_string()),
-            ]
-        } else {
-            Vec::new()
-        };
-        let _span = obs::SpanGuard::enter_under("run", parent, attrs);
-        // The guard isolates a panicking simulator version: its runs
-        // become RunFailed events and the sweep degrades instead of
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        // The guard isolates a panicking simulator version: its work
+        // becomes a RunFailed event and the sweep degrades instead of
         // unwinding. (Individual evaluation panics are already
         // quarantined inside simcal; what reaches here is a version whose
         // calibration found no usable incumbent at all, or a family whose
-        // calibrate itself crashed.)
-        let outcome = simcal::fault::guard(|| {
-            self.family
-                .calibrate_at(unit, run.budget, plan.seed, &run.fidelity)
-        });
-        let result = match outcome {
-            Ok(result) if result.loss.is_finite() => {
-                let record = RunRecord {
-                    key: run.key,
-                    unit: unit.label.clone(),
-                    restart: plan.restart,
-                    seed: plan.seed,
-                    result: result.clone(),
-                };
-                self.append(match run.rung {
-                    None => LedgerEvent::RunCompleted { record },
-                    Some(rung) => LedgerEvent::RungCompleted {
-                        base: plan.key,
-                        rung,
-                        record,
-                    },
-                });
-                Ok(result)
+        // calibrate or evaluate itself crashed.)
+        match simcal::fault::guard(work).flatten() {
+            Ok(done) => {
+                if let Some(event) = record(&done) {
+                    self.append(event);
+                }
+                Ok(done)
             }
-            outcome => {
-                let reason = match outcome {
-                    Ok(result) => format!("calibration returned non-finite loss {}", result.loss),
-                    Err(message) => message,
-                };
+            Err(reason) => {
                 let attempt = prior + 1;
                 self.append(LedgerEvent::RunFailed {
-                    key: run.key,
-                    unit: unit.label.clone(),
-                    restart: plan.restart,
-                    seed: plan.seed,
+                    key: step.key,
+                    unit: self.units[step.plan.unit_idx].label.clone(),
+                    restart: step.plan.restart,
+                    seed: step.seed,
                     attempt,
-                    stage: "calibrate".into(),
+                    stage: step.stage.into(),
                     reason: reason.clone(),
                 });
-                Err(self.failure_row(plan, "calibrate", attempt, reason))
+                Err(self.failure_row(step.plan, step.stage, attempt, reason))
+            }
+        }
+    }
+
+    /// Calibrate `run` as one [`RunExecutor::step`]. A calibration that
+    /// executes does so inside a `run` span under `parent` and
+    /// checkpoints as a [`LedgerEvent::RunCompleted`], or on a
+    /// successive-halving rung as a [`LedgerEvent::RungCompleted`].
+    fn calibrate(
+        &self,
+        run: &RunSpec,
+        parent: Option<obs::SpanId>,
+    ) -> Result<CalibrationResult, RunFailure> {
+        let plan = run.plan;
+        let unit = &self.units[plan.unit_idx];
+        let step = Step {
+            key: run.key,
+            plan,
+            stage: "calibrate",
+            seed: plan.seed,
+            checkpoint: self.checkpoint(run).map(|record| record.result.clone()),
+        };
+        let work = || {
+            let attrs = if obs::enabled() {
+                vec![
+                    ("unit", unit.label.clone()),
+                    ("restart", plan.restart.to_string()),
+                ]
+            } else {
+                Vec::new()
+            };
+            let _span = obs::SpanGuard::enter_under("run", parent, attrs);
+            let result = self
+                .family
+                .calibrate_at(unit, run.budget, plan.seed, &run.fidelity);
+            match result.loss {
+                loss if loss.is_finite() => Ok(result),
+                loss => Err(format!("calibration returned non-finite loss {loss}")),
             }
         };
-        RunOutcome {
-            result,
-            executed: true,
-        }
+        let record = |result: &CalibrationResult| {
+            let record = RunRecord {
+                key: run.key,
+                unit: unit.label.clone(),
+                restart: plan.restart,
+                seed: plan.seed,
+                result: result.clone(),
+            };
+            Some(match run.rung {
+                None => LedgerEvent::RunCompleted { record },
+                Some(rung) => LedgerEvent::RungCompleted {
+                    base: plan.key,
+                    rung,
+                    record,
+                },
+            })
+        };
+        self.step(step, work, record)
     }
 
     /// Append `event` to the ledger, if there is one.
@@ -922,8 +945,6 @@ pub(crate) struct Climb {
     /// version still gets outcomes for the Pareto reduction), or the
     /// failure of a run that produced no result on any rung.
     pub(crate) runs: Vec<Result<(usize, CalibrationResult), RunFailure>>,
-    /// Calibrations actually invoked now (not replayed).
-    pub(crate) executed: usize,
     /// What happened on each successive-halving rung (none on a
     /// fixed-budget sweep's one rung).
     pub(crate) rungs: Vec<ShRungReport>,
@@ -952,7 +973,6 @@ pub(crate) fn climb(
     let mut last_failure: Vec<Option<RunFailure>> = vec![None; plans.len()];
     let mut active: Vec<usize> = (0..plans.len()).collect();
     let mut rung_reports: Vec<ShRungReport> = Vec::new();
-    let mut executed = 0usize;
 
     for (r, rung) in ladder.iter().enumerate() {
         let entering = active.clone();
@@ -971,38 +991,30 @@ pub(crate) fn climb(
                 .iter()
                 .all(|&i| decisions.contains_key(&(plans[i].key, r)));
 
-        // `None`: not executed — the rung's decision is sealed in the
-        // ledger and this run was eliminated without leaving a rung
-        // record, i.e. its rung calibration failed in the recorded
-        // execution. Re-running could not change the sealed decision, so
-        // the replay skips it.
-        let outcomes: Vec<Option<RunOutcome>> = entering
+        // A run the sealed decision eliminated without a rung record — its
+        // rung calibration failed in the recorded execution — is not
+        // executed: re-running could not change the decision, so the
+        // replay reports its recorded failure, if any.
+        let outcomes: Vec<Result<CalibrationResult, Option<RunFailure>>> = entering
             .par_iter()
             .map(|&i| {
                 let run = rung.run(plans[i]);
                 let eliminated = sealed && decisions.get(&(run.plan.key, r)) == Some(&false);
                 if eliminated && exec.checkpoint(&run).is_none() {
-                    return None;
+                    return Err(exec.recorded_failure(run.key, run.plan));
                 }
-                Some(exec.execute(&run, parent))
+                exec.calibrate(&run, parent).map_err(Some)
             })
             .collect();
 
         let mut succeeded: Vec<usize> = Vec::new();
         for (&i, outcome) in entering.iter().zip(outcomes) {
-            let Some(outcome) = outcome else {
-                if let Some(failure) = exec.recorded_failure(&rung.run(plans[i])) {
-                    last_failure[i] = Some(failure);
-                }
-                continue;
-            };
-            executed += usize::from(outcome.executed);
-            match outcome.result {
+            match outcome {
                 Ok(result) => {
                     highest[i] = Some((r, result));
                     succeeded.push(i);
                 }
-                Err(failure) => last_failure[i] = Some(failure),
+                Err(failure) => last_failure[i] = failure.or(last_failure[i].take()),
             }
         }
 
@@ -1064,19 +1076,8 @@ pub(crate) fn climb(
         .collect();
     Climb {
         runs,
-        executed,
         rungs: rung_reports,
     }
-}
-
-/// What happened to one unit's winner selection + held-out evaluation.
-enum UnitStatus {
-    Done(Box<UnitOutcome>),
-    /// The evaluation itself failed (its runs were fine).
-    Failed(RunFailure),
-    /// Every calibration run of the unit failed; those failures are
-    /// already reported individually, so the unit adds nothing.
-    Skipped,
 }
 
 /// Execute (or resume) a sweep of `family` under `config`.
@@ -1141,7 +1142,6 @@ pub fn try_run_sweep(
     } = &planned;
     let (fingerprint, restarts) = (*fingerprint, *restarts);
 
-    let active_units = planned.active_units(config);
     let exec = RunExecutor::new(family, &planned, config, ledger);
 
     // Phase 1: calibration runs climb the ladder, each rung fanned onto
@@ -1151,8 +1151,8 @@ pub fn try_run_sweep(
     // rung has a checkpoint or its recorded failed attempts already
     // exhausted the retry allowance (later rungs depend on decisions, so a
     // count on the first rung is the honest summary).
-    let active_plans = planned.active_plans(config);
-    let pending_count = exec.pending(&ladder[0], &active_plans);
+    let plans: Vec<&RunPlan> = plans.iter().collect();
+    let pending_count = exec.pending(&ladder[0], &plans);
     exec.append(LedgerEvent::SweepStarted {
         family: name.clone(),
         fingerprint,
@@ -1163,7 +1163,7 @@ pub fn try_run_sweep(
     });
     drop(plan_span);
     let calibrate_span = obs::span!("calibrate", pending = pending_count);
-    let climbed = climb(&exec, ladder, &active_plans, calibrate_span.id());
+    let climbed = climb(&exec, ladder, &plans, calibrate_span.id());
     let sh_report = schedule.as_ref().map(|s| ShReport {
         eta: s.eta,
         total: s.total,
@@ -1171,9 +1171,9 @@ pub fn try_run_sweep(
         planned_evaluations: s.total_evaluations(),
         rungs: climbed.rungs,
     });
-    // Per active run, in plan order: the rung its result comes from with
-    // the result, or its failure row (reported in plan order, regardless
-    // of which pool worker observed it).
+    // Per run, in plan order: the rung its result comes from with the
+    // result, or its failure row (reported in plan order, regardless of
+    // which pool worker observed it).
     let runs = climbed.runs;
     let mut failures: Vec<RunFailure> = runs
         .iter()
@@ -1183,11 +1183,12 @@ pub fn try_run_sweep(
 
     // Phase 2: per-unit winner selection + held-out evaluation, also in
     // parallel (each evaluation simulates the full test set once).
-    let eval_inputs: Vec<(usize, &SweepUnit)> =
-        units.iter().enumerate().take(active_units).collect();
+    let eval_inputs: Vec<(usize, &SweepUnit)> = units.iter().enumerate().collect();
     let evaluate_span = obs::span!("evaluate", units = eval_inputs.len());
     let evaluate_id = evaluate_span.id();
-    let unit_statuses: Vec<UnitStatus> = eval_inputs
+    // `None`: every calibration run of the unit failed; those failures
+    // are already reported individually, so the unit adds nothing.
+    let unit_results: Vec<Option<Result<UnitOutcome, RunFailure>>> = eval_inputs
         .par_iter()
         .map(|&(ui, unit)| {
             let attrs = if obs::enabled() {
@@ -1201,30 +1202,21 @@ pub fn try_run_sweep(
             // successive halving only restarts that reached the unit's
             // highest rung compete — a loss computed on a small scenario
             // subset is not comparable to a later rung's fuller loss.
-            let per_restart: Vec<(usize, usize, CalibrationResult)> = (0..restarts)
-                .filter_map(|r| {
-                    let (rung, result) = runs[ui * restarts + r].as_ref().ok()?;
-                    Some((r, *rung, result.clone()))
-                })
+            let survived: Vec<(usize, &(usize, CalibrationResult))> = (0..restarts)
+                .filter_map(|r| Some((r, runs[ui * restarts + r].as_ref().ok()?)))
                 .collect();
-            if per_restart.is_empty() {
-                return UnitStatus::Skipped;
-            }
-            let top_rung = per_restart.iter().map(|&(_, g, _)| g).max().unwrap_or(0);
-            let candidates: Vec<&(usize, usize, CalibrationResult)> = per_restart
+            let top_rung = survived.iter().map(|(_, (g, _))| *g).max()?;
+            let (restart_of, candidates): (Vec<usize>, Vec<CalibrationResult>) = survived
                 .iter()
-                .filter(|&&(_, g, _)| g == top_rung)
-                .collect();
-            let survivors: Vec<CalibrationResult> =
-                candidates.iter().map(|&(_, _, r)| r.clone()).collect();
-            let winner = pick_best(&survivors);
-            let best_restart = candidates[winner].0;
-            // Evaluate-stage failures are reported against the winning run.
-            let winner_plan = &plans[ui * restarts + best_restart];
-            let best = survivors[winner].clone();
-            let degraded = per_restart.len() < restarts;
+                .filter(|(_, (g, _))| *g == top_rung)
+                .map(|(r, (_, result))| (*r, result.clone()))
+                .unzip();
+            let winner = pick_best(&candidates);
+            let best_restart = restart_of[winner];
+            let best = candidates[winner].clone();
+            let degraded = survived.len() < restarts;
 
-            let ukey = unit_key(
+            let key = unit_key(
                 name,
                 fingerprint,
                 &unit.label,
@@ -1232,93 +1224,62 @@ pub fn try_run_sweep(
                 config.seed,
                 policy_json,
             );
-            if let Some(rec) = exec.unit_checkpoints.get(&ukey) {
-                return UnitStatus::Done(Box::new(UnitOutcome {
-                    label: unit.label.clone(),
-                    version: unit.version,
-                    best_restart: rec.best_restart,
-                    best,
-                    samples: rec.samples.clone(),
-                    work_units: rec.work_units,
-                    wall_secs: rec.wall_secs,
-                    cached: true,
-                }));
-            }
-            let prior_attempts = exec.attempts_of(ukey);
-            if prior_attempts >= exec.max_attempts {
-                let h = &exec.failure_history[&ukey];
-                return UnitStatus::Failed(exec.failure_row(
-                    winner_plan,
-                    &h.stage,
-                    h.attempts,
-                    h.last_reason.clone(),
-                ));
-            }
-            let t0 = Instant::now();
-            let eval = match simcal::fault::guard(|| family.evaluate(unit, &best.calibration)) {
-                Ok(eval) if eval.samples.iter().all(|s| s.is_finite()) => eval,
-                outcome => {
-                    let reason = match outcome {
-                        Ok(_) => "held-out evaluation produced non-finite samples".to_string(),
-                        Err(message) => message,
-                    };
-                    let attempt = prior_attempts + 1;
-                    exec.append(LedgerEvent::RunFailed {
-                        key: ukey,
-                        unit: unit.label.clone(),
-                        restart: best_restart,
-                        seed: config.seed,
-                        attempt,
-                        stage: "evaluate".into(),
-                        reason: reason.clone(),
-                    });
-                    return UnitStatus::Failed(exec.failure_row(
-                        winner_plan,
-                        "evaluate",
-                        attempt,
-                        reason,
-                    ));
-                }
+            // Evaluate-stage failures are reported against the winning
+            // run, with the sweep's master seed.
+            let step = Step {
+                key,
+                plan: plans[ui * restarts + best_restart],
+                stage: "evaluate",
+                seed: config.seed,
+                checkpoint: exec.unit_checkpoints.get(&key).cloned(),
             };
-            let wall_secs = t0.elapsed().as_secs_f64();
-            let record = UnitRecord {
-                key: ukey,
-                unit: unit.label.clone(),
-                best_restart,
-                samples: eval.samples.clone(),
-                work_units: eval.work_units,
-                wall_secs,
+            let work = || {
+                let t0 = Instant::now();
+                let eval = family.evaluate(unit, &best.calibration);
+                if !eval.samples.iter().all(|s| s.is_finite()) {
+                    return Err("held-out evaluation produced non-finite samples".to_string());
+                }
+                Ok(UnitRecord {
+                    key,
+                    unit: unit.label.clone(),
+                    best_restart,
+                    samples: eval.samples,
+                    work_units: eval.work_units,
+                    wall_secs: t0.elapsed().as_secs_f64(),
+                })
             };
             // A degraded unit (some restarts failed) is not checkpointed:
             // once a resume successfully retries the failed runs, the
             // winner may change, and a stale checkpoint would pin the old
             // evaluation forever.
-            if !degraded {
-                exec.append(LedgerEvent::UnitCompleted { record });
-            }
-            UnitStatus::Done(Box::new(UnitOutcome {
+            let record = |record: &UnitRecord| {
+                (!degraded).then(|| LedgerEvent::UnitCompleted {
+                    record: record.clone(),
+                })
+            };
+            Some(exec.step(step, work, record).map(|record| UnitOutcome {
                 label: unit.label.clone(),
                 version: unit.version,
-                best_restart,
+                best_restart: record.best_restart,
                 best,
-                samples: eval.samples,
-                work_units: eval.work_units,
-                wall_secs,
-                cached: false,
+                samples: record.samples,
+                work_units: record.work_units,
+                wall_secs: record.wall_secs,
+                cached: exec.unit_checkpoints.contains_key(&key),
             }))
         })
         .collect();
     let mut unit_outcomes: Vec<UnitOutcome> = Vec::new();
-    for status in unit_statuses {
-        match status {
-            UnitStatus::Done(outcome) => unit_outcomes.push(*outcome),
-            UnitStatus::Failed(failure) => failures.push(failure),
-            UnitStatus::Skipped => {}
+    for result in unit_results.into_iter().flatten() {
+        match result {
+            Ok(outcome) => unit_outcomes.push(outcome),
+            Err(failure) => failures.push(failure),
         }
     }
     drop(evaluate_span);
 
-    // Reduce to versions; under truncation keep only fully-covered ones.
+    // Reduce to versions, keeping only those whose every unit has an
+    // outcome.
     let _reduce_span = obs::span!("reduce");
     let mut versions = Vec::new();
     for (vi, label) in labels.iter().enumerate() {
@@ -1343,14 +1304,13 @@ pub fn try_run_sweep(
         });
     }
 
-    let complete = active_units == units.len();
     // Recommend from the surviving versions; a sweep whose every version
     // failed has nobody left to recommend, and a slate whose every
     // surviving version carries a non-finite test error has nothing to
     // anchor ε-eligibility on — both degrade to a failure row instead of
     // a recommendation.
     let mut recommendation = None;
-    if complete && !versions.is_empty() {
+    if !versions.is_empty() {
         match try_recommend(
             &versions.iter().map(|v| v.label.clone()).collect::<Vec<_>>(),
             &versions.iter().map(|v| v.test_error).collect::<Vec<_>>(),
@@ -1371,20 +1331,17 @@ pub fn try_run_sweep(
     }
     let outcome = SweepOutcome {
         family: name.clone(),
-        complete,
         versions,
         failures,
         recommendation,
         sh: sh_report,
     };
-    if complete {
-        if let (Some(l), Some(rec)) = (ledger, &outcome.recommendation) {
-            log_io(l.append(&LedgerEvent::SweepCompleted {
-                family: name.clone(),
-                digest: outcome.digest(),
-                chosen: rec.chosen.clone(),
-            }));
-        }
+    if let (Some(l), Some(rec)) = (ledger, &outcome.recommendation) {
+        log_io(l.append(&LedgerEvent::SweepCompleted {
+            family: name.clone(),
+            digest: outcome.digest(),
+            chosen: rec.chosen.clone(),
+        }));
     }
     Ok(outcome)
 }
@@ -1410,6 +1367,7 @@ pub fn front_flags(versions: &[VersionOutcome]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcal::prelude::Calibration;
 
     #[test]
     fn total_budget_divides_fairly_with_remainder_to_earliest() {
@@ -1455,6 +1413,76 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("cannot cover"), "{msg}");
         assert!(msg.contains("3 evaluations"), "{msg}");
+    }
+
+    /// A family the planner must refuse before anything runs.
+    struct Unrunnable;
+
+    impl VersionFamily for Unrunnable {
+        fn name(&self) -> &str {
+            "unrunnable"
+        }
+
+        fn fingerprint(&self) -> u64 {
+            0
+        }
+
+        fn version_labels(&self) -> Vec<String> {
+            vec!["v0".into()]
+        }
+
+        fn dim(&self, _version: usize) -> usize {
+            1
+        }
+
+        fn units(&self) -> Vec<SweepUnit> {
+            (0..2)
+                .map(|slot| SweepUnit {
+                    version: 0,
+                    slot,
+                    label: format!("v0/{slot}"),
+                })
+                .collect()
+        }
+
+        fn calibrate(&self, _: &SweepUnit, _: Budget, _: u64) -> CalibrationResult {
+            unreachable!("a refused sweep calibrates nothing")
+        }
+
+        fn evaluate(&self, _: &SweepUnit, _: &Calibration) -> crate::family::UnitEval {
+            unreachable!("a refused sweep evaluates nothing")
+        }
+    }
+
+    #[test]
+    fn a_negative_or_non_finite_epsilon_is_refused_before_anything_runs() {
+        let config = |epsilon| SweepConfig {
+            epsilon,
+            ..SweepConfig::per_run(Budget::Evaluations(4), 1, 7)
+        };
+        for epsilon in [-0.1, f64::NAN, f64::INFINITY] {
+            let err = try_run_sweep(&Unrunnable, &config(epsilon), None).unwrap_err();
+            assert!(
+                matches!(err, SweepError::InvalidEpsilon { .. }),
+                "{epsilon}: {err}"
+            );
+            assert!(err.to_string().contains("epsilon"), "{err}");
+        }
+        // Zero tolerance is meaningful: only the best version is eligible.
+        assert!(plan_sweep(&Unrunnable, &config(0.0)).is_ok());
+    }
+
+    #[test]
+    fn a_zero_per_run_budget_is_refused_before_anything_runs() {
+        let config = SweepConfig::per_run(Budget::Evaluations(0), 2, 7);
+        assert_eq!(
+            try_run_sweep(&Unrunnable, &config, None).unwrap_err(),
+            SweepError::BudgetTooSmall {
+                total: 0,
+                runs: 4,
+                needed: 4
+            }
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ fn config(dir: &std::path::Path) -> SweepConfig {
         restarts: 2,
         seed: 42,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: Some(dir.to_path_buf()),
     }

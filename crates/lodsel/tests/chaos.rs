@@ -163,7 +163,6 @@ proptest! {
         let faulty = run_sweep(&ChaosFamily, &config(), Some(&Ledger::open(&faulty_path).unwrap()));
         fault::uninstall();
 
-        prop_assert!(faulty.complete);
         prop_assert!(faulty.failures.is_empty(), "a quarantined eval must not fail the run");
         prop_assert!(faulty.recommendation.is_some());
 
@@ -214,7 +213,6 @@ fn a_fully_failing_run_degrades_the_sweep_but_nothing_else() {
             let path = tmp_ledger(&format!("chaos-allfail-{i}"));
             let outcome = run_sweep(&ChaosFamily, &config(), Some(&Ledger::open(&path).unwrap()));
 
-            assert!(outcome.complete);
             assert_eq!(outcome.failures.len(), 1);
             let f = &outcome.failures[0];
             assert_eq!((f.version.as_str(), f.unit.as_str()), ("v2", "v2"));
@@ -334,7 +332,6 @@ fn sh_eliminates_a_panicking_run_and_never_promotes_it() {
                 Some(&Ledger::open(&path).unwrap()),
             );
 
-            assert!(outcome.complete);
             assert_eq!(outcome.failures.len(), 1);
             let f = &outcome.failures[0];
             assert_eq!((f.version.as_str(), f.restart), ("v2", restart));
@@ -441,7 +438,6 @@ fn sweep_survives_panicking_and_nan_versions_and_recommends_from_survivors() {
     let outcome = run_sweep(&BrokenFamily, &config(), Some(&ledger));
     drop(ledger);
 
-    assert!(outcome.complete);
     // v1 and v3: 2 restarts each, all failed at the calibrate stage.
     assert_eq!(outcome.failures.len(), 4);
     for f in &outcome.failures {
@@ -535,7 +531,6 @@ fn non_finite_evaluation_samples_fail_the_unit_at_the_evaluate_stage() {
     let outcome = run_sweep(&NanEvalFamily, &config(), Some(&ledger));
     drop(ledger);
 
-    assert!(outcome.complete);
     assert_eq!(outcome.failures.len(), 1);
     let f = &outcome.failures[0];
     assert_eq!(f.version, "v1");
@@ -552,19 +547,32 @@ fn non_finite_evaluation_samples_fail_the_unit_at_the_evaluate_stage() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Resume retries failed runs a bounded number of times: with
+/// Resume retries failed work a bounded number of times: with
 /// `max_fault_retries = 1`, the second execution retries (attempt 2) and
 /// the third reports the failure straight from the ledger without
-/// running anything — no new RunFailed events, `retriable: false`.
+/// running anything — no new RunFailed events, `retriable: false`. The
+/// bad version fails at `stage`: every calibration panics, or its runs
+/// calibrate fine and its held-out evaluation returns NaN.
 struct OneBrokenFamily {
+    stage: &'static str,
     calibrations: std::sync::atomic::AtomicUsize,
+    evaluations: std::sync::atomic::AtomicUsize,
 }
 
 impl OneBrokenFamily {
-    fn new() -> Self {
+    fn new(stage: &'static str) -> Self {
         Self {
+            stage,
             calibrations: std::sync::atomic::AtomicUsize::new(0),
+            evaluations: std::sync::atomic::AtomicUsize::new(0),
         }
+    }
+
+    /// Calibrate and evaluate calls since the last take.
+    fn take_calls(&self) -> (usize, usize) {
+        let take =
+            |n: &std::sync::atomic::AtomicUsize| n.swap(0, std::sync::atomic::Ordering::SeqCst);
+        (take(&self.calibrations), take(&self.evaluations))
     }
 }
 
@@ -598,10 +606,10 @@ impl VersionFamily for OneBrokenFamily {
     fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
         self.calibrations
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let version = unit.version;
+        let broken = unit.version == 1 && self.stage == "calibrate";
         let space = ParameterSpace::new().with("x", ParamKind::Continuous { lo: 0.0, hi: 1.0 });
         let obj = FnObjective::new(space, move |c: &Calibration| {
-            if version == 1 {
+            if broken {
                 panic!("permanently broken version");
             }
             (c.values[0] - 0.5).powi(2)
@@ -609,9 +617,12 @@ impl VersionFamily for OneBrokenFamily {
         Calibrator::bo_gp(budget, seed).calibrate(&obj)
     }
 
-    fn evaluate(&self, _unit: &SweepUnit, _calibration: &Calibration) -> UnitEval {
+    fn evaluate(&self, unit: &SweepUnit, _calibration: &Calibration) -> UnitEval {
+        self.evaluations
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let broken = unit.version == 1 && self.stage == "evaluate";
         UnitEval {
-            samples: vec![0.25],
+            samples: vec![if broken { f64::NAN } else { 0.25 }],
             work_units: 10,
         }
     }
@@ -623,68 +634,72 @@ fn resume_retries_failed_runs_then_gives_up_after_the_bound() {
     fault::uninstall();
     let mut cfg = config();
     cfg.max_fault_retries = 1;
-    let path = tmp_ledger("chaos-retry");
-    let family = OneBrokenFamily::new();
+    // Per failing stage: the bad unit's failure rows per execution, then
+    // the (calibrate, evaluate) calls each of the three executions makes.
+    let cases = [
+        // Both of the bad unit's runs fail; the good unit is evaluated
+        // once and checkpointed.
+        ("calibrate", 2, [(4, 1), (2, 0), (0, 0)]),
+        // Every run succeeds and is checkpointed; only the evaluation of
+        // the bad unit's winner fails, so only it re-runs.
+        ("evaluate", 1, [(4, 2), (0, 1), (0, 0)]),
+    ];
+    for (stage, failing, calls) in cases {
+        let path = tmp_ledger("chaos-retry");
+        let family = OneBrokenFamily::new(stage);
+        let execute = || {
+            let ledger = Ledger::open(&path).unwrap();
+            run_sweep(&family, &cfg, Some(&ledger))
+        };
 
-    // Execution 1: the good unit's 2 runs succeed, the bad unit's 2 runs
-    // fail (attempt 1, retriable).
-    let ledger = Ledger::open(&path).unwrap();
-    let first = run_sweep(&family, &cfg, Some(&ledger));
-    drop(ledger);
-    assert_eq!(
-        family
-            .calibrations
-            .swap(0, std::sync::atomic::Ordering::SeqCst),
-        4
-    );
-    assert_eq!(first.failures.len(), 2);
-    assert!(first.failures.iter().all(|f| f.attempt == 1 && f.retriable));
-    assert_eq!(run_failed_events(&path).len(), 2);
+        // Execution 1: the good unit succeeds, the bad unit's work fails
+        // (attempt 1, retriable).
+        let first = execute();
+        assert_eq!(family.take_calls(), calls[0], "{stage}");
+        assert_eq!(first.failures.len(), failing);
+        assert!(first
+            .failures
+            .iter()
+            .all(|f| f.stage == stage && f.attempt == 1 && f.retriable));
+        assert_eq!(run_failed_events(&path).len(), failing);
 
-    // Execution 2 (resume): only the failed runs re-run — attempt 2, the
-    // last allowed, so no longer retriable.
-    let ledger = Ledger::open(&path).unwrap();
-    let second = run_sweep(&family, &cfg, Some(&ledger));
-    drop(ledger);
-    assert_eq!(
-        family
-            .calibrations
-            .swap(0, std::sync::atomic::Ordering::SeqCst),
-        2,
-        "good runs must be served from checkpoints"
-    );
-    assert_eq!(second.failures.len(), 2);
-    assert!(second
-        .failures
-        .iter()
-        .all(|f| f.attempt == 2 && !f.retriable));
-    assert_eq!(run_failed_events(&path).len(), 4);
+        // Execution 2 (resume): only the failed work re-runs — attempt 2,
+        // the last allowed, so no longer retriable.
+        let second = execute();
+        assert_eq!(
+            family.take_calls(),
+            calls[1],
+            "{stage}: good work must be served from checkpoints"
+        );
+        assert_eq!(second.failures.len(), failing);
+        assert!(second
+            .failures
+            .iter()
+            .all(|f| f.stage == stage && f.attempt == 2 && !f.retriable));
+        assert_eq!(run_failed_events(&path).len(), 2 * failing);
 
-    // Execution 3: retries exhausted — nothing re-runs, the failures are
-    // reported from the ledger, and no new events are appended.
-    let ledger = Ledger::open(&path).unwrap();
-    let third = run_sweep(&family, &cfg, Some(&ledger));
-    drop(ledger);
-    assert_eq!(
-        family
-            .calibrations
-            .swap(0, std::sync::atomic::Ordering::SeqCst),
-        0,
-        "exhausted runs must not re-run"
-    );
-    assert_eq!(third.failures.len(), 2);
-    assert!(third
-        .failures
-        .iter()
-        .all(|f| f.attempt == 2 && !f.retriable));
-    assert_eq!(run_failed_events(&path).len(), 4);
+        // Execution 3: retries exhausted — nothing re-runs, the failures
+        // are reported from the ledger, and no new events are appended.
+        let third = execute();
+        assert_eq!(
+            family.take_calls(),
+            calls[2],
+            "{stage}: exhausted work must not re-run"
+        );
+        assert_eq!(third.failures.len(), failing);
+        assert!(third
+            .failures
+            .iter()
+            .all(|f| f.stage == stage && f.attempt == 2 && !f.retriable));
+        assert_eq!(run_failed_events(&path).len(), 2 * failing);
 
-    // The surviving version is still reported and recommended throughout.
-    for outcome in [&first, &second, &third] {
-        assert!(outcome.complete);
-        let labels: Vec<&str> = outcome.versions.iter().map(|v| v.label.as_str()).collect();
-        assert_eq!(labels, vec!["good"]);
-        assert_eq!(outcome.recommendation.as_ref().unwrap().chosen, "good");
+        // The surviving version is still reported and recommended
+        // throughout.
+        for outcome in [&first, &second, &third] {
+            let labels: Vec<&str> = outcome.versions.iter().map(|v| v.label.as_str()).collect();
+            assert_eq!(labels, vec!["good"]);
+            assert_eq!(outcome.recommendation.as_ref().unwrap().chosen, "good");
+        }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }

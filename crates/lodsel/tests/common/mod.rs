@@ -4,7 +4,9 @@
 //! the expected Pareto geometry is known exactly. Plus deliberately tiny
 //! instances of the four real families, each sweepable in well under a
 //! second and each with at least four training scenarios, so reduced
-//! fidelities select proper subsets.
+//! fidelities select proper subsets. And [`ledger_cuts`], the one way the
+//! resume tests interrupt a sweep: by cutting its recorded ledger, as a
+//! kill does.
 #![allow(dead_code)]
 
 use batchsim::prelude::{
@@ -20,6 +22,7 @@ use simcal::prelude::{
     Agg, Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator, ElementMix,
     FnObjective, MatrixLoss, ParamKind, ParameterSpace, StructuredLoss,
 };
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use wfsim::prelude::{dataset_for, AppKind, DatasetOptions, SimulatorVersion, WfScenario};
 
@@ -116,10 +119,31 @@ impl VersionFamily for ToyFamily {
 }
 
 /// A collision-free temp ledger path (tests run concurrently).
-pub fn tmp_ledger(tag: &str) -> std::path::PathBuf {
+pub fn tmp_ledger(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("lodsel-it-{tag}-{}-{n}.jsonl", std::process::id()))
+}
+
+/// Every way a kill can leave the recorded ledger at `full`: for each of
+/// its lines, one copy cut where the line starts and one cut halfway
+/// through it (a torn record). Returns the copies' paths, in cut order.
+pub fn ledger_cuts(full: &Path, tag: &str) -> Vec<PathBuf> {
+    let bytes = std::fs::read(full).unwrap();
+    assert!(!bytes.is_empty(), "{} recorded nothing", full.display());
+    let mut cuts = Vec::new();
+    let mut start = 0;
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        cuts.extend([start, start + line.len() / 2]);
+        start += line.len();
+    }
+    cuts.into_iter()
+        .map(|cut| {
+            let path = tmp_ledger(&format!("{tag}-cut{cut}"));
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            path
+        })
+        .collect()
 }
 
 /// Lowest- and highest-detail workflow versions on one Montage shape:

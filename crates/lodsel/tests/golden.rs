@@ -17,7 +17,6 @@ fn sweep_reproduces_the_known_pareto_geometry() {
     let family = ToyFamily::new(false);
     let outcome = run_sweep(&family, &config(), None);
 
-    assert!(outcome.complete);
     assert_eq!(outcome.versions.len(), 4);
     for (v, (&err, &work)) in outcome
         .versions

@@ -1,11 +1,12 @@
 //! Successive-halving properties: the pinned golden digest of an SH
-//! sweep, kill-and-resume-mid-rung bit-for-bit equality, the
-//! fewer-evaluations-same-recommendation contract the ablation relies
-//! on, and subset-loss unbiasedness on the real workflow objective.
+//! sweep, bit-for-bit equality after a resume from any cut of the
+//! recorded ledger, the fewer-evaluations-same-recommendation contract
+//! the ablation relies on, and subset-loss unbiasedness on the real
+//! workflow objective.
 
 mod common;
 
-use common::{tmp_ledger, ToyFamily};
+use common::{ledger_cuts, tmp_ledger, ToyFamily};
 use lodsel::prelude::*;
 use proptest::prelude::*;
 use simcal::prelude::{Agg, ElementMix, Objective, StructuredLoss};
@@ -27,7 +28,6 @@ fn sh_config() -> SweepConfig {
         restarts: 2,
         seed: 42,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     }
@@ -108,28 +108,19 @@ fn kill_and_resume_mid_rung_equals_fresh_at_every_prefix() {
     let fresh_family = ToyFamily::new(true);
     let fresh = run_sweep(&fresh_family, &sh_config(), None);
 
-    // One complete recorded execution to slice prefixes from.
+    // One complete recorded execution to cut.
     let recorded = tmp_ledger("halving-recorded");
     {
         let ledger = Ledger::open(&recorded).unwrap();
         run_sweep(&ToyFamily::new(true), &sh_config(), Some(&ledger));
     }
-    let text = std::fs::read_to_string(&recorded).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    let _ = std::fs::remove_file(&recorded);
 
-    // Cut the ledger after every prefix — inside rung records, between a
-    // rung's records and its decisions, halfway through a decision set —
-    // and resume. Sealed decisions must replay, unsealed rungs must
-    // re-rank to the identical field, and the digest must never move.
-    for cut in (0..=lines.len()).step_by(2) {
-        let path = tmp_ledger("halving-resume");
-        let mut prefix: String = lines[..cut].join("\n");
-        if cut > 0 {
-            prefix.push('\n');
-        }
-        std::fs::write(&path, prefix).unwrap();
-
+    // Cut the ledger at every record and halfway through each — inside
+    // rung records, between a rung's records and its decisions, halfway
+    // through a decision set — and resume. Sealed decisions must replay,
+    // unsealed rungs must re-rank to the identical field, and the digest
+    // must never move.
+    for path in ledger_cuts(&recorded, "halving-resume") {
         let resumed_family = ToyFamily::new(true);
         let ledger = Ledger::open(&path).unwrap();
         let resumed = run_sweep(&resumed_family, &sh_config(), Some(&ledger));
@@ -137,7 +128,8 @@ fn kill_and_resume_mid_rung_equals_fresh_at_every_prefix() {
         assert_eq!(
             resumed.digest(),
             fresh.digest(),
-            "resume from a {cut}-line prefix diverged"
+            "resume from {} diverged",
+            path.display()
         );
         assert_eq!(resumed.recommendation, fresh.recommendation);
         assert!(
@@ -153,6 +145,7 @@ fn kill_and_resume_mid_rung_equals_fresh_at_every_prefix() {
         assert_eq!(third.digest(), fresh.digest());
         let _ = std::fs::remove_file(&path);
     }
+    let _ = std::fs::remove_file(&recorded);
 }
 
 #[test]

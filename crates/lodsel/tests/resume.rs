@@ -1,15 +1,16 @@
-//! The resumability contract, as a property: kill a sweep after any k of
-//! its units, resume it against the same ledger, and the resumed outcome
-//! is bit-for-bit equal to an uninterrupted sweep — with no calibration
-//! budget consumed twice.
+//! The resumability contract: kill a sweep at any point — between two
+//! ledger records or halfway through one — resume it against the same
+//! ledger, and the resumed outcome is bit-for-bit equal to an
+//! uninterrupted sweep, with no calibration budget consumed twice. A kill
+//! is modelled as what it leaves on disk: every cut of a recorded ledger
+//! ([`common::ledger_cuts`]).
 
 mod common;
 
-use common::{tmp_ledger, ToyFamily};
+use common::{ledger_cuts, tmp_ledger, ToyFamily};
 use lodsel::prelude::*;
-use proptest::prelude::*;
 
-fn config(restarts: usize, max_units: Option<usize>) -> SweepConfig {
+fn config(restarts: usize) -> SweepConfig {
     SweepConfig {
         // An uneven shared budget, so fair division hands different runs
         // different budgets — resume must reassign them identically.
@@ -17,59 +18,67 @@ fn config(restarts: usize, max_units: Option<usize>) -> SweepConfig {
         restarts,
         seed: 42,
         epsilon: 0.1,
-        max_units,
         max_fault_retries: 2,
         cache: None,
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// Calibration runs a ledger file holds checkpoints for.
+fn runs_completed(path: &std::path::Path) -> usize {
+    Ledger::read(path)
+        .unwrap()
+        .iter()
+        .filter(|e| matches!(e, LedgerEvent::RunCompleted { .. }))
+        .count()
+}
 
-    /// Interrupt after k units, resume, and compare against fresh.
-    #[test]
-    fn resume_equals_fresh_bit_for_bit(k in 0usize..=4, restarts in 1usize..=3) {
+/// Resume from every cut of a recorded ledger and compare against fresh.
+#[test]
+fn resume_equals_fresh_bit_for_bit() {
+    for restarts in 1..=3 {
         // The evaluation depends on the winning calibration, so any drift
         // in replayed results or winner selection would change the digest.
         let fresh_family = ToyFamily::new(true);
-        let fresh = run_sweep(&fresh_family, &config(restarts, None), None);
+        let fresh = run_sweep(&fresh_family, &config(restarts), None);
 
-        let path = tmp_ledger("resume");
-        let interrupted_family = ToyFamily::new(true);
-        let ledger = Ledger::open(&path).unwrap();
-        let interrupted =
-            run_sweep(&interrupted_family, &config(restarts, Some(k)), Some(&ledger));
-        prop_assert_eq!(interrupted.complete, k == 4);
-        prop_assert_eq!(interrupted.recommendation.is_some(), k == 4);
-        prop_assert_eq!(interrupted.versions.len(), k);
-        prop_assert_eq!(interrupted_family.calibration_runs(), k * restarts);
-        drop(ledger);
-
-        let resumed_family = ToyFamily::new(true);
-        let reopened = Ledger::open(&path).unwrap();
-        let resumed = run_sweep(&resumed_family, &config(restarts, None), Some(&reopened));
-        drop(reopened);
-
-        // Bit-for-bit: digest covers winners, calibrations, losses,
-        // samples, work, and the recommendation.
-        prop_assert_eq!(resumed.digest(), fresh.digest());
-        prop_assert_eq!(resumed.recommendation, fresh.recommendation);
-
-        // No budget re-consumption: interrupted + resumed calibrations
-        // together equal one fresh sweep's.
-        prop_assert_eq!(
-            interrupted_family.calibration_runs() + resumed_family.calibration_runs(),
-            fresh_family.calibration_runs()
+        let recorded = tmp_ledger("resume-recorded");
+        run_sweep(
+            &ToyFamily::new(true),
+            &config(restarts),
+            Some(&Ledger::open(&recorded).unwrap()),
         );
+        for cut in ledger_cuts(&recorded, "resume") {
+            let interrupted_runs = runs_completed(&cut);
+            let resumed_family = ToyFamily::new(true);
+            let reopened = Ledger::open(&cut).unwrap();
+            let resumed = run_sweep(&resumed_family, &config(restarts), Some(&reopened));
+            drop(reopened);
 
-        // A second resume finds everything checkpointed and runs nothing.
-        let idle_family = ToyFamily::new(true);
-        let again = Ledger::open(&path).unwrap();
-        let third = run_sweep(&idle_family, &config(restarts, None), Some(&again));
-        prop_assert_eq!(idle_family.calibration_runs(), 0);
-        prop_assert_eq!(third.digest(), fresh.digest());
+            // Bit-for-bit: digest covers winners, calibrations, losses,
+            // samples, work, and the recommendation.
+            let at = format!("restarts = {restarts}, {}", cut.display());
+            assert_eq!(resumed.digest(), fresh.digest(), "{at}");
+            assert_eq!(resumed.recommendation, fresh.recommendation, "{at}");
 
-        let _ = std::fs::remove_file(&path);
+            // No budget re-consumption: the cut's checkpoints and the
+            // resumed calibrations together equal one fresh sweep's.
+            assert_eq!(
+                interrupted_runs + resumed_family.calibration_runs(),
+                fresh_family.calibration_runs(),
+                "{at}"
+            );
+
+            // A second resume finds everything checkpointed and runs
+            // nothing.
+            let idle_family = ToyFamily::new(true);
+            let again = Ledger::open(&cut).unwrap();
+            let third = run_sweep(&idle_family, &config(restarts), Some(&again));
+            assert_eq!(idle_family.calibration_runs(), 0, "{at}");
+            assert_eq!(third.digest(), fresh.digest(), "{at}");
+
+            let _ = std::fs::remove_file(&cut);
+        }
+        let _ = std::fs::remove_file(&recorded);
     }
 }
 
@@ -80,11 +89,11 @@ fn different_seed_ignores_the_ledger() {
     let path = tmp_ledger("crossseed");
     let ledger = Ledger::open(&path).unwrap();
     let family = ToyFamily::new(true);
-    run_sweep(&family, &config(2, None), Some(&ledger));
+    run_sweep(&family, &config(2), Some(&ledger));
     drop(ledger);
 
     let other_family = ToyFamily::new(true);
-    let mut other = config(2, None);
+    let mut other = config(2);
     other.seed = 43;
     let reopened = Ledger::open(&path).unwrap();
     run_sweep(&other_family, &other, Some(&reopened));

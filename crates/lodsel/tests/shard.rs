@@ -20,7 +20,6 @@ fn toy_config(seed: u64) -> SweepConfig {
         restarts: 2,
         seed,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     }

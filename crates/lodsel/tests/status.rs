@@ -15,7 +15,6 @@ fn toy_config() -> SweepConfig {
         restarts: 1,
         seed: 9,
         epsilon: 0.1,
-        max_units: None,
         max_fault_retries: 2,
         cache: None,
     }
