@@ -25,17 +25,24 @@
 //!   (summarize it later with `lodsel --trace-report PATH`).
 //!
 //! Any other flag — a sweep flag included, for every other binary — is
-//! refused with exit status 2.
+//! refused with exit status 2. Flags are read through [`lodsel::cli`],
+//! so errors and `--help` look as they do for `lodsel` and `calibd`.
 //!
 //! Output convention: result tables go to stdout, diagnostics go to
 //! stderr via [`obs::diag!`] (prefixed with the binary name), and
 //! machine-readable artifacts go to `--tsv`/`--ledger`/`--trace` files.
 
+use lodsel::cli::{usage_error, Flags};
 use lodsel::report::Table;
 use simcal::prelude::Budget;
 use std::fmt::Display;
-use std::str::FromStr;
 use std::time::Duration;
+
+const USAGE: &str = "flags: --budget-evals N | --budget-secs S | --seed S | --fast | \
+                     --tsv PATH | --cache DIR";
+const SWEEP_USAGE: &str = "flags: --budget-evals N | --budget-secs S | --seed S | --fast | \
+                           --tsv PATH | --cache DIR | --uncalibrated | --ledger PATH | \
+                           --epsilon F | --trace PATH";
 
 /// Parsed common arguments.
 #[derive(Clone, Debug)]
@@ -58,6 +65,8 @@ pub struct ExpArgs {
     pub(crate) epsilon: f64,
     /// Optional JSONL trace output path (sweep figures only).
     pub(crate) trace: Option<String>,
+    /// The flags this binary reads, printed with a usage error.
+    usage: &'static str,
 }
 
 impl ExpArgs {
@@ -87,37 +96,23 @@ impl ExpArgs {
             ledger: None,
             epsilon: 0.1,
             trace: None,
+            usage: if sweep { SWEEP_USAGE } else { USAGE },
         };
 
-        let mut args = std::env::args().skip(1);
-        while let Some(flag) = args.next() {
+        let mut flags = Flags::from_env(parsed.usage);
+        while let Some(flag) = flags.next() {
             match flag.as_str() {
-                "--budget-evals" => budget_evals = value(&flag, args.next()),
-                "--budget-secs" => budget_secs = Some(value(&flag, args.next())),
-                "--seed" => parsed.seed = value(&flag, args.next()),
+                "--budget-evals" => budget_evals = flags.value(&flag),
+                "--budget-secs" => budget_secs = Some(flags.value(&flag)),
+                "--seed" => parsed.seed = flags.value(&flag),
                 "--fast" => parsed.fast = true,
-                "--tsv" => parsed.tsv = Some(value(&flag, args.next())),
-                "--cache" => parsed.cache = Some(value(&flag, args.next())),
+                "--tsv" => parsed.tsv = Some(flags.value(&flag)),
+                "--cache" => parsed.cache = Some(flags.value(&flag)),
                 "--uncalibrated" if sweep => parsed.uncalibrated = true,
-                "--ledger" if sweep => parsed.ledger = Some(value(&flag, args.next())),
-                "--epsilon" if sweep => parsed.epsilon = value(&flag, args.next()),
-                "--trace" if sweep => parsed.trace = Some(value(&flag, args.next())),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --budget-evals N | --budget-secs S | --seed S | --fast | \
-                         --tsv PATH | --cache DIR{}",
-                        if sweep {
-                            " | --uncalibrated | --ledger PATH | --epsilon F | --trace PATH"
-                        } else {
-                            ""
-                        }
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    obs::diag!("unknown flag {other}; see --help");
-                    std::process::exit(2);
-                }
+                "--ledger" if sweep => parsed.ledger = Some(flags.value(&flag)),
+                "--epsilon" if sweep => parsed.epsilon = flags.value(&flag),
+                "--trace" if sweep => parsed.trace = Some(flags.value(&flag)),
+                other => flags.unknown(other),
             }
         }
 
@@ -131,6 +126,11 @@ impl ExpArgs {
         parsed
     }
 
+    /// A usage error: print `msg` and this binary's flags, exit 2.
+    pub fn fail(&self, msg: impl Display) -> ! {
+        usage_error(self.usage, msg)
+    }
+
     /// Write `table` to the TSV path if one was requested.
     pub fn maybe_write_tsv(&self, table: &Table) {
         if let Some(path) = &self.tsv {
@@ -141,20 +141,4 @@ impl ExpArgs {
             }
         }
     }
-}
-
-/// The value following `flag`, parsed; exits with status 2 when it is
-/// missing or does not parse.
-fn value<T: FromStr>(flag: &str, value: Option<String>) -> T
-where
-    T::Err: Display,
-{
-    let Some(text) = value else {
-        obs::diag!("missing value for {flag}");
-        std::process::exit(2);
-    };
-    text.parse().unwrap_or_else(|e| {
-        obs::diag!("invalid {flag}: {e}");
-        std::process::exit(2);
-    })
 }

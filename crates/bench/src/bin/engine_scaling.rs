@@ -16,16 +16,12 @@
 
 use dessim::Engine;
 use lodcal_bench::workloads;
+use lodsel::cli::{usage_error, Flags};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn usage() -> ! {
-    obs::diag!(
-        "usage: engine_scaling [--sizes N,N,..] [--workload clustered|backbone] \
-         [--max-seconds S] [--trace PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: engine_scaling [--sizes N,N,..] [--workload clustered|backbone] \
+                     [--max-seconds S] [--trace PATH]";
 
 /// Peak resident set size of this process so far, in kilobytes, from
 /// `/proc/self/status` (`VmHWM`). Returns 0 where unavailable.
@@ -47,26 +43,25 @@ fn main() {
     let mut max_seconds: Option<f64> = None;
     let mut trace: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match args[i].as_str() {
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
             "--sizes" => {
-                sizes = take(&mut i)
+                let list: String = flags.value(&flag);
+                sizes = list
                     .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
+                    .map(|s| {
+                        s.trim()
+                            .parse()
+                            .unwrap_or_else(|e| flags.fail(format_args!("invalid {flag}: {e}")))
+                    })
                     .collect();
             }
-            "--workload" => workload = take(&mut i),
-            "--max-seconds" => max_seconds = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--trace" => trace = Some(take(&mut i)),
-            _ => usage(),
+            "--workload" => workload = flags.value(&flag),
+            "--max-seconds" => max_seconds = Some(flags.value(&flag)),
+            "--trace" => trace = Some(flags.value(&flag)),
+            other => flags.unknown(other),
         }
-        i += 1;
     }
 
     let recorder = trace.as_ref().map(|_| {
@@ -80,7 +75,7 @@ fn main() {
         let (platform, batch) = match workload.as_str() {
             "clustered" => workloads::clustered(n),
             "backbone" => workloads::backbone(n),
-            _ => usage(),
+            other => usage_error(USAGE, format_args!("invalid --workload: {other}")),
         };
         let start = Instant::now();
         let mut engine = Engine::new(platform);

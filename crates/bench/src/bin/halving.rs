@@ -33,16 +33,13 @@ use lodcal_bench::args::ExpArgs;
 use lodsel::prelude::*;
 use simcal::prelude::Budget;
 
-fn sweep_with(family: &dyn VersionFamily, budget: BudgetPolicy, seed: u64) -> SweepOutcome {
+fn sweep_with(args: &ExpArgs, family: &dyn VersionFamily, budget: BudgetPolicy) -> SweepOutcome {
     let config = SweepConfig {
         budget,
-        restarts: 2,
-        seed,
-        epsilon: 0.1,
-        max_fault_retries: 2,
-        cache: None,
+        ..SweepConfig::per_run(args.budget, 2, args.seed)
     };
-    run_sweep(family, &config, None)
+    try_run_sweep(family, &config, None)
+        .unwrap_or_else(|e| args.fail(format_args!("cannot run sweep: {e}")))
 }
 
 fn main() {
@@ -52,10 +49,7 @@ fn main() {
     }
     let per_run = match args.budget {
         Budget::Evaluations(n) => n,
-        _ => {
-            obs::diag!("halving compares evaluation budgets; use --budget-evals");
-            std::process::exit(2);
-        }
+        _ => args.fail("halving compares evaluation budgets; use --budget-evals"),
     };
 
     let families = ["wf", "grid"]
@@ -86,18 +80,18 @@ fn main() {
         let sh_total = fixed_total / 2;
 
         let fixed = sweep_with(
+            &args,
             family,
             BudgetPolicy::TotalEvaluations { total: fixed_total },
-            args.seed,
         );
         let sh = sweep_with(
+            &args,
             family,
             BudgetPolicy::SuccessiveHalving {
                 total: sh_total,
                 eta: 4,
                 min_scenarios: 1,
             },
-            args.seed,
         );
 
         let fixed_rec = fixed.recommendation.expect("fixed sweep completes");

@@ -11,10 +11,9 @@
 //! records it, and the accuracy-versus-cost recommendation goes to stderr.
 
 use crate::args::ExpArgs;
-use lodsel::ledger::Ledger;
+use lodsel::cli::record_sweep;
 use lodsel::prelude::*;
 use simcal::prelude::Calibration;
-use std::sync::Arc;
 
 /// What one sweep figure prints beyond its family's sweep.
 pub struct SweepFigure<C: CaseStudy> {
@@ -52,37 +51,13 @@ pub fn run<C: CaseStudy>(family: &SimFamily<C>, args: &ExpArgs, figure: SweepFig
     }
 
     let config = SweepConfig {
-        budget: BudgetPolicy::PerRun {
-            budget: args.budget,
-        },
-        restarts: figure.restarts,
-        seed: args.seed,
         epsilon: args.epsilon,
-        max_fault_retries: 2,
-        cache: None,
+        ..SweepConfig::per_run(args.budget, figure.restarts, args.seed)
     };
-    // A requested-but-unusable ledger must never silently degrade to a
-    // non-resumable sweep.
-    let ledger = args.ledger.as_ref().map(|path| {
-        Ledger::open(path).unwrap_or_else(|e| {
-            obs::diag!("cannot open ledger {path}: {e}");
-            std::process::exit(2);
-        })
-    });
-    let recorder = args.trace.as_ref().map(|_| {
-        let rec = Arc::new(obs::TraceRecorder::new());
-        obs::install(rec.clone());
-        rec
-    });
-    let outcome = run_sweep(family, &config, ledger.as_ref());
-    if let (Some(path), Some(rec)) = (&args.trace, recorder) {
-        obs::uninstall();
-        // Not fatal: the results are still printed below.
-        match rec.write_jsonl(std::path::Path::new(path)) {
-            Ok(()) => obs::diag!("wrote trace {path}"),
-            Err(e) => obs::diag!("failed to write trace {path}: {e}"),
-        }
-    }
+    let outcome = record_sweep(args.ledger.as_deref(), args.trace.as_deref(), |ledger| {
+        try_run_sweep(family, &config, ledger)
+    })
+    .unwrap_or_else(|e| args.fail(format_args!("cannot run sweep: {e}")));
 
     let mut header = vec![figure.version_header];
     if figure.params_column {

@@ -9,6 +9,7 @@
 
 use calibd::client::Client;
 use calibd::proto::{JobSpec, JobState, JobStatus};
+use lodsel::cli::{usage_error, BudgetFlags, Flags};
 use std::process::exit;
 
 const USAGE: &str = "\
@@ -22,7 +23,8 @@ commands:
     --total-evals <n>        instead: one shared budget divided fairly
     --budget sh:T:E[:M]      instead: successive halving — total budget T,
                              elimination factor E, min subset size M
-                             (default 1); forces a single shard
+                             (default 1); forces a single shard, and
+                             refuses --total-evals (T is the total)
     --restarts <n>           calibration restarts per unit (default: 2)
     --seed <n>               master seed (default: 42)
     --epsilon <f>            recommendation tolerance (default: 0.1)
@@ -40,12 +42,6 @@ commands:
 global:
   --addr <host:port>         daemon address (default: 127.0.0.1:4550)
   --help                     print this help";
-
-fn die(msg: &str) -> ! {
-    obs::diag!("{msg}");
-    eprintln!("{USAGE}");
-    exit(2);
-}
 
 fn fail(msg: &str) -> ! {
     obs::diag!("{msg}");
@@ -134,97 +130,41 @@ fn main() {
         sh_eta: None,
         sh_min_scenarios: None,
     };
+    let mut budget = BudgetFlags::new(spec.budget_evals);
     let mut job: Option<u64> = None;
     let mut json = false;
     let mut watch_after_submit = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--family" => spec.family = value("--family"),
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--addr" => addr = flags.value(&flag),
+            "--family" => spec.family = flags.value(&flag),
             "--fast" => spec.fast = true,
-            "--budget-evals" => {
-                spec.budget_evals = value("--budget-evals")
-                    .parse()
-                    .unwrap_or_else(|_| die("--budget-evals must be an integer"));
-            }
-            "--total-evals" => {
-                spec.total_evals = Some(
-                    value("--total-evals")
-                        .parse()
-                        .unwrap_or_else(|_| die("--total-evals must be an integer")),
-                );
-            }
-            "--budget" => {
-                let raw = value("--budget");
-                let Some(rest) = raw.strip_prefix("sh:") else {
-                    die(&format!(
-                        "--budget spec {raw} not understood (want sh:TOTAL:ETA[:MIN])"
-                    ));
-                };
-                let parts: Vec<&str> = rest.split(':').collect();
-                if parts.len() < 2 || parts.len() > 3 {
-                    die(&format!(
-                        "--budget spec {raw} not understood (want sh:TOTAL:ETA[:MIN])"
-                    ));
-                }
-                let field = |i: usize, name: &str| -> usize {
-                    parts[i]
-                        .parse()
-                        .unwrap_or_else(|_| die(&format!("--budget {name} must be an integer")))
-                };
-                spec.total_evals = Some(field(0, "TOTAL"));
-                spec.sh_eta = Some(field(1, "ETA"));
-                spec.sh_min_scenarios = (parts.len() == 3).then(|| field(2, "MIN"));
-            }
-            "--restarts" => {
-                spec.restarts = value("--restarts")
-                    .parse()
-                    .unwrap_or_else(|_| die("--restarts must be an integer"));
-            }
-            "--seed" => {
-                spec.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed must be an integer"));
-            }
-            "--epsilon" => {
-                spec.epsilon = value("--epsilon")
-                    .parse()
-                    .unwrap_or_else(|_| die("--epsilon must be a number"));
-            }
-            "--shards" => {
-                spec.shards = value("--shards")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shards must be an integer"));
-            }
-            "--tenant" => spec.tenant = value("--tenant"),
-            "--job" => {
-                job = Some(
-                    value("--job")
-                        .parse()
-                        .unwrap_or_else(|_| die("--job must be an integer")),
-                );
-            }
+            "--restarts" => spec.restarts = flags.value(&flag),
+            "--seed" => spec.seed = flags.value(&flag),
+            "--epsilon" => spec.epsilon = flags.value(&flag),
+            "--shards" => spec.shards = flags.value(&flag),
+            "--tenant" => spec.tenant = flags.value(&flag),
+            "--job" => job = Some(flags.value(&flag)),
             "--json" => json = true,
             "--watch" => watch_after_submit = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
             other if command.is_none() && !other.starts_with('-') => {
                 command = Some(other.to_string());
             }
-            other => die(&format!("unknown option {other}")),
+            other if budget.read(other, &mut flags) => {}
+            other => flags.unknown(other),
         }
     }
+    BudgetFlags {
+        budget_evals: spec.budget_evals,
+        total_evals: spec.total_evals,
+        sh_eta: spec.sh_eta,
+        sh_min_scenarios: spec.sh_min_scenarios,
+    } = budget;
 
     let Some(command) = command else {
-        die("a command is required");
+        usage_error(USAGE, "a command is required");
     };
     let mut client = match Client::connect(&addr) {
         Ok(client) => client,
@@ -251,13 +191,13 @@ fn main() {
         },
         "watch" => {
             let Some(id) = job else {
-                die("watch requires --job");
+                usage_error(USAGE, "watch requires --job");
             };
             watch_to_completion(&mut client, id);
         }
         "cancel" => {
             let Some(id) = job else {
-                die("cancel requires --job");
+                usage_error(USAGE, "cancel requires --job");
             };
             match client.cancel(id) {
                 Ok(status) => print_status_line(&status, json),
@@ -268,6 +208,6 @@ fn main() {
             Ok(()) => println!("daemon shutting down"),
             Err(e) => fail(&format!("shutdown failed: {e}")),
         },
-        other => die(&format!("unknown command {other}")),
+        other => usage_error(USAGE, format_args!("unknown command {other}")),
     }
 }

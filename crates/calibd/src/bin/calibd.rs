@@ -8,6 +8,7 @@
 //! uninterrupted run would have produced.
 
 use calibd::daemon::{Daemon, DaemonConfig};
+use lodsel::cli::{usage_error, Flags};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -22,12 +23,6 @@ usage: calibd --data-dir <dir> [options]
   --tenant-quota <name=n>   per-tenant override (repeatable)
   --help                    print this help";
 
-fn die(msg: &str) -> ! {
-    obs::diag!("{msg}");
-    eprintln!("{USAGE}");
-    exit(2);
-}
-
 fn parse_config() -> DaemonConfig {
     let mut addr = "127.0.0.1:4550".to_string();
     let mut data_dir: Option<PathBuf> = None;
@@ -36,49 +31,28 @@ fn parse_config() -> DaemonConfig {
     let mut quota = 1_000_000usize;
     let mut tenant_quotas: Vec<(String, usize)> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--data-dir" => data_dir = Some(PathBuf::from(value("--data-dir"))),
-            "--shards" => {
-                shards = value("--shards")
-                    .parse()
-                    .unwrap_or_else(|_| die("--shards must be an integer"));
-            }
-            "--workers" => {
-                workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| die("--workers must be an integer"));
-            }
-            "--quota" => {
-                quota = value("--quota")
-                    .parse()
-                    .unwrap_or_else(|_| die("--quota must be an integer"));
-            }
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--addr" => addr = flags.value(&flag),
+            "--data-dir" => data_dir = Some(flags.value(&flag)),
+            "--shards" => shards = flags.value(&flag),
+            "--workers" => workers = flags.value(&flag),
+            "--quota" => quota = flags.value(&flag),
             "--tenant-quota" => {
-                let spec = value("--tenant-quota");
-                let Some((name, limit)) = spec.split_once('=') else {
-                    die("--tenant-quota expects name=limit");
-                };
-                let limit = limit
-                    .parse()
-                    .unwrap_or_else(|_| die("--tenant-quota limit must be an integer"));
-                tenant_quotas.push((name.to_string(), limit));
+                let spec: String = flags.value(&flag);
+                let quota = spec
+                    .split_once('=')
+                    .and_then(|(name, limit)| Some((name.to_string(), limit.parse().ok()?)));
+                tenant_quotas.push(quota.unwrap_or_else(|| {
+                    flags.fail(format_args!("invalid {flag}: want name=limit, got {spec}"))
+                }));
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
-            other => die(&format!("unknown option {other}")),
+            other => flags.unknown(other),
         }
     }
     let Some(data_dir) = data_dir else {
-        die("--data-dir is required");
+        usage_error(USAGE, "--data-dir is required");
     };
     DaemonConfig {
         addr,

@@ -57,7 +57,7 @@ use lodsel::shard::{merge_shards, run_shard, shard_path};
 use lodsel::sweep::try_run_sweep;
 use serde::{Deserialize, Serialize};
 use simcal::jsonl::JsonlLog;
-use simcal::prelude::QuotaBook;
+use simcal::prelude::{Budget, QuotaBook};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -424,11 +424,12 @@ fn replay(events: Vec<JobEvent>, quotas: &QuotaBook) -> Registry {
 fn sweep_config(spec: &JobSpec) -> SweepConfig {
     SweepConfig {
         budget: spec.budget_policy(),
-        restarts: spec.restarts,
-        seed: spec.seed,
         epsilon: spec.epsilon,
-        max_fault_retries: 2,
-        cache: None,
+        ..SweepConfig::per_run(
+            Budget::Evaluations(spec.budget_evals),
+            spec.restarts,
+            spec.seed,
+        )
     }
 }
 

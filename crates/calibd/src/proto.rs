@@ -25,9 +25,9 @@
 //! (`{"event":"counter","name":...,"value":...}`), so a subscribed
 //! client can feed them to the same tooling that reads `--trace` files.
 
+use lodsel::cli::BudgetFlags;
 use lodsel::sweep::{BudgetPolicy, ShSchedule};
 use serde::{Deserialize, Serialize, Value};
-use simcal::prelude::Budget;
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
@@ -107,21 +107,16 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The budget policy the job's sweep runs under: successive halving
-    /// when `sh_eta` comes with a total, else a fair split of
-    /// `total_evals`, else `budget_evals` per run.
+    /// The budget policy the job's sweep runs under, by the mapping the
+    /// command-line budget flags use ([`BudgetFlags::policy`]).
     pub fn budget_policy(&self) -> BudgetPolicy {
-        match (self.total_evals, self.sh_eta) {
-            (Some(total), Some(eta)) => BudgetPolicy::SuccessiveHalving {
-                total,
-                eta,
-                min_scenarios: self.sh_min_scenarios.unwrap_or(1),
-            },
-            (Some(total), None) => BudgetPolicy::TotalEvaluations { total },
-            (None, _) => BudgetPolicy::PerRun {
-                budget: Budget::Evaluations(self.budget_evals),
-            },
+        BudgetFlags {
+            budget_evals: self.budget_evals,
+            total_evals: self.total_evals,
+            sh_eta: self.sh_eta,
+            sh_min_scenarios: self.sh_min_scenarios,
         }
+        .policy()
     }
 
     /// Evaluations this job will charge against its tenant's quota: the
@@ -450,6 +445,45 @@ mod tests {
             parse_response("\"ShuttingDown\""),
             Some(Response::ShuttingDown)
         );
+    }
+
+    #[test]
+    fn job_budget_fields_map_to_the_flags_policy() {
+        let spec = |total_evals, sh_eta, sh_min_scenarios| JobSpec {
+            family: "batch".into(),
+            fast: true,
+            budget_evals: 7,
+            total_evals,
+            sh_eta,
+            sh_min_scenarios,
+            restarts: 1,
+            seed: 42,
+            epsilon: 0.1,
+            shards: 0,
+            tenant: "default".into(),
+        };
+        let per_run = BudgetPolicy::PerRun {
+            budget: simcal::prelude::Budget::Evaluations(7),
+        };
+        let sh = |min_scenarios| BudgetPolicy::SuccessiveHalving {
+            total: 24,
+            eta: 2,
+            min_scenarios,
+        };
+        let cases = [
+            (spec(None, None, None), per_run),
+            (
+                spec(Some(24), None, None),
+                BudgetPolicy::TotalEvaluations { total: 24 },
+            ),
+            (spec(Some(24), Some(2), None), sh(1)),
+            (spec(Some(24), Some(2), Some(3)), sh(3)),
+            // An ETA without a total is still a per-run job.
+            (spec(None, Some(2), None), per_run),
+        ];
+        for (job, want) in cases {
+            assert_eq!(job.budget_policy(), want, "{job:?}");
+        }
     }
 
     #[test]

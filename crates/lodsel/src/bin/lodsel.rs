@@ -14,10 +14,8 @@
 //! stderr (prefixed with the program name), machine-readable data goes
 //! to `--ledger`/`--trace` files.
 
+use lodsel::cli::{record_sweep, usage_error, BudgetFlags, Flags};
 use lodsel::prelude::*;
-use simcal::prelude::Budget;
-use std::process::exit;
-use std::sync::Arc;
 
 const USAGE: &str = "\
 usage: lodsel [options]
@@ -29,7 +27,8 @@ usage: lodsel [options]
   --budget sh:T:E[:M]      instead: successive halving — total budget T
                            split over log_E rungs, top 1/E promoted per
                            rung, scenario subsets growing to the full set
-                           (M = minimum subset size, default 1)
+                           (M = minimum subset size, default 1); T is
+                           the total, so --total-evals is refused with it
   --restarts <n>           calibration restarts per unit (default: 2)
   --seed <n>               master seed (default: 42)
   --epsilon <f>            recommendation tolerance (default: 0.1)
@@ -46,9 +45,7 @@ usage: lodsel [options]
 struct Opts {
     family: String,
     fast: bool,
-    budget_evals: usize,
-    total_evals: Option<usize>,
-    policy: Option<BudgetPolicy>,
+    budget: BudgetFlags,
     restarts: usize,
     seed: u64,
     epsilon: f64,
@@ -61,19 +58,11 @@ struct Opts {
     trace_report: Option<String>,
 }
 
-fn die(msg: &str) -> ! {
-    obs::diag!("{msg}");
-    eprintln!("{USAGE}");
-    exit(2);
-}
-
 fn parse_opts() -> Opts {
     let mut opts = Opts {
         family: "batch".into(),
         fast: false,
-        budget_evals: 60,
-        total_evals: None,
-        policy: None,
+        budget: BudgetFlags::new(60),
         restarts: 2,
         seed: 42,
         epsilon: 0.1,
@@ -85,104 +74,37 @@ fn parse_opts() -> Opts {
         trace: None,
         trace_report: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--family" => opts.family = value("--family"),
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--family" => opts.family = flags.value(&flag),
             "--fast" => opts.fast = true,
-            "--budget-evals" => {
-                opts.budget_evals = value("--budget-evals")
-                    .parse()
-                    .unwrap_or_else(|_| die("--budget-evals must be an integer"));
-            }
-            "--total-evals" => {
-                opts.total_evals = Some(
-                    value("--total-evals")
-                        .parse()
-                        .unwrap_or_else(|_| die("--total-evals must be an integer")),
-                );
-            }
-            "--budget" => {
-                let spec = value("--budget");
-                opts.policy = Some(parse_budget_spec(&spec).unwrap_or_else(|e| die(&e)));
-            }
-            "--restarts" => {
-                opts.restarts = value("--restarts")
-                    .parse()
-                    .unwrap_or_else(|_| die("--restarts must be an integer"));
-            }
-            "--seed" => {
-                opts.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("--seed must be an integer"));
-            }
-            "--epsilon" => {
-                opts.epsilon = value("--epsilon")
-                    .parse()
-                    .unwrap_or_else(|_| die("--epsilon must be a number"));
-            }
-            "--max-fault-retries" => {
-                opts.max_fault_retries = value("--max-fault-retries")
-                    .parse()
-                    .unwrap_or_else(|_| die("--max-fault-retries must be an integer"));
-            }
-            "--cache" => opts.cache = Some(value("--cache")),
-            "--ledger" => opts.ledger = Some(value("--ledger")),
+            "--restarts" => opts.restarts = flags.value(&flag),
+            "--seed" => opts.seed = flags.value(&flag),
+            "--epsilon" => opts.epsilon = flags.value(&flag),
+            "--max-fault-retries" => opts.max_fault_retries = flags.value(&flag),
+            "--cache" => opts.cache = Some(flags.value(&flag)),
+            "--ledger" => opts.ledger = Some(flags.value(&flag)),
             "--status" => opts.status = true,
             "--status-json" => opts.status_json = true,
-            "--trace" => opts.trace = Some(value("--trace")),
-            "--trace-report" => opts.trace_report = Some(value("--trace-report")),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0);
-            }
-            other => die(&format!("unknown option {other}")),
+            "--trace" => opts.trace = Some(flags.value(&flag)),
+            "--trace-report" => opts.trace_report = Some(flags.value(&flag)),
+            other if opts.budget.read(other, &mut flags) => {}
+            other => flags.unknown(other),
         }
     }
     opts
 }
 
-/// Parse a `--budget` spec. Only the `sh:TOTAL:ETA[:MIN]` form exists
-/// today (plain budgets keep their dedicated flags).
-fn parse_budget_spec(spec: &str) -> Result<BudgetPolicy, String> {
-    let rest = spec
-        .strip_prefix("sh:")
-        .ok_or_else(|| format!("--budget spec {spec} not understood (want sh:TOTAL:ETA[:MIN])"))?;
-    let parts: Vec<&str> = rest.split(':').collect();
-    if parts.len() < 2 || parts.len() > 3 {
-        return Err(format!(
-            "--budget spec {spec} not understood (want sh:TOTAL:ETA[:MIN])"
-        ));
-    }
-    let field = |i: usize, name: &str| -> Result<usize, String> {
-        parts[i]
-            .parse()
-            .map_err(|_| format!("--budget {name} must be an integer (got {})", parts[i]))
-    };
-    Ok(BudgetPolicy::SuccessiveHalving {
-        total: field(0, "TOTAL")?,
-        eta: field(1, "ETA")?,
-        min_scenarios: if parts.len() == 3 {
-            field(2, "MIN")?
-        } else {
-            1
-        },
-    })
-}
-
 fn print_status(path: &str, json: bool) {
     let events = match Ledger::read(path) {
         Ok(events) => events,
-        Err(e) => die(&format!("cannot read ledger {path}: {e}")),
+        Err(e) => usage_error(USAGE, format_args!("cannot read ledger {path}: {e}")),
     };
     let status = ledger_status(&events);
     if json {
         let line = serde_json::to_string(&status)
-            .unwrap_or_else(|e| die(&format!("cannot serialize status: {e}")));
+            .unwrap_or_else(|e| usage_error(USAGE, format_args!("cannot serialize status: {e}")));
         println!("{line}");
     } else {
         print!("{}", status.render_text(path));
@@ -191,9 +113,9 @@ fn print_status(path: &str, json: bool) {
 
 fn print_trace_report(path: &str) {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read trace {path}: {e}")));
-    let trace =
-        parse_trace(&text).unwrap_or_else(|e| die(&format!("cannot parse trace {path}: {e}")));
+        .unwrap_or_else(|e| usage_error(USAGE, format_args!("cannot read trace {path}: {e}")));
+    let trace = parse_trace(&text)
+        .unwrap_or_else(|e| usage_error(USAGE, format_args!("cannot parse trace {path}: {e}")));
     print!("{}", render_report(&trace));
 }
 
@@ -206,53 +128,31 @@ fn main() {
     if opts.status || opts.status_json {
         match &opts.ledger {
             Some(path) => print_status(path, opts.status_json),
-            None => die("--status requires --ledger"),
+            None => usage_error(USAGE, "--status requires --ledger"),
         }
         return;
     }
 
-    let family =
-        lodsel::families::paper(&opts.family, opts.fast, opts.seed).unwrap_or_else(|e| die(&e));
-    let budget = match (opts.policy, opts.total_evals) {
-        (Some(policy), _) => policy,
-        (None, Some(total)) => BudgetPolicy::TotalEvaluations { total },
-        (None, None) => BudgetPolicy::PerRun {
-            budget: Budget::Evaluations(opts.budget_evals),
-        },
-    };
+    let family = lodsel::families::paper(&opts.family, opts.fast, opts.seed)
+        .unwrap_or_else(|e| usage_error(USAGE, e));
     let config = SweepConfig {
-        budget,
+        budget: opts.budget.policy(),
         restarts: opts.restarts,
         seed: opts.seed,
         epsilon: opts.epsilon,
         max_fault_retries: opts.max_fault_retries,
         cache: opts.cache.as_ref().map(std::path::PathBuf::from),
     };
-    let ledger = opts.ledger.as_ref().map(|path| {
-        Ledger::open(path).unwrap_or_else(|e| die(&format!("cannot open ledger {path}: {e}")))
-    });
-    let recorder = opts.trace.as_ref().map(|_| {
-        let rec = Arc::new(obs::TraceRecorder::new());
-        obs::install(rec.clone());
-        rec
-    });
-
-    obs::diag!(
-        "sweeping family {} ({} units, {} restarts)",
-        family.name(),
-        family.units().len(),
-        config.restarts,
-    );
-    let outcome = try_run_sweep(family.as_ref(), &config, ledger.as_ref())
-        .unwrap_or_else(|e| die(&format!("cannot run sweep: {e}")));
-
-    if let (Some(path), Some(rec)) = (&opts.trace, &recorder) {
-        obs::uninstall();
-        match rec.write_jsonl(std::path::Path::new(path)) {
-            Ok(()) => obs::diag!("wrote trace {path}"),
-            Err(e) => obs::diag!("failed to write trace {path}: {e}"),
-        }
-    }
+    let outcome = record_sweep(opts.ledger.as_deref(), opts.trace.as_deref(), |ledger| {
+        obs::diag!(
+            "sweeping family {} ({} units, {} restarts)",
+            family.name(),
+            family.units().len(),
+            config.restarts,
+        );
+        try_run_sweep(family.as_ref(), &config, ledger)
+    })
+    .unwrap_or_else(|e| usage_error(USAGE, format_args!("cannot run sweep: {e}")));
 
     // The rung ladder first: it explains where the budget went before the
     // per-version table shows what it bought.

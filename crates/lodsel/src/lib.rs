@@ -42,10 +42,13 @@
 //! - [`report`] — plain-text table rendering (shared with the experiment
 //!   binaries);
 //! - [`trace`] — `--trace` JSONL parsing and the `--trace-report`
-//!   per-phase summary.
+//!   per-phase summary;
+//! - [`cli`] — the argv reader, budget-flag grammar and `--ledger`/`--trace`
+//!   set-up every binary of the workspace shares.
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod families;
 pub mod family;
 pub mod ledger;
