@@ -3,27 +3,37 @@
 //!
 //! ## Durability and replay
 //!
-//! Every state transition a restart must survive is appended to
-//! `data_dir/jobs.jsonl`, a [`simcal::jsonl`] log of [`JobEvent`]s. On
-//! startup the daemon replays the log: jobs with a
-//! `Submitted` event but no terminal event are re-queued in id order and
-//! resume from their ledger shards under `data_dir/job-<id>/` — every
-//! calibration run already checkpointed there is served without
-//! re-consuming any budget, so a kill at any point re-runs at most the
-//! work that was in flight, and the resumed outcome digest is
-//! bit-for-bit what an uninterrupted run would have produced.
+//! A job's logged state changes in one place: `Registry::apply`, which
+//! takes one [`JobEvent`]. A live transition is applied and then
+//! appended to `data_dir/jobs.jsonl`, a [`simcal::jsonl`] log, both under
+//! the registry lock; so a transition is reserved before it is logged,
+//! and the log's order is the apply order. On startup the daemon replays
+//! the log as a fold of the same `apply`: a job with a `Submitted` event
+//! but no terminal event comes back queued and resumes from its ledger
+//! shards under `data_dir/job-<id>/`. Every calibration run already
+//! checkpointed there is served without re-consuming any budget, so a
+//! kill at any point re-runs at most the work that was in flight, and
+//! the resumed outcome digest is bit-for-bit what an uninterrupted run
+//! would have produced. `apply` refuses to end a job that is unknown or
+//! already terminal, so the first terminal record of a job wins (only
+//! logs written before terminal records were made unique end a job
+//! twice) and no job is refunded twice. Two moves are not logged: a
+//! worker's claim (queued to running) and the pause of a running job at
+//! shutdown (running to queued). A restart reads a running job as
+//! queued.
 //!
 //! ## Quota semantics
 //!
-//! Admission charges a job's full planned evaluation count against its
-//! tenant's [`QuotaBook`] entry up front (the plan is deterministic, so
-//! the count is exact). Completion keeps the charge; failure and
-//! cancellation refund it in full. Replayed `Submitted` events re-charge
-//! (the in-memory book dies with the process), and replayed terminal
-//! events re-apply their refunds — resumed jobs are never charged twice.
-//! A job's first terminal record wins; a later one (only logs written
-//! before terminal records were made unique hold them) is ignored, so
-//! no job is refunded twice.
+//! Each tenant has a limit ([`DaemonConfig::tenant_quotas`], else
+//! [`DaemonConfig::default_quota`]) and a charge. Limits gate admission
+//! only: a submission is refused when its planned evaluation count
+//! exceeds the tenant's limit minus its charge. `apply(Submitted)`
+//! charges the full planned count (the plan is deterministic, so the
+//! count is exact) unconditionally, live and on replay: a replayed job is
+//! always re-charged, even under a limit a restart lowered below its
+//! charge, which then blocks admissions until refunds make room.
+//! Completion keeps the charge; failure and cancellation refund it in
+//! full.
 //!
 //! ## Scheduling
 //!
@@ -45,11 +55,12 @@
 //! a watcher hears that its job finished as soon as the worker records
 //! the outcome. No daemon thread wakes on a timer except a watcher's
 //! `PROGRESS_PERIOD` tick, which re-reads the job's shard ledgers for
-//! run-level progress. Nothing reads from disk under the registry lock.
+//! run-level progress. Nothing reads from disk under the registry lock;
+//! only the `jobs.jsonl` appends write there.
 
 use crate::proto::{
     check_hello, counter_event, parse_request, read_frame, write_frame, FrameError, JobSpec,
-    JobState, JobStatus, ProtoError, Request, Response, SCHEMA_NAME, SCHEMA_VERSION,
+    JobState, JobStatus, Request, Response, SCHEMA_NAME, SCHEMA_VERSION,
 };
 use lodsel::ledger::{ledger_status, Ledger, LedgerEvent, LedgerStatus};
 use lodsel::prelude::SweepConfig;
@@ -57,7 +68,7 @@ use lodsel::shard::{merge_shards, run_shard, shard_path};
 use lodsel::sweep::try_run_sweep;
 use serde::{Deserialize, Serialize};
 use simcal::jsonl::JsonlLog;
-use simcal::prelude::{Budget, QuotaBook};
+use simcal::prelude::Budget;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -210,67 +221,176 @@ struct Job {
     cancel: Arc<AtomicBool>,
 }
 
-impl Job {
-    /// A job admitted (or replayed from the job log) and not yet run.
-    fn queued(spec: JobSpec, shards: usize, planned_evals: usize) -> Job {
-        Job {
-            spec,
-            shards,
-            planned_evals,
-            state: JobState::Queued,
-            digest: None,
-            chosen: None,
-            error: None,
-            cancel: Arc::new(AtomicBool::new(false)),
-        }
-    }
+/// A transition [`Registry::apply`] refuses; the text is a client's error.
+#[derive(Debug, PartialEq)]
+struct Illegal(String);
 
-    /// Enter the terminal state `event` records, live or on replay.
-    /// Failure and cancellation refund the admission charge; `Submitted`
-    /// is not terminal and changes nothing. The first terminal record
-    /// wins: once the job is terminal every later event is ignored, so a
-    /// log that ends one job twice never refunds it twice.
-    fn finish(&mut self, event: JobEvent, quotas: &QuotaBook) {
-        if self.state.terminal() {
-            return;
-        }
-        match event {
-            JobEvent::Completed { digest, chosen, .. } => {
-                self.state = JobState::Completed;
-                self.digest = Some(digest);
-                self.chosen = chosen;
-            }
-            JobEvent::Failed { error, .. } => {
-                self.state = JobState::Failed;
-                self.error = Some(error);
-                quotas.refund(&self.spec.tenant, self.planned_evals);
-            }
-            JobEvent::Cancelled { .. } => {
-                self.state = JobState::Cancelled;
-                quotas.refund(&self.spec.tenant, self.planned_evals);
-            }
-            JobEvent::Submitted { .. } => {}
-        }
-    }
-}
-
-#[derive(Default)]
+/// Every job, the queue, the tenants' quota accounts and the job log:
+/// everything that changes under the registry lock.
 struct Registry {
     next_id: u64,
     jobs: BTreeMap<u64, Job>,
     queue: FairQueue,
+    /// Tenant limits: `limits`, else `default_quota` (module doc,
+    /// "Quota semantics").
+    default_quota: usize,
+    limits: BTreeMap<String, usize>,
+    /// Evaluations each tenant's jobs hold.
+    charged: BTreeMap<String, usize>,
+    log: JsonlLog,
 }
 
 impl Registry {
-    /// Take the next queued job for a worker and mark it `Running` in the
-    /// same critical section, so a cancel finds it either queued (and
-    /// removes it) or running (and raises its flag), never in between.
+    /// Open `jobs.jsonl` and replay it: a fold of [`Registry::apply`],
+    /// in which a refused event (a job's second terminal record, say)
+    /// changes nothing.
+    fn open(config: &DaemonConfig) -> io::Result<Registry> {
+        let (log, events) = JsonlLog::open(&config.data_dir.join("jobs.jsonl"))?;
+        let mut registry = Registry {
+            next_id: 1,
+            jobs: BTreeMap::new(),
+            queue: FairQueue::default(),
+            default_quota: config.default_quota,
+            limits: config.tenant_quotas.iter().cloned().collect(),
+            charged: BTreeMap::new(),
+            log,
+        };
+        for event in events {
+            let _ = registry.apply(event);
+        }
+        Ok(registry)
+    }
+
+    /// The one writer of a job's logged state, live and on replay.
+    /// `Submitted` inserts, charges and enqueues a new job (a repeated
+    /// record, which a retried append can leave, is refused); a terminal
+    /// event ends a queued or running job, taking it off the queue, and
+    /// `Failed` and `Cancelled` refund its charge.
+    fn apply(&mut self, event: JobEvent) -> Result<(), Illegal> {
+        let id = match event {
+            JobEvent::Submitted {
+                id,
+                spec,
+                shards,
+                planned_evals,
+            } => {
+                if self.jobs.contains_key(&id) {
+                    return Err(Illegal(format!("job {id} already exists")));
+                }
+                *self.charged.entry(spec.tenant.clone()).or_default() += planned_evals;
+                self.queue.push(&spec.tenant, id);
+                self.next_id = self.next_id.max(id + 1);
+                let job = Job {
+                    spec,
+                    shards,
+                    planned_evals,
+                    state: JobState::Queued,
+                    digest: None,
+                    chosen: None,
+                    error: None,
+                    cancel: Arc::default(),
+                };
+                self.jobs.insert(id, job);
+                return Ok(());
+            }
+            JobEvent::Completed { id, .. }
+            | JobEvent::Failed { id, .. }
+            | JobEvent::Cancelled { id } => id,
+        };
+        let job = self
+            .jobs
+            .get_mut(&id)
+            .ok_or_else(|| Illegal(format!("no such job {id}")))?;
+        if job.state.terminal() {
+            return Err(Illegal(format!("job {id} is already {:?}", job.state)));
+        }
+        if job.state == JobState::Queued {
+            self.queue.remove(id);
+        }
+        job.state = match event {
+            JobEvent::Completed { digest, chosen, .. } => {
+                job.digest = Some(digest);
+                job.chosen = chosen;
+                JobState::Completed
+            }
+            JobEvent::Failed { error, .. } => {
+                job.error = Some(error);
+                JobState::Failed
+            }
+            _ => JobState::Cancelled,
+        };
+        if job.state != JobState::Completed {
+            let charged = self.charged.get_mut(&job.spec.tenant);
+            *charged.expect("a job's tenant is charged at its submission") -= job.planned_evals;
+        }
+        Ok(())
+    }
+
+    /// Apply `event`, then append it to `jobs.jsonl`. A failed append
+    /// must not take the daemon down (only the job's durability across a
+    /// restart degrades), but it is reported, never swallowed.
+    fn record(&mut self, event: JobEvent) -> Result<(), Illegal> {
+        self.apply(event.clone())?;
+        if let Err(e) = self.log.append(&event) {
+            obs::diag!("jobs.jsonl append failed: {e}");
+        }
+        Ok(())
+    }
+
+    /// Admit a job planning `planned` evaluations, or refuse it when they
+    /// exceed what its tenant's limit leaves.
+    fn admit(&mut self, spec: JobSpec, shards: usize, planned: usize) -> Result<u64, Illegal> {
+        let tenant = &spec.tenant;
+        let limit = self
+            .limits
+            .get(tenant)
+            .copied()
+            .unwrap_or(self.default_quota);
+        let remaining = limit.saturating_sub(self.charged.get(tenant).copied().unwrap_or(0));
+        if planned > remaining {
+            return Err(Illegal(format!(
+                "tenant {tenant} quota exceeded: requested {planned} evaluations, {remaining} remaining"
+            )));
+        }
+        let id = self.next_id;
+        self.record(JobEvent::Submitted {
+            id,
+            spec,
+            shards,
+            planned_evals: planned,
+        })?;
+        Ok(id)
+    }
+
+    /// A client's cancel. A running job's worker records it at its next
+    /// shard boundary; any other job is cancelled now, or refused.
+    fn cancel(&mut self, id: u64) -> Result<(), Illegal> {
+        match self.jobs.get(&id) {
+            Some(job) if job.state == JobState::Running => {
+                job.cancel.store(true, Ordering::SeqCst);
+                Ok(())
+            }
+            _ => self.record(JobEvent::Cancelled { id }),
+        }
+    }
+
+    /// Take the next queued job for a worker and mark it `Running` (not
+    /// logged) in the same critical section, so a cancel finds it either
+    /// queued or running, never in between.
     fn claim(&mut self) -> Option<u64> {
         let id = self.queue.pop()?;
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.state = JobState::Running;
-        }
+        self.jobs.get_mut(&id)?.state = JobState::Running;
         Some(id)
+    }
+
+    /// Put a running job back in the queue (not logged): its worker
+    /// stopped at a shard boundary for shutdown. No worker claims it
+    /// again once `shutdown` is set, but a cancel can still take it.
+    fn pause(&mut self, id: u64) {
+        if let Some(job) = self.jobs.get_mut(&id) {
+            job.state = JobState::Queued;
+            self.queue.push(&job.spec.tenant, id);
+        }
     }
 }
 
@@ -281,25 +401,18 @@ struct Shared {
     /// "The registry changed" (module doc, "Scheduling").
     changed: Condvar,
     shutdown: AtomicBool,
-    quotas: QuotaBook,
-    jobs_log: Mutex<JsonlLog>,
 }
 
 impl Shared {
-    /// Append one event to `jobs.jsonl`. A failed append must not take
-    /// the daemon down (the job still runs; only its durability across a
-    /// restart degrades), but it is reported, never swallowed.
-    fn log_event(&self, event: &JobEvent) {
-        if let Err(e) = self.jobs_log.lock().expect("jobs log lock").append(event) {
-            obs::diag!("jobs.jsonl append failed: {e}");
-        }
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect("registry lock")
     }
 
     /// Ask every thread to stop. The flag is stored under the registry
     /// lock, so a worker or watcher that found it clear under the lock is
     /// already waiting when `notify_all` runs.
     fn begin_shutdown(&self) {
-        let registry = self.registry.lock().expect("registry lock");
+        let registry = self.lock();
         self.shutdown.store(true, Ordering::SeqCst);
         drop(registry);
         self.changed.notify_all();
@@ -348,12 +461,7 @@ pub struct Daemon;
 impl Daemon {
     /// Bind, replay `jobs.jsonl`, and start worker + accept threads.
     pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
-        let quotas = QuotaBook::new(config.default_quota);
-        for (tenant, limit) in &config.tenant_quotas {
-            quotas.set_limit(tenant, *limit);
-        }
-        let (jobs_log, events) = JsonlLog::open(&config.data_dir.join("jobs.jsonl"))?;
-        let registry = replay(events, &quotas);
+        let registry = Registry::open(&config)?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -362,8 +470,6 @@ impl Daemon {
             registry: Mutex::new(registry),
             changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            quotas,
-            jobs_log: Mutex::new(jobs_log),
         });
 
         let mut threads = Vec::new();
@@ -377,47 +483,6 @@ impl Daemon {
         }
         Ok(DaemonHandle { shared, threads })
     }
-}
-
-/// Rebuild the registry from the job log's events, re-applying quota
-/// charges and refunds, and re-queue every non-terminal job in id order.
-fn replay(events: Vec<JobEvent>, quotas: &QuotaBook) -> Registry {
-    let mut registry = Registry::default();
-    for event in events {
-        match event {
-            JobEvent::Submitted {
-                id,
-                spec,
-                shards,
-                planned_evals,
-            } => {
-                // Re-charge: it was admitted before; changed limits only
-                // gate future admissions.
-                let _ = quotas.charge(&spec.tenant, planned_evals);
-                registry.next_id = registry.next_id.max(id + 1);
-                registry
-                    .jobs
-                    .insert(id, Job::queued(spec, shards, planned_evals));
-            }
-            JobEvent::Completed { id, .. }
-            | JobEvent::Failed { id, .. }
-            | JobEvent::Cancelled { id } => {
-                if let Some(job) = registry.jobs.get_mut(&id) {
-                    job.finish(event, quotas);
-                }
-            }
-        }
-    }
-    let pending: Vec<(u64, String)> = registry
-        .jobs
-        .iter()
-        .filter(|(_, j)| j.state == JobState::Queued)
-        .map(|(id, j)| (*id, j.spec.tenant.clone()))
-        .collect();
-    for (id, tenant) in pending {
-        registry.queue.push(&tenant, id);
-    }
-    registry
 }
 
 /// The sweep configuration a spec maps to.
@@ -453,7 +518,7 @@ fn job_ledger_status(data_dir: &Path, id: u64, shards: usize) -> LedgerStatus {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let claimed = {
-            let mut registry = shared.registry.lock().expect("registry lock");
+            let mut registry = shared.lock();
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -470,7 +535,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 fn execute_job(shared: &Arc<Shared>, id: u64) {
     let (spec, shards, cancel) = {
-        let registry = shared.registry.lock().expect("registry lock");
+        let registry = shared.lock();
         let Some(job) = registry.jobs.get(&id) else {
             return;
         };
@@ -483,8 +548,14 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
         family = spec.family.clone(),
         shards = shards
     );
-    let failed = |error: String| finish(shared, id, JobEvent::Failed { id, error });
-    let cancelled = || finish(shared, id, JobEvent::Cancelled { id });
+    // Only the worker that claimed a job ends it while it runs, so
+    // `apply` accepts the outcome.
+    let end = |event| {
+        let _ = shared.lock().record(event);
+        shared.changed.notify_all();
+    };
+    let failed = |error: String| end(JobEvent::Failed { id, error });
+    let cancelled = || end(JobEvent::Cancelled { id });
 
     let family = match lodsel::families::paper(&spec.family, spec.fast, spec.seed) {
         Ok(f) => f,
@@ -502,16 +573,8 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             // Dying mid-job: no terminal event, so the next start
-            // re-queues the job and resumes from the shard ledgers. It
-            // goes back in the queue too, where a cancel can still take
-            // it; no worker claims anything once `shutdown` is set.
-            let mut guard = shared.registry.lock().expect("registry lock");
-            let registry = &mut *guard;
-            if let Some(job) = registry.jobs.get_mut(&id) {
-                job.state = JobState::Queued;
-                registry.queue.push(&job.spec.tenant, id);
-            }
-            return;
+            // resumes the job from the shard ledgers.
+            return shared.lock().pause(id);
         }
         if let Err(e) = run_shard(family.as_ref(), &config, s, shards, &dir) {
             return failed(e.to_string());
@@ -531,19 +594,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     };
     let digest = outcome.digest();
     let chosen = outcome.recommendation.as_ref().map(|r| r.chosen.clone());
-    finish(shared, id, JobEvent::Completed { id, digest, chosen });
-}
-
-/// Record job `id`'s terminal `event`: log it, apply it under the
-/// registry lock, then wake every waiter.
-fn finish(shared: &Shared, id: u64, event: JobEvent) {
-    shared.log_event(&event);
-    let mut registry = shared.registry.lock().expect("registry lock");
-    if let Some(job) = registry.jobs.get_mut(&id) {
-        job.finish(event, &shared.quotas);
-    }
-    drop(registry);
-    shared.changed.notify_all();
+    end(JobEvent::Completed { id, digest, chosen });
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -587,7 +638,7 @@ fn with_ledger(shared: &Shared, mut status: JobStatus) -> JobStatus {
     status
 }
 
-/// Admit or refuse a submission, under the registry lock.
+/// Validate a submission, then admit or refuse it under the registry lock.
 fn admit(shared: &Shared, spec: JobSpec) -> Response {
     let family = match lodsel::families::paper(&spec.family, spec.fast, spec.seed) {
         Ok(f) => f,
@@ -624,34 +675,21 @@ fn admit(shared: &Shared, spec: JobSpec) -> Response {
         spec.shards
     };
     let planned = spec.planned_evaluations(units);
-    if let Err(e) = shared.quotas.charge(&spec.tenant, planned) {
-        return Response::Rejected {
-            reason: e.to_string(),
-        };
+    let admitted = shared.lock().admit(spec, shards, planned);
+    match admitted {
+        Ok(id) => {
+            obs::counter(obs::Counter::JobsAccepted, 1);
+            obs::counter(obs::Counter::JobsQueued, 1);
+            shared.changed.notify_all();
+            Response::Accepted { job: id }
+        }
+        Err(Illegal(reason)) => Response::Rejected { reason },
     }
-    let mut registry = shared.registry.lock().expect("registry lock");
-    registry.next_id = registry.next_id.max(1);
-    let id = registry.next_id;
-    registry.next_id += 1;
-    shared.log_event(&JobEvent::Submitted {
-        id,
-        spec: spec.clone(),
-        shards,
-        planned_evals: planned,
-    });
-    let tenant = spec.tenant.clone();
-    registry.jobs.insert(id, Job::queued(spec, shards, planned));
-    registry.queue.push(&tenant, id);
-    drop(registry);
-    obs::counter(obs::Counter::JobsAccepted, 1);
-    obs::counter(obs::Counter::JobsQueued, 1);
-    shared.changed.notify_all();
-    Response::Accepted { job: id }
 }
 
 /// Status of one job, or of every job when `job` is `None`.
 fn handle_status(shared: &Shared, job: Option<u64>) -> Response {
-    let registry = shared.registry.lock().expect("registry lock");
+    let registry = shared.lock();
     let snapshot = match job {
         Some(id) => match registry.jobs.get(&id) {
             Some(j) => vec![job_status_of(id, j)],
@@ -677,43 +715,19 @@ fn handle_status(shared: &Shared, job: Option<u64>) -> Response {
 }
 
 fn handle_cancel(shared: &Shared, id: u64) -> Response {
-    let mut registry = shared.registry.lock().expect("registry lock");
-    let Some(job) = registry.jobs.get(&id) else {
-        return Response::Error {
-            message: format!("no such job {id}"),
-        };
-    };
-    let status = match job.state {
-        JobState::Queued => {
-            // Of two concurrent cancels, only the one that dequeued the
-            // job records it.
-            let dequeued = registry.queue.remove(id);
-            drop(registry);
-            if dequeued {
-                finish(shared, id, JobEvent::Cancelled { id });
-            }
-            let registry = shared.registry.lock().expect("registry lock");
-            job_status_of(id, &registry.jobs[&id])
-        }
-        JobState::Running => {
-            // The worker records the cancellation at its next shard
-            // boundary.
-            job.cancel.store(true, Ordering::SeqCst);
-            let status = job_status_of(id, job);
-            drop(registry);
-            status
-        }
-        state => {
-            return Response::Error {
-                message: format!("job {id} is already {state:?}"),
-            }
-        }
-    };
-    Response::Jobs {
-        jobs: vec![with_ledger(shared, status)],
+    let mut registry = shared.lock();
+    let status = registry
+        .cancel(id)
+        .map(|()| job_status_of(id, &registry.jobs[&id]));
+    drop(registry);
+    shared.changed.notify_all();
+    match status {
+        Ok(status) => Response::Jobs {
+            jobs: vec![with_ledger(shared, status)],
+        },
+        Err(Illegal(message)) => Response::Error { message },
     }
 }
-
 /// Wait on `changed` while job `id` is not terminal and the daemon is
 /// up, for at most `timeout`. The caller hands over the guard it holds,
 /// so no change can fall between its last look and the wait.
@@ -745,12 +759,7 @@ fn handle_watch(
     progress_period: Duration,
     out: &mut impl io::Write,
 ) -> io::Result<()> {
-    let exists = shared
-        .registry
-        .lock()
-        .expect("registry lock")
-        .jobs
-        .contains_key(&id);
+    let exists = shared.lock().jobs.contains_key(&id);
     if !exists {
         return write_frame(
             out,
@@ -774,7 +783,7 @@ fn handle_watch(
             );
         }
         let (state, shards, digest, chosen) = {
-            let registry = shared.registry.lock().expect("registry lock");
+            let registry = shared.lock();
             let job = &registry.jobs[&id];
             (
                 job.state,
@@ -821,8 +830,7 @@ fn handle_watch(
                 },
             );
         }
-        let registry = shared.registry.lock().expect("registry lock");
-        drop(await_change(shared, registry, id, progress_period));
+        drop(await_change(shared, shared.lock(), id, progress_period));
     }
 }
 
@@ -831,60 +839,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-
-    // The connection opens with a Hello exchange; anything else is a
-    // protocol error that closes the connection.
-    match read_frame(&mut reader) {
-        Ok(Some(line)) => match parse_request(&line) {
-            Ok(Request::Hello { schema, version }) => {
-                if let Err(e) = check_hello(&schema, version) {
-                    write_frame(
-                        &mut writer,
-                        &Response::Error {
-                            message: e.to_string(),
-                        },
-                    )?;
-                    return Ok(());
-                }
-                write_frame(
-                    &mut writer,
-                    &Response::Hello {
-                        schema: SCHEMA_NAME.into(),
-                        version: SCHEMA_VERSION,
-                    },
-                )?;
-            }
-            Ok(_) => {
-                write_frame(
-                    &mut writer,
-                    &Response::Error {
-                        message: "first frame must be Hello".into(),
-                    },
-                )?;
-                return Ok(());
-            }
-            Err(e) => {
-                write_frame(
-                    &mut writer,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                )?;
-                return Ok(());
-            }
-        },
-        Ok(None) => return Ok(()),
-        Err(e) => {
-            let _ = write_frame(
-                &mut writer,
-                &Response::Error {
-                    message: e.to_string(),
-                },
-            );
-            return Ok(());
-        }
-    }
-
+    // The connection opens with a Hello exchange: a first frame that is
+    // not an accepted Hello is answered with an `Error`, and the
+    // connection closes.
+    let mut greeted = false;
     loop {
         let line = match read_frame(&mut reader) {
             Ok(Some(line)) => line,
@@ -902,13 +860,19 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         };
         let response = match parse_request(&line) {
             Ok(Request::Hello { schema, version }) => match check_hello(&schema, version) {
-                Ok(()) => Response::Hello {
-                    schema: SCHEMA_NAME.into(),
-                    version: SCHEMA_VERSION,
-                },
+                Ok(()) => {
+                    greeted = true;
+                    Response::Hello {
+                        schema: SCHEMA_NAME.into(),
+                        version: SCHEMA_VERSION,
+                    }
+                }
                 Err(e) => Response::Error {
                     message: e.to_string(),
                 },
+            },
+            Ok(_) if !greeted => Response::Error {
+                message: "first frame must be Hello".into(),
             },
             Ok(Request::Submit { spec }) => admit(shared, spec),
             Ok(Request::Status { job }) => handle_status(shared, job),
@@ -922,16 +886,14 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 shared.begin_shutdown();
                 return Ok(());
             }
-            Err(
-                e @ (ProtoError::UnknownKind(_)
-                | ProtoError::BadJson(_)
-                | ProtoError::Invalid(_)
-                | ProtoError::BadHello(_)),
-            ) => Response::Error {
+            Err(e) => Response::Error {
                 message: e.to_string(),
             },
         };
         write_frame(&mut writer, &response)?;
+        if !greeted {
+            return Ok(());
+        }
     }
 }
 
@@ -1030,12 +992,61 @@ mod tests {
         assert_eq!(starved.planned_evaluations(4), 9);
     }
 
+    /// A data dir removed when dropped.
+    struct DataDir(PathBuf);
+
+    impl DataDir {
+        fn new(tag: &str) -> DataDir {
+            let dir = std::env::temp_dir().join(format!(
+                "calibd-unit-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            DataDir(dir)
+        }
+
+        /// An accept-only daemon's configuration, rooted here.
+        fn config(&self, default_quota: usize) -> DaemonConfig {
+            DaemonConfig {
+                workers: 0,
+                default_quota,
+                ..DaemonConfig::local(&self.0)
+            }
+        }
+
+        /// The registry a restart builds from `events` in `jobs.jsonl`.
+        fn replay(&self, events: &[JobEvent]) -> Registry {
+            let config = self.config(100);
+            let path = config.data_dir.join("jobs.jsonl");
+            let (mut log, _) = JsonlLog::open::<JobEvent>(&path).expect("log opens");
+            for event in events {
+                log.append(event).expect("log appends");
+            }
+            Registry::open(&config).expect("log replays")
+        }
+    }
+
+    impl Drop for DataDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn spec_for(tenant: &str) -> JobSpec {
+        JobSpec {
+            tenant: tenant.into(),
+            ..tiny_spec()
+        }
+    }
+
     #[test]
     fn replay_keeps_the_first_terminal_record_of_a_job() {
         // A log written before terminal records were made unique can end
         // one job twice. Job 1 was cancelled (refunded) and job 3 failed
-        // (refunded); their second records must change nothing, so the
-        // tenant is charged only for the queued job 2.
+        // (refunded); their second records must change nothing, and so
+        // must a repeated `Submitted` record of job 2, so the tenant is
+        // charged once, for the queued job 2.
         let submitted = |id| JobEvent::Submitted {
             id,
             spec: tiny_spec(),
@@ -1046,6 +1057,7 @@ mod tests {
             submitted(1),
             submitted(2),
             submitted(3),
+            submitted(2),
             JobEvent::Cancelled { id: 1 },
             JobEvent::Completed {
                 id: 1,
@@ -1058,16 +1070,235 @@ mod tests {
             },
             JobEvent::Cancelled { id: 3 },
         ];
-        let quotas = QuotaBook::new(100);
-        let registry = replay(events, &quotas);
+        let dir = DataDir::new("first-terminal");
+        let registry = dir.replay(&events);
         let states: Vec<JobState> = registry.jobs.values().map(|j| j.state).collect();
         assert_eq!(
             states,
             vec![JobState::Cancelled, JobState::Queued, JobState::Failed]
         );
         assert_eq!(registry.jobs[&1].digest, None);
-        assert_eq!(quotas.charged("t"), 10);
+        assert_eq!(registry.charged["t"], 10);
         assert_eq!(registry.queue.len(), 1);
+        assert_eq!(registry.next_id, 4);
+    }
+
+    #[test]
+    fn admission_charges_accumulate_up_to_the_limit() {
+        let dir = DataDir::new("quota-limit");
+        let mut registry = Registry::open(&dir.config(100)).expect("opens");
+        assert_eq!(registry.admit(tiny_spec(), 1, 60), Ok(1));
+        // The refusal names the tenant, the request and what remains...
+        assert_eq!(
+            registry.admit(tiny_spec(), 1, 41),
+            Err(Illegal(
+                "tenant t quota exceeded: requested 41 evaluations, 40 remaining".into()
+            ))
+        );
+        // ...and changes nothing: no job, no charge, no record.
+        assert_eq!(registry.jobs.len(), 1);
+        assert_eq!(registry.charged["t"], 60);
+        assert_eq!(registry.admit(tiny_spec(), 1, 40), Ok(2));
+        assert!(registry.admit(tiny_spec(), 1, 1).is_err());
+        let log: Vec<JobEvent> = simcal::jsonl::read(&dir.0.join("jobs.jsonl")).expect("reads");
+        assert_eq!(log.len(), 2);
+    }
+
+    #[test]
+    fn tenants_have_their_own_limits_and_charges() {
+        let dir = DataDir::new("quota-tenants");
+        let config = DaemonConfig {
+            tenant_quotas: vec![("big".into(), 1000)],
+            ..dir.config(10)
+        };
+        let mut registry = Registry::open(&config).expect("opens");
+        assert!(registry.admit(spec_for("big"), 1, 500).is_ok());
+        assert!(registry.admit(spec_for("big"), 1, 500).is_ok());
+        assert!(registry.admit(spec_for("big"), 1, 1).is_err());
+        // The default tenant is unaffected by big's limit and charge.
+        assert!(registry.admit(spec_for("small"), 1, 11).is_err());
+        assert!(registry.admit(spec_for("small"), 1, 10).is_ok());
+    }
+
+    #[test]
+    fn failure_and_cancellation_refund_once_and_completion_keeps_the_charge() {
+        let dir = DataDir::new("quota-refund");
+        let mut registry = Registry::open(&dir.config(50)).expect("opens");
+        for _ in 0..3 {
+            registry.admit(tiny_spec(), 1, 10).expect("fits");
+        }
+        let completed = JobEvent::Completed {
+            id: 1,
+            digest: "d".into(),
+            chosen: None,
+        };
+        let failed = JobEvent::Failed {
+            id: 2,
+            error: "e".into(),
+        };
+        registry.apply(completed).expect("queued job completes");
+        assert_eq!(registry.charged["t"], 30);
+        registry.apply(failed.clone()).expect("queued job fails");
+        registry
+            .apply(JobEvent::Cancelled { id: 3 })
+            .expect("cancels");
+        assert_eq!(registry.charged["t"], 10);
+        assert!(registry.queue.is_empty(), "ended jobs leave the queue");
+        // A job is never refunded twice: a second end is refused.
+        assert_eq!(
+            registry.apply(JobEvent::Cancelled { id: 2 }),
+            Err(Illegal("job 2 is already Failed".into()))
+        );
+        assert!(registry.apply(failed).is_err());
+        assert!(registry.apply(JobEvent::Cancelled { id: 1 }).is_err());
+        // Ending an unknown job is refused too.
+        assert_eq!(
+            registry.apply(JobEvent::Cancelled { id: 9 }),
+            Err(Illegal("no such job 9".into()))
+        );
+        assert_eq!(registry.charged["t"], 10);
+        assert!(registry.admit(tiny_spec(), 1, 40).is_ok());
+    }
+
+    #[test]
+    fn a_replayed_job_is_recharged_under_a_lowered_limit() {
+        let dir = DataDir::new("quota-lowered");
+        let mut registry = Registry::open(&dir.config(100)).expect("opens");
+        assert_eq!(registry.admit(tiny_spec(), 1, 80), Ok(1));
+        drop(registry);
+        let mut registry = Registry::open(&dir.config(50)).expect("replays");
+        assert_eq!(registry.charged["t"], 80);
+        assert_eq!(
+            registry.admit(tiny_spec(), 1, 1),
+            Err(Illegal(
+                "tenant t quota exceeded: requested 1 evaluations, 0 remaining".into()
+            ))
+        );
+        assert_eq!(registry.cancel(1), Ok(()));
+        assert_eq!(registry.admit(tiny_spec(), 1, 50), Ok(2));
+    }
+
+    /// Every ordering of `counts[a]` steps of each actor `a`.
+    fn interleavings(counts: &mut [usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if counts.iter().all(|&c| c == 0) {
+            out.push(prefix.clone());
+        }
+        for actor in 0..counts.len() {
+            if counts[actor] > 0 {
+                counts[actor] -= 1;
+                prefix.push(actor);
+                interleavings(counts, prefix, out);
+                prefix.pop();
+                counts[actor] += 1;
+            }
+        }
+    }
+
+    /// What a restart must rebuild from the log: each job's logged state
+    /// (a running job reads as queued), the charges and the next id.
+    fn durable(registry: &Registry) -> String {
+        let jobs: Vec<_> = registry
+            .jobs
+            .iter()
+            .map(|(id, job)| {
+                let state = match job.state {
+                    JobState::Running => JobState::Queued,
+                    state => state,
+                };
+                (id, state, &job.digest, &job.chosen, &job.error)
+            })
+            .collect();
+        format!("{jobs:?} {:?} {}", registry.charged, registry.next_id)
+    }
+
+    #[test]
+    fn every_interleaving_of_one_job_keeps_the_lifecycle_legal() {
+        // Actors: 0 submits job 1, 1 cancels it (two steps: two clients),
+        // 2 and 3 are workers (a claim, then a shard boundary at which
+        // worker 2 completes and worker 3 fails the job it holds), and 4
+        // shuts the daemon down. Each step is one critical section of the
+        // real code, made on the real `Registry`.
+        const PLANNED: usize = 10;
+        let dir = DataDir::new("explore");
+        let config = dir.config(100);
+        let log_path = config.data_dir.join("jobs.jsonl");
+        let mut orderings = Vec::new();
+        interleavings(&mut [1, 2, 2, 2, 1], &mut Vec::new(), &mut orderings);
+        assert_eq!(orderings.len(), 5040);
+        let mut endings = std::collections::BTreeSet::new();
+        for ordering in &orderings {
+            let _ = std::fs::remove_file(&log_path);
+            let mut registry = Registry::open(&config).expect("opens");
+            let (mut shutdown, mut claimed, mut holds) = (false, [false; 2], [false; 2]);
+            let mut refunds = 0;
+            for (k, &actor) in ordering.iter().enumerate() {
+                let at = format!("{ordering:?} step {k}");
+                let state = registry.jobs.get(&1).map(|job| job.state);
+                let charged = registry.charged.get("t").copied().unwrap_or(0);
+                match actor {
+                    0 => assert_eq!(registry.admit(tiny_spec(), 1, PLANNED), Ok(1)),
+                    1 => {
+                        let _ = registry.cancel(1);
+                    }
+                    // `worker_loop`: no claim once shutdown is set.
+                    2 | 3 if !claimed[actor - 2] => {
+                        claimed[actor - 2] = true;
+                        if !shutdown && registry.claim().is_some() {
+                            assert_eq!(state, Some(JobState::Queued), "{at}: claimed");
+                            holds[actor - 2] = true;
+                        }
+                    }
+                    // `execute_job` at a shard boundary.
+                    2 | 3 if std::mem::take(&mut holds[actor - 2]) => {
+                        if registry.jobs[&1].cancel.load(Ordering::SeqCst) {
+                            let end = registry.record(JobEvent::Cancelled { id: 1 });
+                            assert_eq!(end, Ok(()), "{at}: worker's cancel");
+                        } else if shutdown {
+                            registry.pause(1);
+                        } else {
+                            let end = if actor == 2 {
+                                JobEvent::Completed {
+                                    id: 1,
+                                    digest: "d".into(),
+                                    chosen: None,
+                                }
+                            } else {
+                                JobEvent::Failed {
+                                    id: 1,
+                                    error: "e".into(),
+                                }
+                            };
+                            assert_eq!(registry.record(end), Ok(()), "{at}: worker's end");
+                        }
+                    }
+                    2 | 3 => {}
+                    _ => shutdown = true,
+                }
+                let state = registry.jobs.get(&1).map(|job| job.state);
+                let now = registry.charged.get("t").copied().unwrap_or(0);
+                refunds += usize::from(now < charged);
+                let expected = match state {
+                    Some(JobState::Failed | JobState::Cancelled) | None => 0,
+                    Some(_) => PLANNED,
+                };
+                assert!(refunds <= 1 && now == expected, "{at}: charged {now}");
+                let queued = state == Some(JobState::Queued);
+                assert_eq!(registry.queue.len(), usize::from(queued), "{at}: queue");
+                let log: Vec<JobEvent> = simcal::jsonl::read(&log_path).expect("reads");
+                let ends = log
+                    .iter()
+                    .filter(|e| !matches!(e, JobEvent::Submitted { .. }));
+                assert!(ends.count() <= 1, "{at}: {log:?}");
+                let replayed = Registry::open(&config).expect("replays");
+                assert_eq!(durable(&replayed), durable(&registry), "{at}: replay");
+            }
+            endings.insert(format!("{:?}", registry.jobs[&1].state));
+        }
+        // Every way a job can be left was reached.
+        assert_eq!(
+            endings.into_iter().collect::<Vec<_>>(),
+            ["Cancelled", "Completed", "Failed", "Queued"]
+        );
     }
 
     // One wake-up test per transition a watcher can wait for. Each blocks
@@ -1129,7 +1360,7 @@ mod tests {
     }
 
     fn state_of(shared: &Shared, id: u64) -> JobState {
-        shared.registry.lock().expect("registry lock").jobs[&id].state
+        shared.lock().jobs[&id].state
     }
 
     /// Block a waiter in `await_change` on job `id`, run `trigger`, and
@@ -1142,7 +1373,7 @@ mod tests {
         let waiter = {
             let shared = Arc::clone(shared);
             std::thread::spawn(move || {
-                let registry = shared.registry.lock().expect("registry lock");
+                let registry = shared.lock();
                 let start = Instant::now();
                 blocked.send(()).expect("test thread listens");
                 drop(await_change(&shared, registry, id, WAIT));
@@ -1199,10 +1430,7 @@ mod tests {
         let id = submit(&shared, tiny_spec());
         // Claim the job as a worker does, so the cancel only raises the
         // flag.
-        assert_eq!(
-            shared.registry.lock().expect("registry lock").claim(),
-            Some(id)
-        );
+        assert_eq!(shared.lock().claim(), Some(id));
         let Response::Jobs { jobs } = handle_cancel(&shared, id) else {
             panic!("a running job can be cancelled");
         };
@@ -1233,10 +1461,7 @@ mod tests {
         let (handle, dir) = start("claim-cancel", 0);
         let shared = Arc::clone(&handle.shared);
         let id = submit(&shared, tiny_spec());
-        assert_eq!(
-            shared.registry.lock().expect("registry lock").claim(),
-            Some(id)
-        );
+        assert_eq!(shared.lock().claim(), Some(id));
         handle_cancel(&shared, id);
         execute_job(&shared, id);
         assert_eq!(terminal_records(&dir, id), vec![JobEvent::Cancelled { id }]);
@@ -1249,10 +1474,7 @@ mod tests {
         let (handle, dir) = start("pause-cancel", 0);
         let shared = Arc::clone(&handle.shared);
         let id = submit(&shared, tiny_spec());
-        assert_eq!(
-            shared.registry.lock().expect("registry lock").claim(),
-            Some(id)
-        );
+        assert_eq!(shared.lock().claim(), Some(id));
         handle.shutdown();
         execute_job(&shared, id);
         assert_eq!(state_of(&shared, id), JobState::Queued);
@@ -1263,27 +1485,58 @@ mod tests {
     }
 
     #[test]
-    fn only_the_canceller_that_dequeued_a_job_logs_and_refunds() {
+    fn a_second_cancel_is_refused_and_refunds_nothing() {
         let (handle, dir) = start("double-cancel", 0);
         let shared = Arc::clone(&handle.shared);
         let first = submit(&shared, tiny_spec());
         let second = submit(&shared, tiny_spec());
-        // A first canceller has dequeued job 1 but not yet recorded it.
-        assert!(shared
-            .registry
-            .lock()
-            .expect("registry lock")
-            .queue
-            .remove(first));
-        handle_cancel(&shared, first);
-        finish(&shared, first, JobEvent::Cancelled { id: first });
+        assert!(matches!(
+            handle_cancel(&shared, first),
+            Response::Jobs { .. }
+        ));
+        assert_eq!(
+            handle_cancel(&shared, first),
+            Response::Error {
+                message: format!("job {first} is already Cancelled")
+            }
+        );
         assert_eq!(
             terminal_records(&dir, first),
             vec![JobEvent::Cancelled { id: first }]
         );
-        let second_charge =
-            shared.registry.lock().expect("registry lock").jobs[&second].planned_evals;
-        assert_eq!(shared.quotas.charged("t"), second_charge);
+        let registry = shared.lock();
+        assert_eq!(registry.charged["t"], registry.jobs[&second].planned_evals);
+        drop(registry);
+        handle.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_is_stored_under_the_registry_lock() {
+        let (handle, dir) = start("shutdown-lock", 0);
+        let shared = Arc::clone(&handle.shared);
+        let registry = shared.lock();
+        let (started, has_started) = mpsc::channel();
+        let stopper = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                started.send(()).expect("test thread listens");
+                shared.begin_shutdown();
+            })
+        };
+        has_started.recv().expect("stopper announces itself");
+        // No hook shows the stopper blocked on the lock, so give a store
+        // made before `lock()` time to land. Correct code cannot store
+        // the flag while this thread holds the lock, however long it
+        // waits, so the wait cannot make the test fail spuriously.
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(
+            !shared.shutdown.load(Ordering::SeqCst),
+            "shutdown was stored while another thread held the registry lock"
+        );
+        drop(registry);
+        stopper.join().expect("stopper thread");
+        assert!(shared.shutdown.load(Ordering::SeqCst));
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -34,8 +34,6 @@
 //!   ([`fidelity::Fidelity`], evaluated through
 //!   [`objective::SimulationObjective::on_subset`]) for the cheap rungs
 //!   of multi-fidelity (successive-halving) sweeps;
-//! - [`quota`] — per-tenant evaluation-budget accounting
-//!   ([`quota::QuotaBook`]) for multi-tenant calibration services;
 //! - [`calibrate`] — the top-level [`calibrate::Calibrator`] driver;
 //! - [`synthetic`] — synthetic benchmarking and the calibration-error
 //!   metric used to select the loss/algorithm pair (Tables 3 and 5).
@@ -79,7 +77,6 @@ pub mod jsonl;
 pub mod loss;
 pub mod objective;
 pub mod param;
-pub mod quota;
 pub mod surrogate;
 pub mod synthetic;
 
@@ -106,7 +103,6 @@ pub mod prelude {
     };
     pub use crate::objective::{FnObjective, Objective, SimulationObjective, Simulator};
     pub use crate::param::{Calibration, ParamDef, ParamKind, ParameterSpace};
-    pub use crate::quota::{QuotaBook, QuotaExceeded};
     pub use crate::surrogate::{Surrogate, SurrogateKind};
     pub use crate::synthetic::{
         best_pair, calibration_error, midpoint_reference, synthetic_benchmark, SyntheticCell,
