@@ -165,3 +165,98 @@ fn batch_and_grid_have_one_unit_and_one_sample_per_trace() {
     let eval = grid.evaluate(unit, &r.calibration);
     assert_eq!(eval.samples.len(), grid.test().len());
 }
+
+/// `evaluate_on`'s per-scenario errors and its work count, bit for bit,
+/// against each family's held-out error written out from its simulator's
+/// own entry point (`simulate`, or `transfer_rates` for MPI), for the
+/// lowest- and highest-detail version of every `--fast` paper family at
+/// a fixed calibration. Sweep digests see these bits only summarised
+/// (workflow units fold a per-application mean).
+#[test]
+fn held_out_errors_and_work_are_the_simulators_bit_for_bit() {
+    use simcal::prelude::{relative_error, Calibration, ParameterSpace};
+    const SEED: u64 = 20250706;
+    fn check(family: &str, eval: UnitEval, reference: Vec<(f64, u64)>) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (errors, work): (Vec<f64>, Vec<u64>) = reference.into_iter().unzip();
+        assert!(!errors.is_empty(), "{family}: no held-out scenarios");
+        assert_eq!(bits(&eval.samples), bits(&errors), "{family}: errors");
+        assert_eq!(eval.work_units, work.iter().sum::<u64>(), "{family}: work");
+    }
+    fn mean_relative_error(observed: &[f64], simulated: &[f64]) -> f64 {
+        let errors: Vec<f64> = observed
+            .iter()
+            .zip(simulated)
+            .map(|(&gt, &sim)| relative_error(gt, sim))
+            .collect();
+        numeric::mean(&errors)
+    }
+    fn midpoint(space: ParameterSpace) -> Calibration {
+        space.denormalize(&vec![0.5; space.dim()])
+    }
+
+    use wfsim::prelude::{spec_calibration, SimulatorVersion, WorkflowSimulator};
+    let wf = WfFamily::paper(true, SEED);
+    for version in [
+        SimulatorVersion::lowest_detail(),
+        SimulatorVersion::highest_detail(),
+    ] {
+        let (sim, calib) = (WorkflowSimulator::new(version), spec_calibration(version));
+        for split in wf.splits() {
+            let reference = split.held_out().iter().map(|s| {
+                let out = sim.simulate(&s.workflow, s.n_workers, &calib);
+                (relative_error(s.gt_makespan, out.makespan), out.sim_events)
+            });
+            let eval = evaluate_on(wf.case(), &version, split.held_out(), &calib);
+            check("wf", eval, reference.collect());
+        }
+    }
+
+    use mpisim::prelude::{MpiSimulator, MpiSimulatorVersion};
+    let mpi = MpiFamily::paper(true, SEED);
+    for version in [
+        MpiSimulatorVersion::lowest_detail(),
+        MpiSimulatorVersion::highest_detail(),
+    ] {
+        let sim = MpiSimulator::new(version);
+        let calib = mpisim::prelude::spec_calibration(version);
+        let reference = mpi.scenarios().iter().map(|s| {
+            let rates = sim.transfer_rates(s.benchmark, s.n_nodes, &s.sizes, &calib);
+            let work = sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes);
+            (mean_relative_error(&s.mean_rates(), &rates), work)
+        });
+        let eval = evaluate_on(mpi.case(), &version, mpi.scenarios(), &calib);
+        check("mpi", eval, reference.collect());
+    }
+
+    use batchsim::prelude::{BatchSimulator, BatchVersion};
+    let batch = BatchFamily::paper(true, SEED);
+    for version in [
+        BatchVersion::lowest_detail(),
+        BatchVersion::highest_detail(),
+    ] {
+        let sim = BatchSimulator::new(version, batch.case().total_nodes);
+        let calib = midpoint(version.parameter_space());
+        let reference = batch.test().iter().map(|s| {
+            let out = sim.simulate(&s.jobs, &calib);
+            let error = mean_relative_error(&s.turnarounds, &out.turnarounds);
+            (error, out.sim_events)
+        });
+        let eval = evaluate_on(batch.case(), &version, batch.test(), &calib);
+        check("batch", eval, reference.collect());
+    }
+
+    use gridsim::prelude::{GridSimulator, GridVersion};
+    let grid = GridFamily::paper(true, SEED);
+    for version in [GridVersion::lowest_detail(), GridVersion::highest_detail()] {
+        let sim = GridSimulator::new(version);
+        let calib = midpoint(version.parameter_space());
+        let reference = grid.test().iter().map(|s| {
+            let out = sim.simulate(&s.workload, &calib);
+            let error = mean_relative_error(&s.turnarounds, &out.turnarounds);
+            (error, out.sim_events)
+        });
+        let eval = evaluate_on(grid.case(), &version, grid.test(), &calib);
+        check("grid", eval, reference.collect());
+    }
+}
