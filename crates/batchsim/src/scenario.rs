@@ -13,9 +13,9 @@ impl Simulator for BatchSimulator {
     type Scenario = BatchScenario;
     type Output = ScenarioError;
 
-    /// Simulate the trace and report the makespan error plus per-job
-    /// turnaround errors (the same structured-error shape as case study
-    /// #1, so the paper's L1–L6 losses apply unchanged).
+    /// Simulate the trace: the makespan error, per-job turnaround errors
+    /// and the run's event count (the same structured-error shape as case
+    /// study #1, so the paper's L1–L6 losses apply unchanged).
     fn run(&self, scenario: &BatchScenario, calibration: &Calibration) -> ScenarioError {
         let out = self.simulate(&scenario.jobs, calibration);
         ScenarioError {
@@ -26,6 +26,7 @@ impl Simulator for BatchSimulator {
                 .zip(&out.turnarounds)
                 .map(|(&gt, &sim)| relative_error(gt, sim))
                 .collect(),
+            work: out.sim_events,
         }
     }
 }

@@ -87,7 +87,7 @@ fn main() {
                 rate_errs.push(numeric::mean(
                     &scenarios
                         .iter()
-                        .map(|s| mean_relative_rate_error(&sim, s, &result.calibration))
+                        .map(|s| mean_relative_rate_error(s, &sim.run(s, &result.calibration)))
                         .collect::<Vec<_>>(),
                 ));
             }

@@ -30,6 +30,5 @@ pub fn fixed_loss(
     loss: &StructuredLoss,
 ) -> f64 {
     let sim = WorkflowSimulator::new(version);
-    let outs: Vec<ScenarioError> = scenarios.iter().map(|s| sim.run(s, calibration)).collect();
-    loss.aggregate(&outs)
+    objective(&sim, scenarios, loss.clone()).loss(calibration)
 }

@@ -1084,6 +1084,62 @@ mod tests {
     }
 
     #[test]
+    fn every_byte_cut_of_the_job_log_replays_its_complete_records() {
+        // A two-tenant history, logged by the live writer: three submits,
+        // then a cancel, a failure and a completion.
+        let submitted = |id, tenant, planned_evals| JobEvent::Submitted {
+            id,
+            spec: spec_for(tenant),
+            shards: 1,
+            planned_evals,
+        };
+        let history = vec![
+            submitted(1, "a", 10),
+            submitted(2, "b", 20),
+            submitted(3, "a", 30),
+            JobEvent::Cancelled { id: 2 },
+            JobEvent::Failed {
+                id: 1,
+                error: "e".into(),
+            },
+            JobEvent::Completed {
+                id: 3,
+                digest: "d".into(),
+                chosen: Some("v".into()),
+            },
+        ];
+        let seen = |registry: &Registry| (durable(registry), registry.queue.len());
+        let dir = DataDir::new("cut-history");
+        let mut registry = Registry::open(&dir.config(100)).expect("opens");
+        let mut live = vec![seen(&registry)];
+        for event in history.clone() {
+            assert_eq!(registry.record(event), Ok(()));
+            live.push(seen(&registry));
+        }
+        drop(registry);
+        let log = std::fs::read(dir.0.join("jobs.jsonl")).expect("reads");
+        // A record is complete once its last byte is in: the newline
+        // after it may still be missing.
+        let newlines: Vec<usize> = (0..log.len()).filter(|&at| log[at] == b'\n').collect();
+        assert_eq!(newlines.len(), history.len());
+
+        let (cut, whole) = (DataDir::new("cut"), DataDir::new("cut-whole"));
+        std::fs::create_dir_all(&cut.0).expect("creates");
+        for len in 0..=log.len() {
+            std::fs::write(cut.0.join("jobs.jsonl"), &log[..len]).expect("writes");
+            let replayed = seen(&Registry::open(&cut.config(100)).expect("a cut log replays"));
+            let complete = newlines.iter().filter(|&&newline| newline <= len).count();
+            let _ = std::fs::remove_file(whole.0.join("jobs.jsonl"));
+            let expected = seen(&whole.replay(&history[..complete]));
+            assert_eq!(replayed, expected, "cut at byte {len}");
+            assert_eq!(
+                replayed, live[complete],
+                "cut at byte {len}: the live state"
+            );
+        }
+    }
+
+    #[test]
     fn admission_charges_accumulate_up_to_the_limit() {
         let dir = DataDir::new("quota-limit");
         let mut registry = Registry::open(&dir.config(100)).expect("opens");

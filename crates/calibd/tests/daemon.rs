@@ -280,9 +280,17 @@ fn handshake_enforces_the_trace_versioning_contract() {
     let dir = tmp_dir("hello");
     let handle = Daemon::start(config(&dir, 0)).unwrap();
     let addr = handle.addr().to_string();
+    // A daemon that stops answering or hanging up fails the test instead
+    // of hanging it.
+    let connect = || {
+        let stream = TcpStream::connect(&addr).unwrap();
+        let timeout = std::time::Duration::from_secs(5);
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        stream
+    };
 
     let hello_gets = |schema: &str, version: u64| -> Response {
-        let stream = TcpStream::connect(&addr).unwrap();
+        let stream = connect();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
         write_frame(
@@ -311,7 +319,7 @@ fn handshake_enforces_the_trace_versioning_contract() {
 
     // A first frame that is not Hello closes the conversation.
     {
-        let stream = TcpStream::connect(&addr).unwrap();
+        let stream = connect();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
         write_frame(&mut writer, &Request::Status { job: None }).unwrap();

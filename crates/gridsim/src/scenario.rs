@@ -13,9 +13,9 @@ impl Simulator for GridSimulator {
     type Scenario = GridScenario;
     type Output = ScenarioError;
 
-    /// Simulate the workload and report the makespan error plus per-job
-    /// turnaround errors — the same structured-error shape as the other
-    /// case studies, so the paper's L1–L6 losses apply unchanged.
+    /// Simulate the workload: the makespan error, per-job turnaround
+    /// errors and the run's event count — the same structured-error shape
+    /// as the other case studies, so the paper's L1–L6 losses apply unchanged.
     fn run(&self, scenario: &GridScenario, calibration: &Calibration) -> ScenarioError {
         let out = self.simulate(&scenario.workload, calibration);
         ScenarioError {
@@ -26,6 +26,7 @@ impl Simulator for GridSimulator {
                 .zip(&out.turnarounds)
                 .map(|(&gt, &sim)| relative_error(gt, sim))
                 .collect(),
+            work: out.sim_events,
         }
     }
 }

@@ -21,24 +21,18 @@ struct QueueModel {
     with_rtt: bool,
 }
 
-impl QueueModel {
+impl Simulator for QueueModel {
+    type Scenario = Observation;
+    type Output = ScenarioError;
+
     /// Relative error of the predicted response time at one observation.
-    fn error(&self, obs: &Observation, calib: &Calibration) -> f64 {
+    fn run(&self, obs: &Observation, calib: &Calibration) -> ScenarioError {
         let rtt = if self.with_rtt { calib.values[1] } else { 0.0 };
         let predicted = match calib.values[0] - obs.arrival_rate {
             headroom if headroom > 0.0 => 1.0 / headroom + rtt,
             _ => f64::MAX, // saturated: the model predicts divergence
         };
-        relative_error(obs.response_time, predicted)
-    }
-}
-
-impl Simulator for QueueModel {
-    type Scenario = Observation;
-    type Output = ScenarioError;
-
-    fn run(&self, obs: &Observation, calib: &Calibration) -> ScenarioError {
-        ScenarioError::scalar_only(self.error(obs, calib))
+        ScenarioError::scalar_only(relative_error(obs.response_time, predicted))
     }
 }
 
@@ -72,9 +66,9 @@ impl CaseStudy for QueueCase {
         let (rate, time) = (obs.arrival_rate.to_bits(), obs.response_time.to_bits());
         parts.push(format!("{tag}|{rate:016x}|{time:016x}"));
     }
-    fn judge(&self, sim: &QueueModel, obs: &Observation, calib: &Calibration) -> (f64, u64) {
-        // Cost axis: one analytic term per modelled effect.
-        (sim.error(obs, calib), 1 + u64::from(sim.with_rtt))
+    fn judge(&self, sim: &QueueModel, _: &Observation, out: &ScenarioError) -> (f64, u64) {
+        // The error `run` reported; cost axis: one term per modelled effect.
+        (out.scalar, 1 + u64::from(sim.with_rtt))
     }
 }
 

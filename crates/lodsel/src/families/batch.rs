@@ -7,11 +7,11 @@
 //! total work and hide it). A sweep unit is one version, and its summary
 //! samples are the per-trace mean turnaround errors.
 
-use super::{mean_relative_error, CaseStudy, SimFamily, Split};
+use super::{CaseStudy, SimFamily, Split};
 use batchsim::prelude::{
     dataset, BatchEmulatorConfig, BatchScenario, BatchSimulator, BatchVersion, WorkloadSpec,
 };
-use simcal::prelude::{Agg, Calibration, ElementMix, ParameterSpace, StructuredLoss};
+use simcal::prelude::{Agg, ElementMix, ParameterSpace, ScenarioError, StructuredLoss};
 
 /// Case study #3 as a [`CaseStudy`].
 pub struct BatchCase {
@@ -52,12 +52,9 @@ impl CaseStudy for BatchCase {
         ));
     }
 
-    fn judge(&self, sim: &BatchSimulator, s: &BatchScenario, c: &Calibration) -> (f64, u64) {
-        let out = sim.simulate(&s.jobs, c);
-        (
-            mean_relative_error(&s.turnarounds, &out.turnarounds),
-            out.sim_events,
-        )
+    /// The mean relative per-job turnaround error.
+    fn judge(&self, _: &BatchSimulator, _: &BatchScenario, out: &ScenarioError) -> (f64, u64) {
+        (numeric::mean(&out.elements), out.work)
     }
 }
 

@@ -8,11 +8,11 @@
 //! unit is one version, and its summary samples are the per-workload
 //! mean turnaround errors.
 
-use super::{mean_relative_error, CaseStudy, SimFamily, Split};
+use super::{CaseStudy, SimFamily, Split};
 use gridsim::prelude::{
     dataset, GridEmulatorConfig, GridScenario, GridSimulator, GridSpec, GridVersion,
 };
-use simcal::prelude::{Agg, Calibration, ElementMix, ParameterSpace, StructuredLoss};
+use simcal::prelude::{Agg, ElementMix, ParameterSpace, ScenarioError, StructuredLoss};
 
 /// Case study #4 as a [`CaseStudy`].
 pub struct GridCase;
@@ -47,12 +47,9 @@ impl CaseStudy for GridCase {
         ));
     }
 
-    fn judge(&self, sim: &GridSimulator, s: &GridScenario, c: &Calibration) -> (f64, u64) {
-        let out = sim.simulate(&s.workload, c);
-        (
-            mean_relative_error(&s.turnarounds, &out.turnarounds),
-            out.sim_events,
-        )
+    /// The mean relative per-job turnaround error.
+    fn judge(&self, _: &GridSimulator, _: &GridScenario, out: &ScenarioError) -> (f64, u64) {
+        (numeric::mean(&out.elements), out.work)
     }
 }
 

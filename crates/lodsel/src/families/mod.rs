@@ -8,9 +8,11 @@
 //! every case study and lives here once. A case study contributes a
 //! [`CaseStudy`]: how a level-of-detail version becomes a simulator and a
 //! parameter space, how a scenario is described in the dataset
-//! fingerprint, and what one held-out scenario's error and deterministic
-//! cost are. [`wf`], [`mpi`], [`batch`] and [`grid`] are such specs plus
-//! their paper datasets; `examples/custom_family.rs` is a fifth.
+//! fingerprint, and how one held-out scenario's error and deterministic
+//! cost are read off its `run()` output — the output the calibration
+//! loss folds, so no case study simulates a scenario any other way.
+//! [`wf`], [`mpi`], [`batch`] and [`grid`] are such specs plus their
+//! paper datasets; `examples/custom_family.rs` is a fifth.
 
 pub mod batch;
 pub mod grid;
@@ -60,14 +62,15 @@ pub trait CaseStudy: Sync {
     /// data is identical.
     fn describe(&self, tag: &str, scenario: &Scenario<Self>, parts: &mut Vec<String>);
 
-    /// Error of `calibration` on one held-out scenario, and the
-    /// deterministic simulation work spent computing it (see
-    /// [`UnitEval::work_units`]).
+    /// Held-out error of one scenario and the deterministic simulation
+    /// work spent on it (see [`UnitEval::work_units`]), both read off
+    /// `output`, the scenario's one [`Simulator::run`] — the same record
+    /// the calibration loss folds.
     fn judge(
         &self,
         simulator: &Self::Sim,
         scenario: &Scenario<Self>,
-        calibration: &Calibration,
+        output: &<Self::Sim as Simulator>::Output,
     ) -> (f64, u64);
 
     /// Reduce a unit's per-scenario errors to the samples its version's
@@ -143,7 +146,8 @@ where
 }
 
 /// Per-scenario held-out errors of `calibration` under `version`, with
-/// the deterministic work spent: the one held-out evaluation path, shared
+/// the deterministic work spent: each scenario [`Simulator::run`] once,
+/// then [`CaseStudy::judge`]d. The one held-out evaluation path, shared
 /// by [`VersionFamily::evaluate`] and the experiment binaries'
 /// uncalibrated baselines and cross-dataset checks.
 pub fn evaluate_on<C: CaseStudy>(
@@ -153,28 +157,14 @@ pub fn evaluate_on<C: CaseStudy>(
     calibration: &Calibration,
 ) -> UnitEval {
     let simulator = case.simulator(version);
-    let mut samples = Vec::with_capacity(scenarios.len());
-    let mut work_units = 0u64;
-    for scenario in scenarios {
-        let (error, work) = case.judge(&simulator, scenario, calibration);
-        samples.push(error);
-        work_units += work;
-    }
+    let (samples, work): (Vec<f64>, Vec<u64>) = scenarios
+        .iter()
+        .map(|s| case.judge(&simulator, s, &simulator.run(s, calibration)))
+        .unzip();
     UnitEval {
         samples,
-        work_units,
+        work_units: work.iter().sum(),
     }
-}
-
-/// Mean relative error of simulated against observed per-job metrics (the
-/// per-scenario held-out error of the batch and data-grid case studies).
-pub(crate) fn mean_relative_error(observed: &[f64], simulated: &[f64]) -> f64 {
-    let errors: Vec<f64> = observed
-        .iter()
-        .zip(simulated)
-        .map(|(&gt, &sim)| simcal::prelude::relative_error(gt, sim))
-        .collect();
-    numeric::mean(&errors)
 }
 
 /// The paper family `name` names — `wf`, `mpi`, `batch` or `grid` — on

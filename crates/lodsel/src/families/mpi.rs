@@ -9,10 +9,10 @@
 
 use super::{CaseStudy, SimFamily, Split};
 use mpisim::prelude::{
-    dataset, mean_relative_rate_error, BenchmarkKind, MpiEmulatorConfig, MpiScenario, MpiSimulator,
-    MpiSimulatorVersion, NODE_COUNTS,
+    dataset, mean_relative_rate_error, BenchmarkKind, MpiEmulatorConfig, MpiRun, MpiScenario,
+    MpiSimulator, MpiSimulatorVersion, NODE_COUNTS,
 };
-use simcal::prelude::{Calibration, MatrixLoss, ParameterSpace};
+use simcal::prelude::{MatrixLoss, ParameterSpace};
 
 /// Node counts used by the experiments. The paper runs 128/256/512; the
 /// `fast` grid shrinks the base scale (contention structure is preserved)
@@ -70,11 +70,9 @@ impl CaseStudy for MpiCase {
         }
     }
 
-    fn judge(&self, sim: &MpiSimulator, s: &MpiScenario, c: &Calibration) -> (f64, u64) {
-        (
-            mean_relative_rate_error(sim, s, c),
-            sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes),
-        )
+    fn judge(&self, sim: &MpiSimulator, s: &MpiScenario, run: &MpiRun) -> (f64, u64) {
+        let work = sim.simulation_work(s.benchmark, s.n_nodes, &s.sizes);
+        (mean_relative_rate_error(s, run), work)
     }
 }
 

@@ -8,7 +8,7 @@
 //! test errors — exactly what Figure 2's bars and error bars aggregate.
 
 use super::{CaseStudy, SimFamily, Split};
-use simcal::prelude::{relative_error, Calibration, ParameterSpace, StructuredLoss};
+use simcal::prelude::{ParameterSpace, ScenarioError, StructuredLoss};
 use wfsim::prelude::{
     dataset_for, split_train_test, AppKind, DatasetOptions, SimulatorVersion, WfScenario,
     WorkflowSimulator,
@@ -77,9 +77,9 @@ impl CaseStudy for WfCase {
         ));
     }
 
-    fn judge(&self, sim: &WorkflowSimulator, s: &WfScenario, c: &Calibration) -> (f64, u64) {
-        let out = sim.simulate(&s.workflow, s.n_workers, c);
-        (relative_error(s.gt_makespan, out.makespan), out.sim_events)
+    /// The relative makespan error.
+    fn judge(&self, _: &WorkflowSimulator, _: &WfScenario, out: &ScenarioError) -> (f64, u64) {
+        (out.scalar, out.work)
     }
 
     /// One sample per unit: the per-application mean — Figure 2

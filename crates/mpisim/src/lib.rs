@@ -34,7 +34,7 @@ pub mod versions;
 pub mod prelude {
     pub use crate::benchmarks::{message_sizes, BenchmarkKind, NODE_COUNTS, RANKS_PER_NODE};
     pub use crate::ground_truth::{dataset, MpiEmulatorConfig, MpiGroundTruthRecord};
-    pub use crate::scenario::{mean_relative_rate_error, objective, MpiScenario};
+    pub use crate::scenario::{mean_relative_rate_error, objective, MpiRun, MpiScenario};
     pub use crate::simulator::{workload_seed, MpiSimulator, INTRA_NODE_BW};
     pub use crate::spec::spec_calibration;
     pub use crate::versions::{

@@ -10,26 +10,43 @@ use simcal::prelude::{Calibration, MatrixLoss, SimulationObjective, Simulator};
 /// measured transfer-rate samples.
 pub type MpiScenario = MpiGroundTruthRecord;
 
+/// One scenario simulated: the explained-variance row the MPI losses
+/// fold, beside the simulated rates the held-out rate error reads.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MpiRun {
+    /// Explained variance per message size (paper §6.3.2).
+    pub ev: Vec<f64>,
+    /// Simulated transfer rate (bytes/s) per message size.
+    pub rates: Vec<f64>,
+}
+
+impl AsRef<[f64]> for MpiRun {
+    fn as_ref(&self) -> &[f64] {
+        &self.ev
+    }
+}
+
 impl Simulator for MpiSimulator {
     type Scenario = MpiScenario;
-    type Output = Vec<f64>;
+    type Output = MpiRun;
 
-    /// Simulate the scenario and report, per message size, the explained
-    /// variance between the measured samples and the (deterministic)
-    /// simulated rate (paper §6.3.2).
-    fn run(&self, scenario: &MpiScenario, calibration: &Calibration) -> Vec<f64> {
+    /// Simulate the scenario's per-size rates and, per message size, the
+    /// explained variance between the measured samples and the
+    /// (deterministic) simulated rate (paper §6.3.2).
+    fn run(&self, scenario: &MpiScenario, calibration: &Calibration) -> MpiRun {
         let rates = self.transfer_rates(
             scenario.benchmark,
             scenario.n_nodes,
             &scenario.sizes,
             calibration,
         );
-        scenario
+        let ev = scenario
             .samples
             .iter()
             .zip(&rates)
             .map(|(samples, &rate)| explained_variance(samples, rate))
-            .collect()
+            .collect();
+        MpiRun { ev, rates }
     }
 }
 
@@ -48,24 +65,14 @@ pub fn objective<'a>(
     )
 }
 
-/// Percent relative error between simulated and mean measured transfer
-/// rates, averaged over message sizes — the accuracy metric of Figure 5
-/// and the second row block of Table 5.
-pub fn mean_relative_rate_error(
-    simulator: &MpiSimulator,
-    scenario: &MpiScenario,
-    calibration: &Calibration,
-) -> f64 {
-    let rates = simulator.transfer_rates(
-        scenario.benchmark,
-        scenario.n_nodes,
-        &scenario.sizes,
-        calibration,
-    );
-    let means = scenario.mean_rates();
-    let errs: Vec<f64> = means
+/// Percent relative error between a run's simulated and the scenario's
+/// mean measured transfer rates, averaged over message sizes — the
+/// accuracy metric of Figure 5 and the second row block of Table 5.
+pub fn mean_relative_rate_error(scenario: &MpiScenario, run: &MpiRun) -> f64 {
+    let errs: Vec<f64> = scenario
+        .mean_rates()
         .iter()
-        .zip(&rates)
+        .zip(&run.rates)
         .map(|(&gt, &sim)| simcal::prelude::relative_error(gt, sim))
         .collect();
     numeric::mean(&errs)
@@ -100,7 +107,7 @@ mod tests {
             sim.version()
                 .parameter_space()
                 .denormalize(&vec![0.5; sim.version().parameter_space().dim()]);
-        let evs = sim.run(&scenarios[0], &calib);
+        let evs = sim.run(&scenarios[0], &calib).ev;
         assert_eq!(evs.len(), 13);
         assert!(evs.iter().all(|&e| e > 0.0));
     }
@@ -135,7 +142,7 @@ mod tests {
             sizes,
             samples: rates.iter().map(|&r| vec![r, r]).collect(),
         };
-        let err = mean_relative_rate_error(&sim, &scenario, &calib);
+        let err = mean_relative_rate_error(&scenario, &sim.run(&scenario, &calib));
         assert!(err < 1e-12, "err {err}");
     }
 }

@@ -19,9 +19,6 @@ use serde::{Deserialize, Serialize};
 pub trait Loss<O>: Sync {
     /// Aggregate per-scenario results into a scalar loss (lower is better).
     fn aggregate(&self, per_scenario: &[O]) -> f64;
-
-    /// Short identifier for reports (e.g. `"L1"`).
-    fn name(&self) -> &str;
 }
 
 /// Average or maximum — the two aggregation operators the paper composes.
@@ -77,14 +74,18 @@ pub struct ScenarioError {
     pub scalar: f64,
     /// Per-element errors (e.g. per-task time errors).
     pub elements: Vec<f64>,
+    /// Deterministic simulation work of the run (the simulator's event
+    /// count); losses ignore it.
+    pub work: u64,
 }
 
 impl ScenarioError {
-    /// A scenario error with no per-element component.
+    /// A scenario error with no per-element component and no work.
     pub fn scalar_only(scalar: f64) -> Self {
         Self {
             scalar,
             elements: Vec::new(),
+            work: 0,
         }
     }
 }
@@ -122,6 +123,11 @@ impl StructuredLoss {
         ]
     }
 
+    /// Short identifier for reports (e.g. `"L1"`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     fn scenario_term(&self, s: &ScenarioError) -> f64 {
         let element_term = match self.mix {
             ElementMix::Ignore => 0.0,
@@ -143,15 +149,13 @@ impl Loss<ScenarioError> for StructuredLoss {
         self.outer
             .apply(per_scenario.iter().map(|s| self.scenario_term(s)))
     }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 /// `outer_i( inner_j( v_{i,j} ) )` over a per-scenario row of values — the
 /// family covering the paper's MPI losses L1–L4 (§6.3.2), where `v_{i,j}`
-/// is the explained variance of benchmark `i` at message size `j`.
+/// is the explained variance of benchmark `i` at message size `j`. A row
+/// is anything that reads as `&[f64]`: a plain `Vec<f64>`, or a
+/// simulator output that carries its row beside other results.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MatrixLoss {
     /// Aggregation across scenarios (benchmarks).
@@ -180,19 +184,20 @@ impl MatrixLoss {
             MatrixLoss::new(Agg::Max, Agg::Max, "L4"),
         ]
     }
+
+    /// Short identifier for reports (e.g. `"L1"`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
 }
 
-impl Loss<Vec<f64>> for MatrixLoss {
-    fn aggregate(&self, per_scenario: &[Vec<f64>]) -> f64 {
+impl<R: AsRef<[f64]>> Loss<R> for MatrixLoss {
+    fn aggregate(&self, per_scenario: &[R]) -> f64 {
         self.outer.apply(
             per_scenario
                 .iter()
-                .map(|row| self.inner.apply(row.iter().copied())),
+                .map(|row| self.inner.apply(row.as_ref().iter().copied())),
         )
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -209,6 +214,7 @@ mod tests {
         ScenarioError {
             scalar,
             elements: elements.to_vec(),
+            work: 0,
         }
     }
 
@@ -278,7 +284,7 @@ mod tests {
         let l = StructuredLoss::new(Agg::Avg, ElementMix::AddMax, "t");
         assert_eq!(l.aggregate(&[]), 0.0);
         let m = MatrixLoss::new(Agg::Max, Agg::Avg, "t");
-        assert_eq!(m.aggregate(&[]), 0.0);
+        assert_eq!(Loss::<Vec<f64>>::aggregate(&m, &[]), 0.0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub trait Objective: Sync {
 /// A use-case-specific simulator: invoked once per ground-truth scenario,
 /// it produces whatever per-scenario result the loss function consumes
 /// (for the workflow case study a [`crate::loss::ScenarioError`]; for the
-/// MPI case study a row of explained-variance values).
+/// MPI case study a record holding a row of explained-variance values).
 ///
 /// The scenario type embeds the ground-truth observations, mirroring the
 /// paper's setup where `run()` has access to the ground-truth data point it
@@ -46,7 +46,9 @@ pub trait Simulator: Sync {
     /// One ground-truth data point: a workload/platform configuration plus
     /// its observed execution metrics.
     type Scenario: Sync;
-    /// Per-scenario result consumed by the loss function.
+    /// The one record of a (scenario, calibration) run: the loss folds
+    /// it, and a held-out judge (error, simulation work) reads the same
+    /// record instead of simulating again.
     type Output;
 
     /// Simulate `scenario` under `calibration` and report the result.

@@ -47,18 +47,20 @@ impl Simulator for WorkflowSimulator {
     type Scenario = WfScenario;
     type Output = ScenarioError;
 
-    /// Simulate the scenario and report the makespan error `e_i` plus the
-    /// per-task execution-time errors `e_{i,j}` (paper §5.3.2).
+    /// Simulate the scenario and report the makespan error `e_i`, the
+    /// per-task execution-time errors `e_{i,j}` (paper §5.3.2) and the event count.
     fn run(&self, scenario: &WfScenario, calibration: &Calibration) -> ScenarioError {
         let out = self.simulate(&scenario.workflow, scenario.n_workers, calibration);
-        let scalar = relative_error(scenario.gt_makespan, out.makespan);
-        let elements = scenario
-            .gt_task_times
-            .iter()
-            .zip(&out.task_times)
-            .map(|(&gt, &sim)| relative_error(gt, sim))
-            .collect();
-        ScenarioError { scalar, elements }
+        ScenarioError {
+            scalar: relative_error(scenario.gt_makespan, out.makespan),
+            elements: scenario
+                .gt_task_times
+                .iter()
+                .zip(&out.task_times)
+                .map(|(&gt, &sim)| relative_error(gt, sim))
+                .collect(),
+            work: out.sim_events,
+        }
     }
 }
 

@@ -38,7 +38,7 @@ fn main() {
 
     // In-sample accuracy (the metric of the paper's Figure 5).
     for s in &train {
-        let err = mean_relative_rate_error(&simulator, s, &result.calibration);
+        let err = mean_relative_rate_error(s, &simulator.run(s, &result.calibration));
         println!(
             "  {:<9} @ {:>3} nodes: {:.1}% transfer-rate error",
             s.benchmark.name(),
@@ -54,7 +54,7 @@ fn main() {
         let test = dataset(&BenchmarkKind::CALIBRATION_SET, &[nodes], &cfg, 99);
         let errs: Vec<f64> = test
             .iter()
-            .map(|s| mean_relative_rate_error(&simulator, s, &result.calibration))
+            .map(|s| mean_relative_rate_error(s, &simulator.run(s, &result.calibration)))
             .collect();
         println!(
             "generalization to {nodes} nodes: avg {:.1}% error",

@@ -22,12 +22,12 @@ fn calibration_beats_spec_baseline_on_rate_error() {
 
     let calibrated: Vec<f64> = train
         .iter()
-        .map(|s| mean_relative_rate_error(&sim, s, &result.calibration))
+        .map(|s| mean_relative_rate_error(s, &sim.run(s, &result.calibration)))
         .collect();
     let spec = spec_calibration(version);
     let baseline: Vec<f64> = train
         .iter()
-        .map(|s| mean_relative_rate_error(&sim, s, &spec))
+        .map(|s| mean_relative_rate_error(s, &sim.run(s, &spec)))
         .collect();
     assert!(
         numeric::mean(&calibrated) < numeric::mean(&baseline) * 0.5,
@@ -57,7 +57,7 @@ fn scale_generalization_error_grows() {
         let data = dataset(&BenchmarkKind::CALIBRATION_SET, &[nodes], &cfg(), 7);
         let errs: Vec<f64> = data
             .iter()
-            .map(|s| mean_relative_rate_error(&sim, s, &result.calibration))
+            .map(|s| mean_relative_rate_error(s, &sim.run(s, &result.calibration)))
             .collect();
         numeric::mean(&errs)
     };
