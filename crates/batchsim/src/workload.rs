@@ -6,7 +6,6 @@
 //! PWA traces that matter for backfilling behaviour.
 
 use numeric::{lognormal, rng_from_seed};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One batch job of a workload trace.
@@ -65,11 +64,11 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<Job> {
     (0..spec.num_jobs)
         .map(|_| {
             // Poisson arrivals: exponential gaps.
-            t += -spec.mean_interarrival * (1.0 - rng.gen::<f64>()).ln();
-            let nodes = 1u32 << rng.gen_range(0..=spec.max_nodes_log2);
+            t += -spec.mean_interarrival * (1.0 - rng.unit()).ln();
+            let nodes = 1u32 << rng.below(spec.max_nodes_log2 as usize + 1);
             let work = lognormal(&mut rng, mu, sigma);
             // Users overestimate walltime by 1.5-10x (PWA stylized fact).
-            let over = 1.5 + 8.5 * rng.gen::<f64>();
+            let over = 1.5 + 8.5 * rng.unit();
             Job {
                 submit_time: t,
                 nodes,

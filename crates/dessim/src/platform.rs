@@ -164,11 +164,6 @@ impl Platform {
         self.links.len()
     }
 
-    /// Number of registered hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Number of registered disks.
     #[inline]
     pub fn num_disks(&self) -> usize {

@@ -127,11 +127,6 @@ impl Workspace {
         self.route_ends.len() - 1
     }
 
-    /// Number of flows pushed since the last [`Workspace::clear`].
-    pub fn num_flows(&self) -> usize {
-        self.route_ends.len()
-    }
-
     /// `clear` + build in one call, for slice-shaped inputs.
     pub fn load(&mut self, capacities: &[f64], flow_routes: &[Vec<usize>]) {
         self.clear();
@@ -412,8 +407,6 @@ impl Frontier {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-9 * (1.0 + a.abs().max(b.abs()))
@@ -567,22 +560,18 @@ mod tests {
     /// tenth negative — the engine's residual capacities go negative, which
     /// is the `max(0.0)` path of the solver.
     fn random_problem(seed: u64) -> (Vec<f64>, Vec<Vec<usize>>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let nl = rng.gen_range(1usize..=40);
-        let nf = rng.gen_range(0usize..=600);
+        let mut rng = numeric::rng_from_seed(seed);
+        let nl = 1 + rng.below(40);
+        let nf = rng.below(601);
         let caps = (0..nl)
-            .map(|_| match rng.gen_range(0u32..10) {
+            .map(|_| match rng.below(10) {
                 0 => 0.0,
-                1 => -rng.gen_range(0.0..50.0),
-                _ => rng.gen_range(0.1..100.0),
+                1 => -rng.uniform(0.0, 50.0),
+                _ => rng.uniform(0.1, 100.0),
             })
             .collect();
         let routes = (0..nf)
-            .map(|_| {
-                (0..rng.gen_range(0usize..=3))
-                    .map(|_| rng.gen_range(0..nl))
-                    .collect()
-            })
+            .map(|_| (0..rng.below(4)).map(|_| rng.below(nl)).collect())
             .collect();
         (caps, routes)
     }
@@ -659,11 +648,9 @@ mod tests {
         #[test]
         fn prop_push_order_does_not_move_a_bit(seed in 0u64..1_000_000) {
             let (caps, routes) = random_problem(seed);
-            let mut rng = StdRng::seed_from_u64(!seed);
+            let mut rng = numeric::rng_from_seed(!seed);
             let mut order: Vec<usize> = (0..routes.len()).collect();
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
+            rng.shuffle(&mut order);
             let shuffled: Vec<Vec<usize>> = order.iter().map(|&f| routes[f].clone()).collect();
             let (rates, binding) = solve_bits(&caps, &routes);
             let (shuffled_rates, shuffled_binding) = solve_bits(&caps, &shuffled);

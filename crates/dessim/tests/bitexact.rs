@@ -21,9 +21,8 @@
 //! power of two and shares stay dyadic for the whole run.
 
 use dessim::{ActivityKind, Engine, Platform, ReferenceEngine};
+use numeric::Rng;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const BW: f64 = 1024.0;
 
@@ -32,22 +31,22 @@ type Batch = Vec<(ActivityKind, u64)>;
 
 /// Pre-generate the platform and all batches: resources must exist before
 /// either engine is constructed, and both engines must see identical adds.
-fn build_workload(rng: &mut StdRng) -> (Platform, Vec<Batch>) {
+fn build_workload(rng: &mut Rng) -> (Platform, Vec<Batch>) {
     let mut p = Platform::new();
     let mut batches = Vec::new();
     let mut next_tag = 0u64;
-    let n_batches = rng.gen_range(3usize..8);
+    let n_batches = 3 + rng.below(5);
     for _ in 0..n_batches {
         let mut batch: Batch = Vec::new();
-        let n_cohorts = rng.gen_range(1usize..4);
+        let n_cohorts = 1 + rng.below(3);
         for _ in 0..n_cohorts {
-            let k = 1usize << rng.gen_range(0u32..4); // cohort size: 1,2,4,8
-            let m = rng.gen_range(1u64..9); // integer duration in seconds
-            match rng.gen_range(0u32..6) {
+            let k = 1usize << rng.below(4); // cohort size: 1,2,4,8
+            let m = 1 + rng.below(8) as u64; // integer duration in seconds
+            match rng.below(6) {
                 0 | 1 => {
                     // k equal flows on a fresh link: each runs at the
                     // dyadic rate BW/k for exactly m seconds.
-                    let lat = rng.gen_range(0u64..3) as f64; // integer latency
+                    let lat = rng.below(3) as f64; // integer latency
                     let link = p.add_link(BW, lat);
                     let bytes = m as f64 * (BW / k as f64);
                     for _ in 0..k {
@@ -59,7 +58,7 @@ fn build_workload(rng: &mut StdRng) -> (Platform, Vec<Batch>) {
                     // Two-hop route over fresh links; the first is the
                     // (tied) bottleneck, shares stay dyadic.
                     let a = p.add_link(BW, 0.0);
-                    let b = p.add_link(BW, rng.gen_range(0u64..2) as f64);
+                    let b = p.add_link(BW, rng.below(2) as f64);
                     let bytes = m as f64 * (BW / k as f64);
                     for _ in 0..k {
                         next_tag += 1;
@@ -78,7 +77,7 @@ fn build_workload(rng: &mut StdRng) -> (Platform, Vec<Batch>) {
                 }
                 4 => {
                     // Computes at a power-of-two rate, integer duration.
-                    let rate = (1u64 << rng.gen_range(0u32..5)) as f64;
+                    let rate = (1u64 << rng.below(5)) as f64;
                     for _ in 0..k {
                         next_tag += 1;
                         batch.push((ActivityKind::compute(rate, m as f64 * rate), next_tag));
@@ -89,10 +88,10 @@ fn build_workload(rng: &mut StdRng) -> (Platform, Vec<Batch>) {
                     // occasional unconstrained (empty-route) flow.
                     for _ in 0..k {
                         next_tag += 1;
-                        let kind = match rng.gen_range(0u32..3) {
-                            0 => ActivityKind::timer(rng.gen_range(0u64..10) as f64),
-                            1 => ActivityKind::timer_at(rng.gen_range(0u64..30) as f64),
-                            _ => ActivityKind::flow(vec![], rng.gen_range(0u64..1000) as f64),
+                        let kind = match rng.below(3) {
+                            0 => ActivityKind::timer(rng.below(10) as f64),
+                            1 => ActivityKind::timer_at(rng.below(30) as f64),
+                            _ => ActivityKind::flow(vec![], rng.below(1000) as f64),
                         };
                         batch.push((kind, next_tag));
                     }
@@ -112,7 +111,7 @@ proptest! {
     /// order, with batches released mid-run after identical completions.
     #[test]
     fn exact_workloads_match_reference_bitwise(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = numeric::rng_from_seed(seed);
         let (platform, mut batches) = build_workload(&mut rng);
         let mut opt = Engine::new(platform.clone());
         let mut refr = ReferenceEngine::new(platform);

@@ -13,9 +13,8 @@
 //! rather than demanding a bit-identical order.
 
 use dessim::{ActivityKind, Completion, DiskId, Engine, LinkId, Platform, ReferenceEngine};
+use numeric::Rng;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Relative tolerance for comparing completion times across engines.
 const TOL: f64 = 1e-6;
@@ -24,41 +23,36 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= TOL * (1.0 + a.abs().max(b.abs()))
 }
 
-fn build_platform(rng: &mut StdRng) -> (Platform, Vec<LinkId>, Vec<DiskId>) {
+fn build_platform(rng: &mut Rng) -> (Platform, Vec<LinkId>, Vec<DiskId>) {
     let mut p = Platform::new();
-    let links: Vec<LinkId> = (0..rng.gen_range(2usize..6))
+    let links: Vec<LinkId> = (0..2 + rng.below(4))
         .map(|_| {
-            let lat = rng.gen_range(0.0..0.05);
+            let lat = rng.uniform(0.0, 0.05);
             // Mix zero-latency links in so Active-on-add flows occur.
-            p.add_link(
-                rng.gen_range(10.0..100.0),
-                if lat < 0.02 { 0.0 } else { lat },
-            )
+            p.add_link(rng.uniform(10.0, 100.0), if lat < 0.02 { 0.0 } else { lat })
         })
         .collect();
-    let disks: Vec<DiskId> = (0..rng.gen_range(1usize..3))
-        .map(|_| p.add_disk(rng.gen_range(20.0..80.0), rng.gen_range(1u32..4)))
+    let disks: Vec<DiskId> = (0..1 + rng.below(2))
+        .map(|_| p.add_disk(rng.uniform(20.0, 80.0), 1 + rng.below(3) as u32))
         .collect();
     (p, links, disks)
 }
 
-fn random_kind(rng: &mut StdRng, links: &[LinkId], disks: &[DiskId]) -> ActivityKind {
-    match rng.gen_range(0u32..12) {
-        0..=2 => ActivityKind::compute(rng.gen_range(1.0..50.0), rng.gen_range(0.0..100.0)),
+fn random_kind(rng: &mut Rng, links: &[LinkId], disks: &[DiskId]) -> ActivityKind {
+    match rng.below(12) {
+        0..=2 => ActivityKind::compute(rng.uniform(1.0, 50.0), rng.uniform(0.0, 100.0)),
         3..=4 => {
-            let d = disks[rng.gen_range(0..disks.len())];
-            ActivityKind::io(d, rng.gen_range(0.0..200.0))
+            let d = disks[rng.below(disks.len())];
+            ActivityKind::io(d, rng.uniform(0.0, 200.0))
         }
         5..=8 => {
-            let hops = rng.gen_range(1usize..=3.min(links.len()));
-            let route = (0..hops)
-                .map(|_| links[rng.gen_range(0..links.len())])
-                .collect();
-            ActivityKind::flow(route, rng.gen_range(0.0..300.0))
+            let hops = 1 + rng.below(3.min(links.len()));
+            let route = (0..hops).map(|_| links[rng.below(links.len())]).collect();
+            ActivityKind::flow(route, rng.uniform(0.0, 300.0))
         }
-        9 => ActivityKind::flow(vec![], rng.gen_range(0.0..1e9)),
-        10 => ActivityKind::timer(rng.gen_range(0.0..5.0)),
-        _ => ActivityKind::timer_at(rng.gen_range(0.0..20.0)),
+        9 => ActivityKind::flow(vec![], rng.uniform(0.0, 1e9)),
+        10 => ActivityKind::timer(rng.uniform(0.0, 5.0)),
+        _ => ActivityKind::timer_at(rng.uniform(0.0, 20.0)),
     }
 }
 
@@ -100,13 +94,13 @@ proptest! {
     /// completion sequence and final virtual time.
     #[test]
     fn incremental_engine_matches_reference(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = numeric::rng_from_seed(seed);
         let (platform, links, disks) = build_platform(&mut rng);
         let mut opt = Engine::new(platform.clone());
         let mut refr = ReferenceEngine::new(platform);
 
         let mut next_tag = 0u64;
-        let mut make_batch = |rng: &mut StdRng, n: usize| -> Vec<(ActivityKind, u64)> {
+        let mut make_batch = |rng: &mut Rng, n: usize| -> Vec<(ActivityKind, u64)> {
             (0..n)
                 .map(|_| {
                     next_tag += 1;
@@ -115,12 +109,12 @@ proptest! {
                 .collect()
         };
 
-        let n0 = rng.gen_range(10usize..40);
+        let n0 = 10 + rng.below(30);
         let initial = make_batch(&mut rng, n0);
         opt.add_activities(initial.clone());
         refr.add_activities(initial);
 
-        let mut batches_left = rng.gen_range(2usize..6);
+        let mut batches_left = 2 + rng.below(4);
         let mut opt_done = Vec::new();
         let mut refr_done = Vec::new();
         loop {
@@ -141,7 +135,7 @@ proptest! {
             // already-in-flight activities.
             if batches_left > 0 && opt_done.len() % 5 == 0 {
                 batches_left -= 1;
-                let n = rng.gen_range(2usize..8);
+                let n = 2 + rng.below(6);
                 let batch = make_batch(&mut rng, n);
                 opt.add_activities(batch.clone());
                 refr.add_activities(batch);

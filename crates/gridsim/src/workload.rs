@@ -7,7 +7,6 @@
 //! sizes that drive both the WAN transfer volume and the compute time.
 
 use numeric::{lognormal, rng_from_seed};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// How to generate one workload.
@@ -119,7 +118,7 @@ pub fn generate(spec: &GridSpec) -> GridWorkload {
     let sigma = 0.6;
     let files: Vec<GridFile> = (0..spec.files)
         .map(|_| {
-            let u: f64 = rng.gen_range(0.0..1.0);
+            let u = rng.unit();
             let home = skewed_index(u, spec.sites, spec.skew);
             let size_mb = spec.mean_file_mb * lognormal(&mut rng, -sigma * sigma / 2.0, sigma);
             GridFile { size_mb, home }
@@ -130,11 +129,11 @@ pub fn generate(spec: &GridSpec) -> GridWorkload {
     let mut t = 0.0;
     let jobs: Vec<GridJob> = (0..spec.jobs)
         .map(|_| {
-            let u: f64 = rng.gen_range(0.0..1.0);
+            let u = rng.unit();
             t += -spec.mean_interarrival * (1.0 - u).ln();
             let mut reads = Vec::with_capacity(spec.reads_per_job);
             while reads.len() < spec.reads_per_job {
-                let u: f64 = rng.gen_range(0.0..1.0);
+                let u = rng.unit();
                 let f = skewed_index(u, spec.files, spec.skew);
                 if !reads.contains(&f) {
                     reads.push(f);

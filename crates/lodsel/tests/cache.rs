@@ -2,13 +2,16 @@
 //! against the same cache directory is served entirely from disk (zero
 //! objective invocations, bit-for-bit identical digest), and warm-started
 //! calibrations change only how the budget is spent — never the losses
-//! recorded at shared calibration points.
+//! recorded at shared calibration points. A shard cut anywhere, as a kill
+//! mid-append leaves it, heals to the same records and the same digest.
 
 mod common;
 
 use common::ToyFamily;
 use lodsel::prelude::*;
 use simcal::prelude::*;
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -114,4 +117,61 @@ fn warm_start_changes_only_budget_spent_never_recorded_losses() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The records a shard holds, order and repeats aside (a healed torn
+/// fragment stays in the file as a line that is not a record).
+fn shard_records(path: &Path) -> BTreeSet<String> {
+    simcal::jsonl::read::<CacheRecord>(path)
+        .unwrap()
+        .iter()
+        .map(|record| format!("{record:?}"))
+        .collect()
+}
+
+#[test]
+fn a_shard_cut_at_any_byte_heals_to_the_cold_records_and_digest() {
+    let _guard = CACHE_LOCK.lock().unwrap();
+    let cold_dir = tmp_cache_dir("cut-cold");
+    let cold = run_sweep(&ToyFamily::new(true), &config(&cold_dir), None);
+
+    // Cut the largest shard; the others stay whole, so every warm sweep
+    // re-evaluates exactly what the cut lost.
+    let mut shards: Vec<(u64, std::path::PathBuf)> = std::fs::read_dir(&cold_dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            (std::fs::metadata(&path).unwrap().len(), path)
+        })
+        .collect();
+    shards.sort();
+    let (_, shard) = shards.last().expect("the cold sweep wrote no shard");
+    let name = shard.file_name().unwrap();
+    let cold_records = shard_records(shard);
+    assert!(
+        (2..=20).contains(&cold_records.len()),
+        "{} records: the toy budget should keep the shard small",
+        cold_records.len()
+    );
+
+    for cut in common::ledger_cuts(shard, "cache-cut") {
+        let warm_dir = tmp_cache_dir("cut-warm");
+        std::fs::create_dir_all(&warm_dir).unwrap();
+        for (_, path) in &shards {
+            std::fs::copy(path, warm_dir.join(path.file_name().unwrap())).unwrap();
+        }
+        std::fs::copy(&cut, warm_dir.join(name)).unwrap();
+
+        let warm = run_sweep(&ToyFamily::new(true), &config(&warm_dir), None);
+        assert_eq!(warm.digest(), cold.digest(), "cut {}", cut.display());
+        assert_eq!(
+            shard_records(&warm_dir.join(name)),
+            cold_records,
+            "cut {}: the healed shard lost or gained records",
+            cut.display()
+        );
+        let _ = std::fs::remove_dir_all(&warm_dir);
+        let _ = std::fs::remove_file(&cut);
+    }
+    let _ = std::fs::remove_dir_all(&cold_dir);
 }

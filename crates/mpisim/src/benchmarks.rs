@@ -4,7 +4,6 @@
 //! 512 compute nodes with six MPI ranks per node.
 
 use numeric::rng_from_seed;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 /// MPI ranks per compute node (Summit practice: one per GPU).
@@ -86,7 +85,7 @@ impl BenchmarkKind {
             BenchmarkKind::BiRandom => {
                 let mut ranks: Vec<usize> = (0..n_ranks).collect();
                 let mut rng = rng_from_seed(seed);
-                ranks.shuffle(&mut rng);
+                rng.shuffle(&mut ranks);
                 ranks
                     .chunks_exact(2)
                     .flat_map(|p| [(p[0], p[1]), (p[1], p[0])])

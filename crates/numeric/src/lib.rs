@@ -7,9 +7,9 @@
 //! deterministic random sampling helpers — with no external BLAS/LAPACK
 //! dependency so that the workspace builds anywhere.
 //!
-//! All randomness flows through explicit [`rand::rngs::StdRng`] instances
-//! seeded by the caller, which is what makes every experiment in the
-//! workspace reproducible bit-for-bit.
+//! All randomness flows through explicit [`Rng`] instances seeded by the
+//! caller, which is what makes every experiment in the workspace
+//! reproducible bit-for-bit.
 
 pub mod mat;
 pub mod rng;
@@ -17,7 +17,7 @@ pub mod special;
 pub mod stats;
 
 pub use mat::{Cholesky, Matrix};
-pub use rng::{lognormal, normal, rng_from_seed, truncated_normal};
+pub use rng::{lognormal, normal, rng_from_seed, truncated_normal, Rng};
 pub use special::{erf, norm_cdf, norm_pdf};
 pub use stats::{
     argmax, argmin, explained_variance, l1_distance, l2_distance, max, mean, median, min, quantile,

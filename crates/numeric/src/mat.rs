@@ -445,16 +445,15 @@ mod tests {
     /// Gram matrix with no jitter, whose trailing pivots are rounding
     /// noise: most draws factor, some are rejected part-way.
     fn test_matrix(n: usize, seed: u64, near_singular: bool) -> Matrix {
-        use rand::Rng;
         let mut rng = crate::rng_from_seed(seed);
         if near_singular {
-            let pts: Vec<[f64; 2]> = (0..n).map(|_| [rng.gen(), rng.gen()]).collect();
+            let pts: Vec<[f64; 2]> = (0..n).map(|_| [rng.unit(), rng.unit()]).collect();
             Matrix::from_symmetric_fn(n, |i, j| {
                 let (p, q) = (pts[i], pts[j]);
                 (-((p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2)) / 2.0).exp()
             })
         } else {
-            let b: Vec<f64> = (0..n * n).map(|_| rng.gen::<f64>() - 0.5).collect();
+            let b: Vec<f64> = (0..n * n).map(|_| rng.unit() - 0.5).collect();
             let mut m = Matrix::from_symmetric_fn(n, |i, j| {
                 (0..n).map(|k| b[i * n + k] * b[j * n + k]).sum()
             });
@@ -526,10 +525,9 @@ mod tests {
 
         #[test]
         fn prop_block_solve_equals_one_column_at_a_time(n in 1usize..48, seed in 0u64..1 << 40) {
-            use rand::Rng;
             let ch = test_matrix(n, seed, false).cholesky().unwrap();
             let mut rng = crate::rng_from_seed(seed ^ 0xb10c);
-            let mut block: Vec<[f64; 8]> = (0..n).map(|_| [0.0; 8].map(|_| rng.gen::<f64>() - 0.5)).collect();
+            let mut block: Vec<[f64; 8]> = (0..n).map(|_| [0.0; 8].map(|_| rng.unit() - 0.5)).collect();
             let columns: Vec<Vec<f64>> = (0..8).map(|w| block.iter().map(|r| r[w]).collect()).collect();
             ch.solve_lower_block(&mut block);
             for (w, b) in columns.iter().enumerate() {

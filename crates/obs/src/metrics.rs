@@ -201,11 +201,6 @@ impl HistogramSnapshot {
             .map(|i| self.counts[i])
             .sum()
     }
-
-    /// Mean observation in seconds, or `None` with no observations.
-    pub fn mean_secs(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_secs / self.count as f64)
-    }
 }
 
 #[cfg(test)]

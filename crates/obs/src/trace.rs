@@ -63,13 +63,6 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, String)>,
 }
 
-impl SpanRecord {
-    /// Span duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        (self.end_ns - self.start_ns) as f64 * 1e-9
-    }
-}
-
 struct OpenSpan {
     parent: Option<SpanId>,
     name: &'static str,

@@ -10,7 +10,6 @@ use super::SearchAlgorithm;
 use crate::budget::Evaluator;
 use crate::surrogate::SurrogateKind;
 use numeric::{norm_cdf, norm_pdf, rng_from_seed};
-use rand::Rng;
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -99,7 +98,7 @@ impl SearchAlgorithm for BayesianOpt {
 
         // Initial design: uniform random.
         let init: Vec<Vec<f64>> = (0..self.n_initial.max(2))
-            .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+            .map(|_| (0..dim).map(|_| rng.unit()).collect())
             .collect();
         if !evaluate_into(evaluator, &init, &mut fit_xs, &mut fit_ys) {
             return;
@@ -111,7 +110,7 @@ impl SearchAlgorithm for BayesianOpt {
                 // Every evaluation so far failed: nothing to model, so
                 // explore uniformly at random until something survives.
                 let batch: Vec<Vec<f64>> = (0..self.batch_size.max(1))
-                    .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+                    .map(|_| (0..dim).map(|_| rng.unit()).collect())
                     .collect();
                 if !evaluate_into(evaluator, &batch, &mut fit_xs, &mut fit_ys) {
                     return;
@@ -148,16 +147,16 @@ impl SearchAlgorithm for BayesianOpt {
                             .collect()
                     } else if i < n_local + n_coord {
                         let mut c = best_x.clone();
-                        let d = rng.gen_range(0..dim);
+                        let d = rng.below(dim);
                         c[d] = if i % 2 == 0 {
-                            rng.gen::<f64>()
+                            rng.unit()
                         } else {
                             let sigma = scales[i % scales.len()];
                             numeric::normal(&mut rng, c[d], sigma).clamp(0.0, 1.0)
                         };
                         c
                     } else {
-                        (0..dim).map(|_| rng.gen::<f64>()).collect()
+                        (0..dim).map(|_| rng.unit()).collect()
                     }
                 })
                 .collect();

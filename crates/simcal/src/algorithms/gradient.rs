@@ -14,7 +14,6 @@
 use super::SearchAlgorithm;
 use crate::budget::Evaluator;
 use numeric::rng_from_seed;
-use rand::Rng;
 
 /// Random-restart finite-difference gradient descent in the unit cube.
 #[derive(Clone, Debug)]
@@ -49,7 +48,7 @@ impl SearchAlgorithm for GradientDescent {
         let dim = evaluator.space().dim();
         let mut rng = rng_from_seed(seed);
         'restart: while !evaluator.exhausted() {
-            let mut x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
+            let mut x: Vec<f64> = (0..dim).map(|_| rng.unit()).collect();
             let mut fx = match evaluator.eval(&x) {
                 Some(v) => v,
                 None => return,

@@ -4,7 +4,6 @@
 use super::SearchAlgorithm;
 use crate::budget::Evaluator;
 use numeric::rng_from_seed;
-use rand::Rng;
 
 /// Uniform random search.
 #[derive(Clone, Debug)]
@@ -35,7 +34,7 @@ impl SearchAlgorithm for RandomSearch {
         let mut rng = rng_from_seed(seed);
         while !evaluator.exhausted() {
             let batch: Vec<Vec<f64>> = (0..self.batch_size)
-                .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+                .map(|_| (0..dim).map(|_| rng.unit()).collect())
                 .collect();
             if evaluator.eval_batch(&batch).is_none() {
                 break;

@@ -141,16 +141,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Add a fault that fires for any evaluator seed.
-    pub fn with_fault(mut self, kind: FaultKind, eval: usize) -> Self {
-        self.specs.push(FaultSpec {
-            kind,
-            eval,
-            seed: None,
-        });
-        self
-    }
-
     /// Add a fault restricted to evaluators constructed with `seed`.
     pub fn with_seeded_fault(mut self, kind: FaultKind, eval: usize, seed: u64) -> Self {
         self.specs.push(FaultSpec {

@@ -11,7 +11,6 @@
 //! - [`ParamKind::Integer`] — integer-valued in `[lo, hi]` (maximum
 //!   concurrent I/O operations at a disk).
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The shape of one calibratable parameter.
@@ -189,8 +188,8 @@ impl ParameterSpace {
     }
 
     /// Sample a uniform point in the unit hypercube.
-    pub fn sample_unit(&self, rng: &mut impl Rng) -> Vec<f64> {
-        (0..self.dim()).map(|_| rng.gen::<f64>()).collect()
+    pub fn sample_unit(&self, rng: &mut numeric::Rng) -> Vec<f64> {
+        (0..self.dim()).map(|_| rng.unit()).collect()
     }
 
     /// Build a calibration from `(name, value)` pairs (natural units).

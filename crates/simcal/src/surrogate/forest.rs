@@ -7,8 +7,6 @@
 use super::tree::{RegressionTree, SplitStrategy, TreeConfig};
 use super::Surrogate;
 use numeric::rng_from_seed;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 fn ensemble_predict(trees: &[RegressionTree], x: &[f64]) -> (f64, f64) {
     let preds: Vec<f64> = trees.iter().map(|t| t.predict(x)).collect();
@@ -52,13 +50,13 @@ impl Surrogate for RandomForest {
         if config.max_features.is_none() {
             config.max_features = Some(((dim as f64).sqrt().ceil() as usize).max(1));
         }
-        let mut rng: StdRng = rng_from_seed(self.seed);
+        let mut rng = rng_from_seed(self.seed);
         self.trees = (0..self.n_trees)
             .map(|_| {
                 // Bootstrap resample.
                 let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = (0..x.len())
                     .map(|_| {
-                        let i = rng.gen_range(0..x.len());
+                        let i = rng.below(x.len());
                         (x[i].clone(), y[i])
                     })
                     .unzip();
@@ -105,7 +103,7 @@ impl Surrogate for ExtraTrees {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
-        let mut rng: StdRng = rng_from_seed(self.seed);
+        let mut rng = rng_from_seed(self.seed);
         self.trees = (0..self.n_trees)
             .map(|_| RegressionTree::fit(x, y, &self.config, &mut rng))
             .collect();

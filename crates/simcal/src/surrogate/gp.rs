@@ -234,7 +234,6 @@ impl Surrogate for GaussianProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn interpolates_training_points_closely() {
@@ -288,7 +287,7 @@ mod tests {
         let mut rng = numeric::rng_from_seed(99);
         (0..64)
             .map(|_| {
-                let q: Vec<f64> = (0..dim).map(|_| rng.gen()).collect();
+                let q: Vec<f64> = (0..dim).map(|_| rng.unit()).collect();
                 let (mean, std) = gp.predict(&q);
                 (mean.to_bits(), std.to_bits())
             })
@@ -298,7 +297,7 @@ mod tests {
     fn random_history(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut rng = numeric::rng_from_seed(seed);
         let x: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| rng.gen()).collect())
+            .map(|_| (0..dim).map(|_| rng.unit()).collect())
             .collect();
         let y = x
             .iter()

@@ -111,9 +111,8 @@ mod tests {
 
     #[test]
     fn predict_batch_equals_predict_for_every_kind() {
-        use rand::Rng;
         let mut rng = numeric::rng_from_seed(5);
-        let mut point = || -> Vec<f64> { (0..3).map(|_| rng.gen()).collect() };
+        let mut point = || -> Vec<f64> { (0..3).map(|_| rng.unit()).collect() };
         let x: Vec<Vec<f64>> = (0..40).map(|_| point()).collect();
         let y: Vec<f64> = x.iter().map(|p| p[0] * p[1] + (4.0 * p[2]).cos()).collect();
         let queries: Vec<Vec<f64>> = (0..512).map(|_| point()).collect();

@@ -6,8 +6,7 @@
 //! random feature subsets (random forest), or a single random threshold
 //! per feature (extra-trees).
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use numeric::Rng;
 
 /// How split thresholds are chosen at each node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +68,7 @@ impl RegressionTree {
     ///
     /// # Panics
     /// Panics if `x` is empty or `x.len() != y.len()`.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], config: &TreeConfig, rng: &mut StdRng) -> Self {
+    pub fn fit(x: &[Vec<f64>], y: &[f64], config: &TreeConfig, rng: &mut Rng) -> Self {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit a tree on no data");
         let mut tree = Self { nodes: Vec::new() };
@@ -112,7 +111,7 @@ impl RegressionTree {
         indices: Vec<usize>,
         depth: usize,
         config: &TreeConfig,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> usize {
         let node_mean = indices.iter().map(|&i| y[i]).sum::<f64>() / indices.len() as f64;
         let make_leaf = |nodes: &mut Vec<Node>| {
@@ -129,7 +128,7 @@ impl RegressionTree {
         // Sample a feature subset without replacement (partial Fisher-Yates).
         let mut features: Vec<usize> = (0..dim).collect();
         for i in 0..n_features {
-            let j = i + rng.gen_range(0..dim - i);
+            let j = i + rng.below(dim - i);
             features.swap(i, j);
         }
         features.truncate(n_features);
@@ -163,7 +162,7 @@ impl RegressionTree {
                         .map(|&i| x[i][f])
                         .fold(f64::NEG_INFINITY, f64::max);
                     if hi > lo {
-                        vec![lo + rng.gen::<f64>() * (hi - lo)]
+                        vec![rng.uniform(lo, hi)]
                     } else {
                         Vec::new()
                     }

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::ground_truth::{
         dataset, dataset_for, split_train_test, DatasetOptions, EmulatorConfig, GroundTruthRecord,
     };
-    pub use crate::scenario::{objective, space_of, WfScenario};
+    pub use crate::scenario::{objective, WfScenario};
     pub use crate::simulator::{SimOutput, WorkflowSimulator};
     pub use crate::spec::spec_calibration;
     pub use crate::versions::{ComputeModel, NetworkModel, SimulatorVersion, StorageModel};

@@ -4,11 +4,9 @@
 use crate::generator::generate;
 use crate::ground_truth::GroundTruthRecord;
 use crate::simulator::WorkflowSimulator;
-use crate::versions::SimulatorVersion;
 use crate::workflow::Workflow;
 use simcal::prelude::{
-    relative_error, Calibration, ParameterSpace, ScenarioError, SimulationObjective, Simulator,
-    StructuredLoss,
+    relative_error, Calibration, ScenarioError, SimulationObjective, Simulator, StructuredLoss,
 };
 
 /// One calibration scenario: a concrete workflow, its worker count, and
@@ -79,16 +77,12 @@ pub fn objective<'a>(
     )
 }
 
-/// The parameter space of a version (re-exported for ergonomic access).
-pub fn space_of(version: SimulatorVersion) -> ParameterSpace {
-    version.parameter_space()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::AppKind;
     use crate::ground_truth::{dataset_for, DatasetOptions};
+    use crate::versions::SimulatorVersion;
     use simcal::prelude::{Agg, Budget, Calibrator, ElementMix, Objective};
 
     fn tiny_dataset() -> Vec<GroundTruthRecord> {

@@ -16,7 +16,6 @@ use crate::versions::{ComputeModel, NetworkModel, SimulatorVersion, StorageModel
 use crate::workflow::{FileId, TaskId, Workflow};
 use dessim::{ActivityKind, DiskId, Engine, LinkId, Platform};
 use numeric::{lognormal, rng_from_seed};
-use rand::Rng;
 use simcal::prelude::Calibration;
 use std::collections::VecDeque;
 
@@ -286,13 +285,13 @@ pub(crate) fn execute(
                 .collect();
             let j = noise.overhead_jitter;
             let pre: Vec<f64> = (0..n_tasks)
-                .map(|_| 1.0 + j * (2.0 * rng.gen::<f64>() - 1.0))
+                .map(|_| 1.0 + j * (2.0 * rng.unit() - 1.0))
                 .collect();
             let post: Vec<f64> = (0..n_tasks)
-                .map(|_| 1.0 + j * (2.0 * rng.gen::<f64>() - 1.0))
+                .map(|_| 1.0 + j * (2.0 * rng.unit() - 1.0))
                 .collect();
             let sched: Vec<f64> = (0..n_tasks)
-                .map(|_| noise.sched_jitter * rng.gen::<f64>())
+                .map(|_| noise.sched_jitter * rng.unit())
                 .collect();
             (work, pre, post, sched)
         }
