@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The cache directory is process-global state; serialize the tests that
-/// install one.
+/// install one. A test takes the lock even when an earlier one panicked
+/// holding it, so one failure reads as one failure, not as a cascade.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Collision-free temp cache directory (tests run concurrently).
@@ -41,7 +42,9 @@ fn config(dir: &std::path::Path) -> SweepConfig {
 
 #[test]
 fn repeated_sweep_is_served_entirely_from_the_disk_cache() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = tmp_cache_dir("sweep-twice");
 
     let cold_family = ToyFamily::new(true);
@@ -74,7 +77,9 @@ fn repeated_sweep_is_served_entirely_from_the_disk_cache() {
 
 #[test]
 fn warm_start_changes_only_budget_spent_never_recorded_losses() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let dir = tmp_cache_dir("warm-vs-fresh");
     simcal::cache::install(&dir);
 
@@ -131,7 +136,9 @@ fn shard_records(path: &Path) -> BTreeSet<String> {
 
 #[test]
 fn a_shard_cut_at_any_byte_heals_to_the_cold_records_and_digest() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let cold_dir = tmp_cache_dir("cut-cold");
     let cold = run_sweep(&ToyFamily::new(true), &config(&cold_dir), None);
 
