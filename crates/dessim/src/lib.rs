@@ -22,8 +22,8 @@
 //! [`engine::Completion`] by adding new activities, in the classic
 //! discrete-event style. The hot path is built for ~10⁶ concurrent
 //! activities: structure-of-arrays activity storage with a recycled slot
-//! free-list and a shared route arena, an addressable event heap (one
-//! relocatable entry per activity), frontier-limited incremental max-min
+//! free-list and a shared route arena, an addressable 4-ary event heap
+//! (one relocatable entry per activity), frontier-limited incremental max-min
 //! re-solves, and same-instant batch draining of simultaneous
 //! completions (see the [`engine`] module docs). The original
 //! full-recompute loop survives as [`reference::ReferenceEngine`], the
