@@ -12,7 +12,7 @@ use crate::workload::Job;
 use dessim::{ActivityKind, Engine, Platform};
 use numeric::{lognormal, rng_from_seed};
 use serde::{Deserialize, Serialize};
-use simcal::prelude::Calibration;
+use simcal::prelude::{Calibration, ParamKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -46,27 +46,56 @@ pub(crate) struct ResolvedBatch {
     pub noise_seed: u64,
 }
 
-/// Map a calibration in `version`'s space to a resolved model.
-pub(crate) fn resolve(version: BatchVersion, calib: &Calibration) -> ResolvedBatch {
-    let space = version.parameter_space();
-    let get = |name: &str| space.value(calib, name);
+/// The one list of `version`'s knobs: each calibrated value is asked of
+/// `knob`, with its range, where the resolved model takes it, and the
+/// order of the calls is the parameter order. A knob the version does not
+/// model keeps its neutral value.
+pub(crate) fn model(
+    version: BatchVersion,
+    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
+) -> ResolvedBatch {
+    let uniform = |lo, hi| ParamKind::Continuous { lo, hi };
     ResolvedBatch {
-        node_speed: get("node_speed"),
+        // Work units per second, log-uniform over a broad range around 1
+        // (the workload's natural unit).
+        node_speed: knob(
+            "node_speed",
+            ParamKind::Exponential {
+                lo_exp: -5.0,
+                hi_exp: 5.0,
+            },
+        ),
         contention_coeff: match version.runtime {
-            RuntimeDetail::Contention => get("contention_coeff"),
+            RuntimeDetail::Contention => knob("contention_coeff", uniform(0.0, 2.0)),
             RuntimeDetail::Proportional => 0.0,
         },
         sched_cycle: match version.overhead {
-            OverheadDetail::Cycle => get("sched_cycle"),
+            OverheadDetail::Cycle => knob("sched_cycle", uniform(0.0, 120.0)),
             OverheadDetail::Instant => 0.0,
         },
         dispatch_overhead: match version.overhead {
-            OverheadDetail::Cycle => get("dispatch_overhead"),
+            OverheadDetail::Cycle => knob("dispatch_overhead", uniform(0.0, 30.0)),
             OverheadDetail::Instant => 0.0,
         },
         noise_sigma: 0.0,
         noise_seed: 0,
     }
+}
+
+/// Map a calibration in `version`'s space to a resolved model. Panics
+/// unless the calibration has one value per parameter.
+pub(crate) fn resolve(version: BatchVersion, calib: &Calibration) -> ResolvedBatch {
+    let (n, mut taken) = (calib.values.len(), 0);
+    let resolved = model(version, &mut |_, _| {
+        taken += 1;
+        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
+    });
+    assert!(
+        n == taken,
+        "{}: {n} calibration values for {taken} parameters",
+        version.label()
+    );
+    resolved
 }
 
 /// A calibratable batch-scheduling simulator at one level of detail.
@@ -414,6 +443,15 @@ mod tests {
             work,
             walltime_estimate: estimate,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle/contention: 5 calibration values for 4 parameters")]
+    fn a_calibration_with_a_value_left_over_is_refused() {
+        let version = BatchVersion::highest_detail();
+        let mut calib = version.parameter_space().denormalize(&[0.5; 4]);
+        calib.values.push(1.0);
+        BatchSimulator::new(version, 4).simulate(&[job(0.0, 1, 1.0, 1.0)], &calib);
     }
 
     #[test]

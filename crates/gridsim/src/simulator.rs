@@ -10,6 +10,7 @@ use crate::workload::GridWorkload;
 use dessim::{ActivityKind, Engine, LinkId, Platform};
 use numeric::{lognormal, rng_from_seed};
 use serde::{Deserialize, Serialize};
+use simcal::prelude::{Calibration, ParamKind};
 use std::collections::VecDeque;
 
 /// Result of simulating one workload execution.
@@ -51,35 +52,61 @@ pub(crate) struct ResolvedGrid {
     pub ramp_mb: f64,
 }
 
-/// Map a calibration in `version`'s space to a resolved model.
-pub(crate) fn resolve(version: GridVersion, calib: &simcal::prelude::Calibration) -> ResolvedGrid {
-    let space = version.parameter_space();
-    let get = |name: &str| space.value(calib, name);
+/// The one list of `version`'s knobs: each calibrated value is asked of
+/// `knob`, with its range, where the resolved model takes it, and the
+/// order of the calls is the parameter order. A knob the version does not
+/// model keeps its neutral value.
+///
+/// Every version calibrates the platform (core speed, WAN link bandwidth
+/// and latency, storage-element bandwidth); each higher-detail axis adds
+/// the knob of the behaviour it models.
+pub(crate) fn model(
+    version: GridVersion,
+    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
+) -> ResolvedGrid {
+    let exp2 = |lo_exp, hi_exp| ParamKind::Exponential { lo_exp, hi_exp };
+    let uniform = |lo, hi| ParamKind::Continuous { lo, hi };
     ResolvedGrid {
-        core_speed: get("core_speed"),
-        wan_bandwidth: get("wan_bandwidth"),
-        wan_latency: get("wan_latency"),
-        disk_bandwidth: get("disk_bandwidth"),
+        core_speed: knob("core_speed", exp2(-4.0, 4.0)),
+        wan_bandwidth: knob("wan_bandwidth", exp2(0.0, 9.0)),
+        wan_latency: knob("wan_latency", uniform(0.0, 2.0)),
+        disk_bandwidth: knob("disk_bandwidth", exp2(3.0, 11.0)),
         hit_ratio: match version.cache {
-            CacheDetail::HitRatio => get("hit_ratio"),
+            CacheDetail::HitRatio => knob("hit_ratio", uniform(0.0, 1.0)),
             CacheDetail::Lru => 0.0,
         },
         cache_mb: match version.cache {
-            CacheDetail::Lru => get("cache_mb"),
+            CacheDetail::Lru => knob("cache_mb", exp2(7.0, 15.0)),
             CacheDetail::HitRatio => 0.0,
         },
         transfer_startup: match version.transfer {
-            TransferDetail::PerFile => get("transfer_startup"),
+            TransferDetail::PerFile => knob("transfer_startup", uniform(0.0, 8.0)),
             TransferDetail::FlowLevel => 0.0,
         },
         broker_overhead: match version.broker {
-            BrokerDetail::PerJob => get("broker_overhead"),
+            BrokerDetail::PerJob => knob("broker_overhead", uniform(0.0, 10.0)),
             BrokerDetail::Bulk => 0.0,
         },
         noise_sigma: 0.0,
         noise_seed: 0,
         ramp_mb: 0.0,
     }
+}
+
+/// Map a calibration in `version`'s space to a resolved model. Panics
+/// unless the calibration has one value per parameter.
+pub(crate) fn resolve(version: GridVersion, calib: &Calibration) -> ResolvedGrid {
+    let (n, mut taken) = (calib.values.len(), 0);
+    let resolved = model(version, &mut |_, _| {
+        taken += 1;
+        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
+    });
+    assert!(
+        n == taken,
+        "{}: {n} calibration values for {taken} parameters",
+        version.label()
+    );
+    resolved
 }
 
 /// A calibratable data-grid simulator at one level of detail.
@@ -96,11 +123,7 @@ impl GridSimulator {
     }
 
     /// Simulate `workload` under `calibration`.
-    pub fn simulate(
-        &self,
-        workload: &GridWorkload,
-        calibration: &simcal::prelude::Calibration,
-    ) -> GridOutput {
+    pub fn simulate(&self, workload: &GridWorkload, calibration: &Calibration) -> GridOutput {
         execute(workload, self.version, &resolve(self.version, calibration))
     }
 }
@@ -527,6 +550,15 @@ mod tests {
             assert!(out.turnarounds.iter().all(|t| *t > 0.0));
             assert!(out.sim_events > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "flow/hitratio/bulk: 6 calibration values for 5 parameters")]
+    fn a_calibration_with_a_value_left_over_is_refused() {
+        let version = GridVersion::lowest_detail();
+        let mut calib = version.parameter_space().denormalize(&[0.5; 5]);
+        calib.values.push(1.0);
+        GridSimulator::new(version).simulate(&workload(), &calib);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::versions::{
     MpiSimulatorVersion, NodeModel, ProtocolModel, TopologyModel, FIXED_CHANGEPOINTS_LOG2,
 };
 use dessim::Workspace;
-use simcal::prelude::{Calibration, ParameterSpace};
+use simcal::prelude::{Calibration, ParamKind};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -58,46 +58,43 @@ pub(crate) struct ResolvedMpi {
     pub scale_exponent: f64,
 }
 
-/// Map a calibration in `space`, the parameter space of `version`, to a
-/// resolved model.
-fn resolve(
+/// The one list of `version`'s knobs: each calibrated value is asked of
+/// `knob`, with its range, where the resolved model takes it, and the
+/// order of the calls is the parameter order. A knob the version does not
+/// model keeps its neutral value.
+pub(crate) fn model(
     version: MpiSimulatorVersion,
-    space: &ParameterSpace,
-    calib: &Calibration,
+    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
 ) -> ResolvedMpi {
-    let get = |name: &str| space.value(calib, name);
-    let (bb_bw, bb_lat, link_bw, link_lat, down_bw, up_bw) = match version.topology {
-        TopologyModel::Backbone => (get("bb_bw"), get("bb_lat"), 0.0, 0.0, 0.0, 0.0),
-        TopologyModel::BackboneLinks => (
-            get("bb_bw"),
-            get("bb_lat"),
-            get("link_bw"),
-            get("link_lat"),
-            0.0,
-            0.0,
-        ),
-        TopologyModel::Tree4 => (0.0, 0.0, get("link_bw"), get("link_lat"), 0.0, 0.0),
-        TopologyModel::FatTree => (0.0, 0.0, 0.0, get("link_lat"), get("down_bw"), get("up_bw")),
+    use TopologyModel::{Backbone, BackboneLinks, FatTree, Tree4};
+    // Summit spec is ~12.5 GB/s per port (2^33.5); span well over an
+    // order of magnitude on both sides.
+    let bw = ParamKind::Exponential {
+        lo_exp: 25.0,
+        hi_exp: 40.0,
     };
-    let (xbus_bw, pcie_bw) = match version.node {
-        NodeModel::Complex => (get("xbus_bw"), get("pcie_bw")),
-        NodeModel::Simple => (0.0, 0.0),
-    };
-    let changepoints_log2 = match version.protocol {
-        ProtocolModel::FixedChangepoints => FIXED_CHANGEPOINTS_LOG2,
-        ProtocolModel::ArbitraryChangepoints => {
-            let (a, b) = (get("changepoint1_log2"), get("changepoint2_log2"));
-            // The two change points are unordered parameters; the model
-            // sorts them so the piecewise regions are well-defined.
-            if a <= b {
-                [a, b]
-            } else {
-                [b, a]
-            }
-        }
+    let lat = ParamKind::Continuous { lo: 0.0, hi: 1e-3 };
+    let factor = ParamKind::Continuous { lo: 0.05, hi: 1.5 };
+    let cp = ParamKind::Continuous { lo: 10.0, hi: 22.0 };
+    let topology = version.topology;
+    let backbone = matches!(topology, Backbone | BackboneLinks);
+    let links = matches!(topology, BackboneLinks | Tree4);
+    let fat = topology == FatTree;
+    let complex = version.node == NodeModel::Complex;
+    // The topology's knobs in parameter order: a fat tree's latency comes
+    // after its two bandwidths.
+    let bb_bw = if backbone { knob("bb_bw", bw) } else { 0.0 };
+    let bb_lat = if backbone { knob("bb_lat", lat) } else { 0.0 };
+    let link_bw = if links { knob("link_bw", bw) } else { 0.0 };
+    let down_bw = if fat { knob("down_bw", bw) } else { 0.0 };
+    let up_bw = if fat { knob("up_bw", bw) } else { 0.0 };
+    let link_lat = if topology == Backbone {
+        0.0
+    } else {
+        knob("link_lat", lat)
     };
     ResolvedMpi {
-        topology: version.topology,
+        topology,
         bb_bw,
         bb_lat,
         link_bw,
@@ -105,16 +102,44 @@ fn resolve(
         down_bw,
         up_bw,
         node: version.node,
-        xbus_bw,
-        pcie_bw,
+        xbus_bw: if complex { knob("xbus_bw", bw) } else { 0.0 },
+        pcie_bw: if complex { knob("pcie_bw", bw) } else { 0.0 },
         factors: [
-            get("factor_small"),
-            get("factor_medium"),
-            get("factor_large"),
+            knob("factor_small", factor),
+            knob("factor_medium", factor),
+            knob("factor_large", factor),
         ],
-        changepoints_log2,
+        changepoints_log2: match version.protocol {
+            ProtocolModel::FixedChangepoints => FIXED_CHANGEPOINTS_LOG2,
+            ProtocolModel::ArbitraryChangepoints => {
+                let (a, b) = (knob("changepoint1_log2", cp), knob("changepoint2_log2", cp));
+                // The two change points are unordered parameters; the model
+                // sorts them so the piecewise regions are well-defined.
+                if a <= b {
+                    [a, b]
+                } else {
+                    [b, a]
+                }
+            }
+        },
         scale_exponent: 0.0,
     }
+}
+
+/// Map a calibration in `version`'s space to a resolved model. Panics
+/// unless the calibration has one value per parameter.
+fn resolve(version: MpiSimulatorVersion, calib: &Calibration) -> ResolvedMpi {
+    let (n, mut taken) = (calib.values.len(), 0);
+    let resolved = model(version, &mut |_, _| {
+        taken += 1;
+        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
+    });
+    assert!(
+        n == taken,
+        "{}: {n} calibration values for {taken} parameters",
+        version.label()
+    );
+    resolved
 }
 
 impl ResolvedMpi {
@@ -479,8 +504,6 @@ pub(crate) fn transfer_rates_resolved(
 #[derive(Debug)]
 pub struct MpiSimulator {
     version: MpiSimulatorVersion,
-    /// `version`'s parameter space.
-    space: ParameterSpace,
     /// Compiled scenarios, in the order they were first asked for.
     plans: Mutex<Vec<(BenchmarkKind, usize, Arc<Plan>)>>,
 }
@@ -490,7 +513,6 @@ impl MpiSimulator {
     pub fn new(version: MpiSimulatorVersion) -> Self {
         Self {
             version,
-            space: version.parameter_space(),
             plans: Mutex::default(),
         }
     }
@@ -530,7 +552,7 @@ impl MpiSimulator {
         sizes: &[f64],
         calibration: &Calibration,
     ) -> Vec<f64> {
-        let model = resolve(self.version, &self.space, calibration);
+        let model = resolve(self.version, calibration);
         self.plan(benchmark, n_nodes).rates(&model, sizes)
     }
 
@@ -595,6 +617,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "backbone/simple/fixed: 6 calibration values for 5 parameters")]
+    fn a_calibration_with_a_value_left_over_is_refused() {
+        let version = MpiSimulatorVersion::lowest_detail();
+        let mut calib = calib_for(version);
+        calib.values.push(1.0);
+        MpiSimulator::new(version).transfer_rates(BenchmarkKind::PingPong, 4, &[1024.0], &calib);
+    }
+
+    #[test]
     fn rates_increase_with_message_size_under_latency_dominance() {
         // Small messages are latency-bound: rate grows with size.
         let version = MpiSimulatorVersion::lowest_detail();
@@ -656,7 +687,7 @@ mod tests {
     #[test]
     fn protocol_factor_is_piecewise_by_size() {
         let version = MpiSimulatorVersion::lowest_detail();
-        let model = resolve(version, &version.parameter_space(), &calib_for(version));
+        let model = resolve(version, &calib_for(version));
         assert_eq!(model.protocol_factor(1024.0), 1.0);
         assert_eq!(model.protocol_factor(16_384.0), 0.7);
         assert_eq!(model.protocol_factor(1_048_576.0), 0.9);
@@ -675,7 +706,7 @@ mod tests {
         let i2 = space.index_of("changepoint2_log2").unwrap();
         values[i1] = 17.0;
         values[i2] = 13.0;
-        let model = resolve(version, &space, &Calibration::new(values));
+        let model = resolve(version, &Calibration::new(values));
         assert_eq!(model.changepoints_log2, [13.0, 17.0]);
     }
 

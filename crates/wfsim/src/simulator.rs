@@ -16,7 +16,7 @@ use crate::versions::{ComputeModel, NetworkModel, SimulatorVersion, StorageModel
 use crate::workflow::{FileId, TaskId, Workflow};
 use dessim::{ActivityKind, DiskId, Engine, LinkId, Platform};
 use numeric::{lognormal, rng_from_seed};
-use simcal::prelude::Calibration;
+use simcal::prelude::{Calibration, ParamKind};
 use std::collections::VecDeque;
 
 /// Result of simulating one workflow execution.
@@ -82,40 +82,66 @@ pub(crate) struct ResolvedModel {
     pub noise: Option<NoiseModel>,
 }
 
-/// Map a calibration (in `version`'s parameter space) to a resolved model.
-pub(crate) fn resolve(version: SimulatorVersion, calib: &Calibration) -> ResolvedModel {
-    let space = version.parameter_space();
-    let get = |name: &str| space.value(calib, name);
+/// The one list of `version`'s knobs: each calibrated value is asked of
+/// `knob`, with its range, where the resolved model takes it, and the
+/// order of the calls is the parameter order. A knob the version does not
+/// model keeps its neutral value.
+pub(crate) fn model(
+    version: SimulatorVersion,
+    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
+) -> ResolvedModel {
+    let bw = ParamKind::Exponential {
+        lo_exp: 20.0,
+        hi_exp: 40.0,
+    };
+    let lat = ParamKind::Continuous { lo: 0.0, hi: 0.010 };
+    let overhead = ParamKind::Continuous { lo: 0.0, hi: 20.0 };
     let (backbone_bw, backbone_lat) = match version.network {
-        NetworkModel::SharedDedicated => (get("backbone_bw"), get("backbone_lat")),
-        _ => (0.0, 0.0),
-    };
-    let worker_disk_bw = match version.storage {
-        StorageModel::AllNodes => get("worker_disk_bw"),
-        StorageModel::SubmitOnly => 0.0,
-    };
-    let overhead = match version.compute {
-        ComputeModel::Direct => OverheadModel::Direct { startup: 0.0 },
-        ComputeModel::HtCondor => OverheadModel::Condor {
-            cycle: get("condor_cycle"),
-            pre: get("condor_overhead"),
-            post: 0.0,
-        },
+        NetworkModel::SharedDedicated => (knob("backbone_bw", bw), knob("backbone_lat", lat)),
+        NetworkModel::OneLink | NetworkModel::Star => (0.0, 0.0),
     };
     ResolvedModel {
         network: version.network,
         backbone_bw,
         backbone_lat,
-        net_bw: get("net_bw"),
-        net_lat: get("net_lat"),
+        net_bw: knob("net_bw", bw),
+        net_lat: knob("net_lat", lat),
         storage: version.storage,
-        submit_disk_bw: get("submit_disk_bw"),
-        worker_disk_bw,
-        disk_concurrency: get("disk_concurrency").round().max(1.0) as u32,
-        core_speed: get("core_speed"),
-        overhead,
+        submit_disk_bw: knob("submit_disk_bw", bw),
+        worker_disk_bw: match version.storage {
+            StorageModel::AllNodes => knob("worker_disk_bw", bw),
+            StorageModel::SubmitOnly => 0.0,
+        },
+        disk_concurrency: knob("disk_concurrency", ParamKind::Integer { lo: 1, hi: 100 })
+            .round()
+            .max(1.0) as u32,
+        core_speed: knob("core_speed", bw),
+        overhead: match version.compute {
+            ComputeModel::Direct => OverheadModel::Direct { startup: 0.0 },
+            ComputeModel::HtCondor => OverheadModel::Condor {
+                cycle: knob("condor_cycle", overhead),
+                pre: knob("condor_overhead", overhead),
+                post: 0.0,
+            },
+        },
         noise: None,
     }
+}
+
+/// Map a calibration in `version`'s space to a resolved model. Panics
+/// unless the calibration has one value per parameter.
+pub(crate) fn resolve(version: SimulatorVersion, calib: &Calibration) -> ResolvedModel {
+    let (n, mut taken) = (calib.values.len(), 0);
+    let resolved = model(version, &mut |_, _| {
+        taken += 1;
+        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
+    });
+    assert!(
+        n == taken,
+        "{}: {n} calibration values for {taken} parameters",
+        version.label()
+    );
+    resolved
 }
 
 /// A calibratable workflow simulator at one level of detail.
@@ -763,6 +789,15 @@ mod tests {
                 cp
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "onelink/submit/direct: 6 calibration values for 5 parameters")]
+    fn a_calibration_with_a_value_left_over_is_refused() {
+        let version = SimulatorVersion::lowest_detail();
+        let mut calib = calib_for(version);
+        calib.values.push(1.0);
+        WorkflowSimulator::new(version).simulate(&small_workflow(), 2, &calib);
     }
 
     #[test]
