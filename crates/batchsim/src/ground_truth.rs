@@ -7,8 +7,12 @@
 //! lowest-detail candidate simulators, as in the other two case studies.
 
 use crate::simulator::{execute, BatchOutput, ResolvedBatch};
+#[cfg(test)]
+use crate::versions::BatchVersion;
 use crate::workload::{generate, Job, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use simcal::prelude::Calibration;
 
 /// Hidden parameters of the emulated production system.
 #[derive(Clone, Copy, Debug)]
@@ -41,6 +45,19 @@ impl Default for BatchEmulatorConfig {
 }
 
 impl BatchEmulatorConfig {
+    /// The hidden values, as a point of the emulated version's space.
+    #[cfg(test)]
+    fn calibration(&self) -> Calibration {
+        BatchVersion::highest_detail()
+            .parameter_space()
+            .calibration_from_pairs(&[
+                ("node_speed", self.node_speed),
+                ("contention_coeff", self.contention_coeff),
+                ("sched_cycle", self.sched_cycle),
+                ("dispatch_overhead", self.dispatch_overhead),
+            ])
+    }
+
     /// Emulate one "real" execution of `jobs`; `noise_seed` distinguishes
     /// repetitions.
     pub fn emulate(&self, jobs: &[Job], noise_seed: u64) -> BatchOutput {
@@ -122,6 +139,35 @@ pub fn default_grid(base_seed: u64) -> Vec<WorkloadSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One word over every output bit of a small dataset: a change to
+    /// the emulated model, its hidden values or its effects moves it.
+    #[test]
+    fn emulator_outputs_are_pinned() {
+        let mut words = Vec::new();
+        for r in dataset(&default_grid(3), &BatchEmulatorConfig::default(), 2, 3) {
+            words.push(r.makespan.to_bits());
+            words.extend(r.turnarounds.iter().map(|t| t.to_bits()));
+        }
+        let word = simcal::cache::fnv1a_fold(words);
+        assert_eq!(format!("{word:016x}"), "2660a50c0ee58f4c");
+    }
+
+    /// Every hidden value lies inside its knob's range in the emulated
+    /// version's space: the ground truth is a point of that version.
+    #[test]
+    fn emulator_is_a_point_of_its_version() {
+        let calib = BatchEmulatorConfig::default().calibration();
+        let space = BatchVersion::highest_detail().parameter_space();
+        for (p, v) in space.params().iter().zip(&calib.values) {
+            let (lo, hi) = (p.kind.denormalize(0.0), p.kind.denormalize(1.0));
+            assert!(
+                (lo..=hi).contains(v),
+                "{} = {v} outside [{lo}, {hi}]",
+                p.name
+            );
+        }
+    }
 
     #[test]
     fn emulation_is_reproducible_and_noisy() {

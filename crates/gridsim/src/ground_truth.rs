@@ -12,6 +12,8 @@ use crate::simulator::{execute, GridOutput, ResolvedGrid};
 use crate::versions::GridVersion;
 use crate::workload::{generate, GridSpec, GridWorkload};
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use simcal::prelude::Calibration;
 
 /// Hidden parameters of the emulated production grid.
 #[derive(Clone, Copy, Debug)]
@@ -54,6 +56,22 @@ impl Default for GridEmulatorConfig {
 }
 
 impl GridEmulatorConfig {
+    /// The hidden values, as a point of the emulated version's space.
+    #[cfg(test)]
+    fn calibration(&self) -> Calibration {
+        GridVersion::highest_detail()
+            .parameter_space()
+            .calibration_from_pairs(&[
+                ("core_speed", self.core_speed),
+                ("wan_bandwidth", self.wan_bandwidth),
+                ("wan_latency", self.wan_latency),
+                ("disk_bandwidth", self.disk_bandwidth),
+                ("cache_mb", self.cache_mb),
+                ("transfer_startup", self.transfer_startup),
+                ("broker_overhead", self.broker_overhead),
+            ])
+    }
+
     /// Emulate one "real" execution of `workload`; `noise_seed`
     /// distinguishes repetitions.
     pub fn emulate(&self, workload: &GridWorkload, noise_seed: u64) -> GridOutput {
@@ -141,6 +159,35 @@ pub fn default_grid(base_seed: u64) -> Vec<GridSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One word over every output bit of a small dataset: a change to
+    /// the emulated model, its hidden values or its effects moves it.
+    #[test]
+    fn emulator_outputs_are_pinned() {
+        let mut words = Vec::new();
+        for r in dataset(&default_grid(3), &GridEmulatorConfig::default(), 2, 3) {
+            words.push(r.makespan.to_bits());
+            words.extend(r.turnarounds.iter().map(|t| t.to_bits()));
+        }
+        let word = simcal::cache::fnv1a_fold(words);
+        assert_eq!(format!("{word:016x}"), "bb22fad66c47f296");
+    }
+
+    /// Every hidden value lies inside its knob's range in the emulated
+    /// version's space: the ground truth is a point of that version.
+    #[test]
+    fn emulator_is_a_point_of_its_version() {
+        let calib = GridEmulatorConfig::default().calibration();
+        let space = GridVersion::highest_detail().parameter_space();
+        for (p, v) in space.params().iter().zip(&calib.values) {
+            let (lo, hi) = (p.kind.denormalize(0.0), p.kind.denormalize(1.0));
+            assert!(
+                (lo..=hi).contains(v),
+                "{} = {v} outside [{lo}, {hi}]",
+                p.name
+            );
+        }
+    }
 
     #[test]
     fn emulation_is_reproducible_and_noisy() {

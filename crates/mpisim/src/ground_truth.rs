@@ -16,9 +16,13 @@
 
 use crate::benchmarks::{message_sizes, BenchmarkKind};
 use crate::simulator::{transfer_rates_resolved, ResolvedMpi};
+#[cfg(test)]
+use crate::versions::MpiSimulatorVersion;
 use crate::versions::{NodeModel, TopologyModel, FIXED_CHANGEPOINTS_LOG2};
 use numeric::{lognormal, rng_from_seed};
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use simcal::prelude::Calibration;
 
 /// Hidden "Summit" parameters of the emulated testbed.
 #[derive(Clone, Copy, Debug)]
@@ -64,6 +68,27 @@ impl Default for MpiEmulatorConfig {
 }
 
 impl MpiEmulatorConfig {
+    /// The hidden values, as a point of the emulated version's space.
+    #[cfg(test)]
+    fn calibration(&self) -> Calibration {
+        let [small, medium, large] = self.factors;
+        let [cp1, cp2] = self.changepoints_log2;
+        MpiSimulatorVersion::highest_detail()
+            .parameter_space()
+            .calibration_from_pairs(&[
+                ("down_bw", self.down_bw),
+                ("up_bw", self.up_bw),
+                ("link_lat", self.link_lat),
+                ("xbus_bw", self.xbus_bw),
+                ("pcie_bw", self.pcie_bw),
+                ("factor_small", small),
+                ("factor_medium", medium),
+                ("factor_large", large),
+                ("changepoint1_log2", cp1),
+                ("changepoint2_log2", cp2),
+            ])
+    }
+
     fn resolved(&self) -> ResolvedMpi {
         ResolvedMpi {
             topology: TopologyModel::FatTree,
@@ -156,6 +181,36 @@ pub fn dataset(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One word over every output bit of a small dataset: a change to
+    /// the emulated model, its hidden values or its effects moves it.
+    #[test]
+    fn emulator_outputs_are_pinned() {
+        use BenchmarkKind::{BiRandom, PingPong, Stencil};
+        let cfg = MpiEmulatorConfig::default();
+        let mut words = Vec::new();
+        for r in dataset(&[PingPong, BiRandom, Stencil], &[8, 16], &cfg, 7) {
+            words.extend(r.samples.iter().flatten().map(|s| s.to_bits()));
+        }
+        let word = simcal::cache::fnv1a_fold(words);
+        assert_eq!(format!("{word:016x}"), "d4162ed1d2f6d617");
+    }
+
+    /// Every hidden value lies inside its knob's range in the emulated
+    /// version's space: the ground truth is a point of that version.
+    #[test]
+    fn emulator_is_a_point_of_its_version() {
+        let calib = MpiEmulatorConfig::default().calibration();
+        let space = MpiSimulatorVersion::highest_detail().parameter_space();
+        for (p, v) in space.params().iter().zip(&calib.values) {
+            let (lo, hi) = (p.kind.denormalize(0.0), p.kind.denormalize(1.0));
+            assert!(
+                (lo..=hi).contains(v),
+                "{} = {v} outside [{lo}, {hi}]",
+                p.name
+            );
+        }
+    }
 
     #[test]
     fn measurement_is_reproducible_per_seed() {

@@ -21,8 +21,12 @@
 
 use crate::generator::{generate, table1, AppKind, WorkflowSpec, OPS_PER_REF_SECOND};
 use crate::simulator::{execute, NoiseModel, OverheadModel, ResolvedModel, SimOutput};
+#[cfg(test)]
+use crate::versions::{ComputeModel, SimulatorVersion};
 use crate::versions::{NetworkModel, StorageModel};
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use simcal::prelude::Calibration;
 
 /// Hidden "physical platform" parameters of the emulated testbed.
 #[derive(Clone, Copy, Debug)]
@@ -76,7 +80,30 @@ impl Default for EmulatorConfig {
     }
 }
 
+/// The emulated version: `star/all/condor`.
+#[cfg(test)]
+const EMULATED: SimulatorVersion = SimulatorVersion {
+    network: NetworkModel::Star,
+    storage: StorageModel::AllNodes,
+    compute: ComputeModel::HtCondor,
+};
+
 impl EmulatorConfig {
+    /// The hidden values, as a point of the emulated version's space.
+    #[cfg(test)]
+    fn calibration(&self) -> Calibration {
+        EMULATED.parameter_space().calibration_from_pairs(&[
+            ("net_bw", self.net_bw),
+            ("net_lat", self.net_lat),
+            ("submit_disk_bw", self.submit_disk_bw),
+            ("worker_disk_bw", self.worker_disk_bw),
+            ("disk_concurrency", f64::from(self.disk_concurrency)),
+            ("core_speed", self.core_speed),
+            ("condor_cycle", self.condor_cycle),
+            ("condor_overhead", self.pre_overhead),
+        ])
+    }
+
     fn resolved(&self, noise_seed: u64) -> ResolvedModel {
         ResolvedModel {
             network: NetworkModel::Star,
@@ -326,6 +353,39 @@ mod tests {
             footprint_indices: vec![1],
             worker_counts: vec![1, 2],
             ..Default::default()
+        }
+    }
+
+    /// One word over every output bit of a small dataset: a change to
+    /// the emulated model, its hidden values or its effects moves it.
+    #[test]
+    fn emulator_outputs_are_pinned() {
+        let mut words = Vec::new();
+        for r in dataset_for(AppKind::Forkjoin, &small_opts()) {
+            words.push(r.makespan.to_bits());
+            words.extend(r.task_times.iter().map(|t| t.to_bits()));
+        }
+        let word = simcal::cache::fnv1a_fold(words);
+        assert_eq!(format!("{word:016x}"), "e24783fb0b286082");
+    }
+
+    /// Every hidden value lies inside its knob's range in the emulated
+    /// version's space: the ground truth is a point of that version.
+    #[test]
+    fn emulator_is_a_point_of_its_version() {
+        let calib = EmulatorConfig::default().calibration();
+        for (p, v) in EMULATED
+            .parameter_space()
+            .params()
+            .iter()
+            .zip(&calib.values)
+        {
+            let (lo, hi) = (p.kind.denormalize(0.0), p.kind.denormalize(1.0));
+            assert!(
+                (lo..=hi).contains(v),
+                "{} = {v} outside [{lo}, {hi}]",
+                p.name
+            );
         }
     }
 
