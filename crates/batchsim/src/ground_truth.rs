@@ -1,17 +1,16 @@
 //! Ground-truth emulator for the batch-scheduling case study.
 //!
 //! Substitutes for Parallel Workloads Archive traces with a hidden
-//! "production RJMS": EASY backfilling with a real scheduling cycle,
-//! per-job dispatch overheads, utilization-dependent interference, and
-//! stochastic runtime noise — a process strictly richer than the
-//! lowest-detail candidate simulators, as in the other two case studies.
+//! "production RJMS": the highest-detail candidate (EASY backfilling with
+//! a real scheduling cycle, per-job dispatch overheads and
+//! utilization-dependent interference) at hidden values, plus stochastic
+//! runtime noise — a process strictly richer than every candidate
+//! simulator, as in the other case studies.
 
-use crate::simulator::{execute, BatchOutput, ResolvedBatch};
-#[cfg(test)]
+use crate::simulator::{execute, resolve, BatchOutput, ResolvedBatch};
 use crate::versions::BatchVersion;
 use crate::workload::{generate, Job, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-#[cfg(test)]
 use simcal::prelude::Calibration;
 
 /// Hidden parameters of the emulated production system.
@@ -46,7 +45,6 @@ impl Default for BatchEmulatorConfig {
 
 impl BatchEmulatorConfig {
     /// The hidden values, as a point of the emulated version's space.
-    #[cfg(test)]
     fn calibration(&self) -> Calibration {
         BatchVersion::highest_detail()
             .parameter_space()
@@ -62,12 +60,9 @@ impl BatchEmulatorConfig {
     /// repetitions.
     pub fn emulate(&self, jobs: &[Job], noise_seed: u64) -> BatchOutput {
         let model = ResolvedBatch {
-            node_speed: self.node_speed,
-            contention_coeff: self.contention_coeff,
-            sched_cycle: self.sched_cycle,
-            dispatch_overhead: self.dispatch_overhead,
             noise_sigma: self.noise_sigma,
             noise_seed,
+            ..resolve(BatchVersion::highest_detail(), &self.calibration())
         };
         execute(jobs, self.total_nodes, &model)
     }

@@ -12,7 +12,7 @@ use crate::workload::Job;
 use dessim::{ActivityKind, Engine, Platform};
 use numeric::{lognormal, rng_from_seed};
 use serde::{Deserialize, Serialize};
-use simcal::prelude::{Calibration, ParamKind};
+use simcal::prelude::{Calibration, Knob, ParamKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -50,10 +50,7 @@ pub(crate) struct ResolvedBatch {
 /// `knob`, with its range, where the resolved model takes it, and the
 /// order of the calls is the parameter order. A knob the version does not
 /// model keeps its neutral value.
-pub(crate) fn model(
-    version: BatchVersion,
-    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
-) -> ResolvedBatch {
+pub(crate) fn model(version: BatchVersion, knob: &mut Knob) -> ResolvedBatch {
     let uniform = |lo, hi| ParamKind::Continuous { lo, hi };
     ResolvedBatch {
         // Work units per second, log-uniform over a broad range around 1
@@ -82,20 +79,9 @@ pub(crate) fn model(
     }
 }
 
-/// Map a calibration in `version`'s space to a resolved model. Panics
-/// unless the calibration has one value per parameter.
+/// `version`'s resolved model at `calib`; panics unless there is one value per parameter.
 pub(crate) fn resolve(version: BatchVersion, calib: &Calibration) -> ResolvedBatch {
-    let (n, mut taken) = (calib.values.len(), 0);
-    let resolved = model(version, &mut |_, _| {
-        taken += 1;
-        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
-    });
-    assert!(
-        n == taken,
-        "{}: {n} calibration values for {taken} parameters",
-        version.label()
-    );
-    resolved
+    calib.answer(|| version.label(), |knob| model(version, knob))
 }
 
 /// A calibratable batch-scheduling simulator at one level of detail.

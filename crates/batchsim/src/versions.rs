@@ -8,7 +8,7 @@
 //! their ranges, where the resolved model uses them.
 
 use serde::{Deserialize, Serialize};
-use simcal::prelude::{ParamKind, ParameterSpace};
+use simcal::prelude::ParameterSpace;
 
 /// Scheduler-overhead level of detail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -83,18 +83,14 @@ impl BatchVersion {
     /// The calibration parameter space this version exposes: its knobs
     /// as `simulator::model` asks for them, in that order.
     pub fn parameter_space(&self) -> ParameterSpace {
-        let mut space = ParameterSpace::new();
-        crate::simulator::model(*self, &mut |name, kind: ParamKind| {
-            space.add(name, kind);
-            0.0
-        });
-        space
+        ParameterSpace::declared_by(|knob| crate::simulator::model(*self, knob))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcal::prelude::ParamKind;
 
     #[test]
     fn four_distinct_versions() {

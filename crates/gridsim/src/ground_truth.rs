@@ -8,11 +8,10 @@
 //! runtime noise. Same construction rule as the wfsim/mpisim/batchsim
 //! emulators.
 
-use crate::simulator::{execute, GridOutput, ResolvedGrid};
+use crate::simulator::{execute, resolve, GridOutput, ResolvedGrid};
 use crate::versions::GridVersion;
 use crate::workload::{generate, GridSpec, GridWorkload};
 use serde::{Deserialize, Serialize};
-#[cfg(test)]
 use simcal::prelude::Calibration;
 
 /// Hidden parameters of the emulated production grid.
@@ -57,7 +56,6 @@ impl Default for GridEmulatorConfig {
 
 impl GridEmulatorConfig {
     /// The hidden values, as a point of the emulated version's space.
-    #[cfg(test)]
     fn calibration(&self) -> Calibration {
         GridVersion::highest_detail()
             .parameter_space()
@@ -75,20 +73,14 @@ impl GridEmulatorConfig {
     /// Emulate one "real" execution of `workload`; `noise_seed`
     /// distinguishes repetitions.
     pub fn emulate(&self, workload: &GridWorkload, noise_seed: u64) -> GridOutput {
+        let version = GridVersion::highest_detail();
         let model = ResolvedGrid {
-            core_speed: self.core_speed,
-            wan_bandwidth: self.wan_bandwidth,
-            wan_latency: self.wan_latency,
-            disk_bandwidth: self.disk_bandwidth,
-            hit_ratio: 0.0,
-            cache_mb: self.cache_mb,
-            transfer_startup: self.transfer_startup,
-            broker_overhead: self.broker_overhead,
+            ramp_mb: self.ramp_mb,
             noise_sigma: self.noise_sigma,
             noise_seed,
-            ramp_mb: self.ramp_mb,
+            ..resolve(version, &self.calibration())
         };
-        execute(workload, GridVersion::highest_detail(), &model)
+        execute(workload, version, &model)
     }
 }
 

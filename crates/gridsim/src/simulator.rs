@@ -10,7 +10,7 @@ use crate::workload::GridWorkload;
 use dessim::{ActivityKind, Engine, LinkId, Platform};
 use numeric::{lognormal, rng_from_seed};
 use serde::{Deserialize, Serialize};
-use simcal::prelude::{Calibration, ParamKind};
+use simcal::prelude::{Calibration, Knob, ParamKind};
 use std::collections::VecDeque;
 
 /// Result of simulating one workload execution.
@@ -60,10 +60,7 @@ pub(crate) struct ResolvedGrid {
 /// Every version calibrates the platform (core speed, WAN link bandwidth
 /// and latency, storage-element bandwidth); each higher-detail axis adds
 /// the knob of the behaviour it models.
-pub(crate) fn model(
-    version: GridVersion,
-    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
-) -> ResolvedGrid {
+pub(crate) fn model(version: GridVersion, knob: &mut Knob) -> ResolvedGrid {
     let exp2 = |lo_exp, hi_exp| ParamKind::Exponential { lo_exp, hi_exp };
     let uniform = |lo, hi| ParamKind::Continuous { lo, hi };
     ResolvedGrid {
@@ -93,20 +90,9 @@ pub(crate) fn model(
     }
 }
 
-/// Map a calibration in `version`'s space to a resolved model. Panics
-/// unless the calibration has one value per parameter.
+/// `version`'s resolved model at `calib`; panics unless there is one value per parameter.
 pub(crate) fn resolve(version: GridVersion, calib: &Calibration) -> ResolvedGrid {
-    let (n, mut taken) = (calib.values.len(), 0);
-    let resolved = model(version, &mut |_, _| {
-        taken += 1;
-        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
-    });
-    assert!(
-        n == taken,
-        "{}: {n} calibration values for {taken} parameters",
-        version.label()
-    );
-    resolved
+    calib.answer(|| version.label(), |knob| model(version, knob))
 }
 
 /// A calibratable data-grid simulator at one level of detail.

@@ -21,7 +21,7 @@
 //! where the resolved model uses them.
 
 use serde::{Deserialize, Serialize};
-use simcal::prelude::{ParamKind, ParameterSpace};
+use simcal::prelude::ParameterSpace;
 
 /// WAN-transfer level of detail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,18 +130,14 @@ impl GridVersion {
     /// as `simulator::model` asks for them, in that order. Sizes are in MB
     /// and rates in MB/s throughout the crate.
     pub fn parameter_space(&self) -> ParameterSpace {
-        let mut space = ParameterSpace::new();
-        crate::simulator::model(*self, &mut |name, kind: ParamKind| {
-            space.add(name, kind);
-            0.0
-        });
-        space
+        ParameterSpace::declared_by(|knob| crate::simulator::model(*self, knob))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcal::prelude::ParamKind;
 
     #[test]
     fn eight_distinct_versions() {

@@ -10,7 +10,7 @@
 
 use super::{CaseStudy, SimFamily, Split};
 use gridsim::prelude::{
-    dataset, GridEmulatorConfig, GridScenario, GridSimulator, GridSpec, GridVersion,
+    dataset, default_grid, GridEmulatorConfig, GridScenario, GridSimulator, GridVersion,
 };
 use simcal::prelude::{Agg, ElementMix, ParameterSpace, ScenarioError, StructuredLoss};
 
@@ -76,17 +76,7 @@ impl GridFamily {
     /// behaviours each matter in some workload and not in others.
     pub fn paper(fast: bool, seed: u64) -> Self {
         let cfg = GridEmulatorConfig::default();
-        let mut grid = Vec::new();
-        for (i, &interarrival) in [3.0, 9.0].iter().enumerate() {
-            for (j, &skew) in [0.4, 1.8].iter().enumerate() {
-                grid.push(GridSpec {
-                    mean_interarrival: interarrival,
-                    skew,
-                    seed: seed ^ ((i * 2 + j) as u64) << 8,
-                    ..GridSpec::default()
-                });
-            }
-        }
+        let grid = default_grid(seed);
         let (train_specs, test_specs) = grid.split_at(2);
         let reps = if fast { 2 } else { 3 };
         let train = dataset(train_specs, &cfg, reps, seed);

@@ -1,10 +1,10 @@
 //! Ground-truth emulator for case study #2.
 //!
 //! The paper's ground truth is IMB runs on ORNL's Summit. We do not have
-//! Summit, so this module substitutes a **hidden testbed model**: a
-//! fat-tree network with complex (two-socket, PCIe/X-Bus) nodes and an
-//! adaptive protocol with hidden factors — plus two effects no candidate
-//! simulator can express:
+//! Summit, so this module substitutes a **hidden testbed model**: the
+//! highest-detail candidate — a fat-tree network with complex (two-socket,
+//! PCIe/X-Bus) nodes and a protocol with hidden factors and change
+//! points — plus two effects no candidate simulator can express:
 //!
 //! - a *scale-dependent congestion* term (`rate x (128/n)^e`) modelling
 //!   adaptive-routing degradation as node count grows, which reproduces
@@ -15,13 +15,10 @@
 //!   variance losses of §6.3.2 are defined against.
 
 use crate::benchmarks::{message_sizes, BenchmarkKind};
-use crate::simulator::{transfer_rates_resolved, ResolvedMpi};
-#[cfg(test)]
-use crate::versions::MpiSimulatorVersion;
-use crate::versions::{NodeModel, TopologyModel, FIXED_CHANGEPOINTS_LOG2};
+use crate::simulator::{resolve, transfer_rates_resolved, ResolvedMpi};
+use crate::versions::{MpiSimulatorVersion, FIXED_CHANGEPOINTS_LOG2};
 use numeric::{lognormal, rng_from_seed};
 use serde::{Deserialize, Serialize};
-#[cfg(test)]
 use simcal::prelude::Calibration;
 
 /// Hidden "Summit" parameters of the emulated testbed.
@@ -69,7 +66,6 @@ impl Default for MpiEmulatorConfig {
 
 impl MpiEmulatorConfig {
     /// The hidden values, as a point of the emulated version's space.
-    #[cfg(test)]
     fn calibration(&self) -> Calibration {
         let [small, medium, large] = self.factors;
         let [cp1, cp2] = self.changepoints_log2;
@@ -89,27 +85,15 @@ impl MpiEmulatorConfig {
             ])
     }
 
-    fn resolved(&self) -> ResolvedMpi {
-        ResolvedMpi {
-            topology: TopologyModel::FatTree,
-            bb_bw: 0.0,
-            bb_lat: 0.0,
-            link_bw: 0.0,
-            link_lat: self.link_lat,
-            down_bw: self.down_bw,
-            up_bw: self.up_bw,
-            node: NodeModel::Complex,
-            xbus_bw: self.xbus_bw,
-            pcie_bw: self.pcie_bw,
-            factors: self.factors,
-            changepoints_log2: self.changepoints_log2,
-            scale_exponent: self.scale_exponent,
-        }
-    }
-
-    /// Noise-free "true" transfer rates of the hidden testbed.
+    /// Noise-free "true" transfer rates of the hidden testbed: the
+    /// emulated version at the hidden values, plus the scale-congestion
+    /// exponent no candidate models.
     pub fn true_rates(&self, benchmark: BenchmarkKind, n_nodes: usize, sizes: &[f64]) -> Vec<f64> {
-        transfer_rates_resolved(&self.resolved(), benchmark, n_nodes, sizes)
+        let model = ResolvedMpi {
+            scale_exponent: self.scale_exponent,
+            ..resolve(MpiSimulatorVersion::highest_detail(), &self.calibration())
+        };
+        transfer_rates_resolved(&model, benchmark, n_nodes, sizes)
     }
 
     /// Emulate the measured ground truth: per message size, `repetitions`

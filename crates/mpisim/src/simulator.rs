@@ -20,7 +20,7 @@ use crate::versions::{
     MpiSimulatorVersion, NodeModel, ProtocolModel, TopologyModel, FIXED_CHANGEPOINTS_LOG2,
 };
 use dessim::Workspace;
-use simcal::prelude::{Calibration, ParamKind};
+use simcal::prelude::{Calibration, Knob, ParamKind};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -62,10 +62,7 @@ pub(crate) struct ResolvedMpi {
 /// `knob`, with its range, where the resolved model takes it, and the
 /// order of the calls is the parameter order. A knob the version does not
 /// model keeps its neutral value.
-pub(crate) fn model(
-    version: MpiSimulatorVersion,
-    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
-) -> ResolvedMpi {
+pub(crate) fn model(version: MpiSimulatorVersion, knob: &mut Knob) -> ResolvedMpi {
     use TopologyModel::{Backbone, BackboneLinks, FatTree, Tree4};
     // Summit spec is ~12.5 GB/s per port (2^33.5); span well over an
     // order of magnitude on both sides.
@@ -126,20 +123,9 @@ pub(crate) fn model(
     }
 }
 
-/// Map a calibration in `version`'s space to a resolved model. Panics
-/// unless the calibration has one value per parameter.
-fn resolve(version: MpiSimulatorVersion, calib: &Calibration) -> ResolvedMpi {
-    let (n, mut taken) = (calib.values.len(), 0);
-    let resolved = model(version, &mut |_, _| {
-        taken += 1;
-        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
-    });
-    assert!(
-        n == taken,
-        "{}: {n} calibration values for {taken} parameters",
-        version.label()
-    );
-    resolved
+/// `version`'s resolved model at `calib`; panics unless there is one value per parameter.
+pub(crate) fn resolve(version: MpiSimulatorVersion, calib: &Calibration) -> ResolvedMpi {
+    calib.answer(|| version.label(), |knob| model(version, knob))
 }
 
 impl ResolvedMpi {

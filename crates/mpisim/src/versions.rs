@@ -10,7 +10,7 @@
 //! resolved model uses it.
 
 use serde::{Deserialize, Serialize};
-use simcal::prelude::{ParamKind, ParameterSpace};
+use simcal::prelude::ParameterSpace;
 
 /// Level of detail for the network topology (Table 4, top).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,18 +131,14 @@ impl MpiSimulatorVersion {
     /// The calibration parameter space this version exposes: its knobs
     /// as `simulator::model` asks for them, in that order.
     pub fn parameter_space(&self) -> ParameterSpace {
-        let mut space = ParameterSpace::new();
-        crate::simulator::model(*self, &mut |name, kind: ParamKind| {
-            space.add(name, kind);
-            0.0
-        });
-        space
+        ParameterSpace::declared_by(|knob| crate::simulator::model(*self, knob))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcal::prelude::ParamKind;
 
     #[test]
     fn there_are_sixteen_distinct_versions() {

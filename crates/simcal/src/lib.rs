@@ -102,7 +102,7 @@ pub mod prelude {
         relative_error, Agg, ElementMix, Loss, MatrixLoss, ScenarioError, StructuredLoss,
     };
     pub use crate::objective::{FnObjective, Objective, SimulationObjective, Simulator};
-    pub use crate::param::{Calibration, ParamDef, ParamKind, ParameterSpace};
+    pub use crate::param::{Calibration, Knob, ParamDef, ParamKind, ParameterSpace};
     pub use crate::surrogate::{Surrogate, SurrogateKind};
     pub use crate::synthetic::{
         best_pair, calibration_error, midpoint_reference, synthetic_benchmark, SyntheticCell,

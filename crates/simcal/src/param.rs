@@ -85,6 +85,10 @@ impl ParamKind {
     }
 }
 
+/// How a simulator's `model` asks for one calibrated value: by name and
+/// range, getting back the value to use.
+pub type Knob<'a> = dyn FnMut(&'static str, ParamKind) -> f64 + 'a;
+
 /// A named parameter.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ParamDef {
@@ -104,6 +108,18 @@ impl ParameterSpace {
     /// An empty space.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The space a simulator's `model` declares: one parameter per knob
+    /// it asks for, in the order asked (the order [`Calibration::answer`]
+    /// answers them in).
+    pub fn declared_by<R>(model: impl FnOnce(&mut Knob) -> R) -> Self {
+        let mut space = Self::new();
+        model(&mut |name, kind| {
+            space.add(name, kind);
+            0.0
+        });
+        space
     }
 
     /// Builder-style: add a parameter and return `self`.
@@ -240,6 +256,26 @@ impl Calibration {
     pub fn new(values: Vec<f64>) -> Self {
         Self { values }
     }
+
+    /// Run a simulator's `model`, answering its knobs with these values in
+    /// order. Panics, naming `label()`, unless there is one value per knob.
+    pub fn answer<R>(
+        &self,
+        label: impl FnOnce() -> String,
+        model: impl FnOnce(&mut Knob) -> R,
+    ) -> R {
+        let (n, mut taken) = (self.values.len(), 0);
+        let resolved = model(&mut |_, _| {
+            taken += 1;
+            self.values.get(taken - 1).copied().unwrap_or(f64::NAN)
+        });
+        assert!(
+            n == taken,
+            "{}: {n} calibration values for {taken} parameters",
+            label()
+        );
+        resolved
+    }
 }
 
 #[cfg(test)]
@@ -329,6 +365,35 @@ mod tests {
     #[should_panic(expected = "unknown parameter")]
     fn unknown_pair_rejected() {
         space3().calibration_from_pairs(&[("nope", 0.0)]);
+    }
+
+    /// A `model` with two knobs, asked `b` first.
+    fn toy(knob: &mut Knob) -> (f64, f64) {
+        let b = knob("b", ParamKind::Continuous { lo: 0.0, hi: 1.0 });
+        let a = knob("a", ParamKind::Integer { lo: 1, hi: 9 });
+        (a, b)
+    }
+
+    #[test]
+    fn declared_by_keeps_call_order_and_answer_follows_it() {
+        let space = ParameterSpace::declared_by(toy);
+        let names: Vec<&str> = space.params().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["b", "a"]);
+        assert_eq!(space.params()[1].kind, ParamKind::Integer { lo: 1, hi: 9 });
+        let calib = space.calibration_from_pairs(&[("a", 3.0), ("b", 0.25)]);
+        assert_eq!(calib.answer(|| "toy".into(), toy), (3.0, 0.25));
+    }
+
+    #[test]
+    #[should_panic(expected = "toy: 1 calibration values for 2 parameters")]
+    fn short_calibration_rejected() {
+        Calibration::new(vec![0.5]).answer(|| "toy".into(), toy);
+    }
+
+    #[test]
+    #[should_panic(expected = "toy: 3 calibration values for 2 parameters")]
+    fn extra_calibration_value_rejected() {
+        Calibration::new(vec![0.5, 2.0, 7.0]).answer(|| "toy".into(), toy);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The paper's ground truth is 9,200 Pegasus/HTCondor workflow executions
 //! on Chameleon Cloud. We do not have that testbed, so this module
-//! substitutes a **hidden high-fidelity emulator**: the workflow execution
-//! engine at its richest configuration — star network, storage on all
-//! nodes, an HTCondor service with periodic negotiation cycles *and*
-//! separate pre/post overheads — plus stochastic effects none of the 12
-//! candidate simulator versions model (per-task runtime noise, overhead
-//! jitter, scheduling jitter).
+//! substitutes a **hidden high-fidelity emulator**: the candidate version
+//! `star/all/condor` (star network, storage on all nodes, an HTCondor
+//! service with periodic negotiation cycles) at hidden values, plus
+//! effects none of the 12 candidate simulator versions model: a per-task
+//! post-execution overhead beside the pre-execution one, and stochastic
+//! per-task runtime noise, overhead jitter and scheduling jitter.
 //!
 //! Two properties matter for the methodology and hold by construction:
 //! the generating process is strictly richer than every candidate
@@ -20,12 +20,9 @@
 //! "physical platform" and are of course not available to calibrations.
 
 use crate::generator::{generate, table1, AppKind, WorkflowSpec, OPS_PER_REF_SECOND};
-use crate::simulator::{execute, NoiseModel, OverheadModel, ResolvedModel, SimOutput};
-#[cfg(test)]
-use crate::versions::{ComputeModel, SimulatorVersion};
-use crate::versions::{NetworkModel, StorageModel};
+use crate::simulator::{execute, resolve, NoiseModel, OverheadModel, SimOutput};
+use crate::versions::{ComputeModel, NetworkModel, SimulatorVersion, StorageModel};
 use serde::{Deserialize, Serialize};
-#[cfg(test)]
 use simcal::prelude::Calibration;
 
 /// Hidden "physical platform" parameters of the emulated testbed.
@@ -80,8 +77,8 @@ impl Default for EmulatorConfig {
     }
 }
 
-/// The emulated version: `star/all/condor`.
-#[cfg(test)]
+/// The emulated version, `star/all/condor`. Not `highest_detail()`: the
+/// hidden platform has a dedicated link per worker and no shared backbone.
 const EMULATED: SimulatorVersion = SimulatorVersion {
     network: NetworkModel::Star,
     storage: StorageModel::AllNodes,
@@ -90,7 +87,6 @@ const EMULATED: SimulatorVersion = SimulatorVersion {
 
 impl EmulatorConfig {
     /// The hidden values, as a point of the emulated version's space.
-    #[cfg(test)]
     fn calibration(&self) -> Calibration {
         EMULATED.parameter_space().calibration_from_pairs(&[
             ("net_bw", self.net_bw),
@@ -104,46 +100,27 @@ impl EmulatorConfig {
         ])
     }
 
-    fn resolved(&self, noise_seed: u64) -> ResolvedModel {
-        ResolvedModel {
-            network: NetworkModel::Star,
-            backbone_bw: 0.0,
-            backbone_lat: 0.0,
-            net_bw: self.net_bw,
-            net_lat: self.net_lat,
-            storage: StorageModel::AllNodes,
-            submit_disk_bw: self.submit_disk_bw,
-            worker_disk_bw: self.worker_disk_bw,
-            disk_concurrency: self.disk_concurrency,
-            core_speed: self.core_speed,
-            overhead: OverheadModel::Condor {
-                cycle: self.condor_cycle,
-                pre: self.pre_overhead,
-                post: self.post_overhead,
-            },
-            noise: Some(NoiseModel {
-                compute_sigma: self.compute_sigma,
-                overhead_jitter: self.overhead_jitter,
-                sched_jitter: self.sched_jitter,
-                seed: noise_seed,
-            }),
-        }
-    }
-
     /// Emulate one "real-world" execution of `workflow` on `n_workers`
-    /// workers; `noise_seed` distinguishes repetitions.
+    /// workers; `noise_seed` distinguishes repetitions. The model is the
+    /// emulated version at the hidden values, plus the effects no
+    /// candidate models: a post-execution overhead and the noise.
     pub fn emulate(
         &self,
         workflow: &crate::workflow::Workflow,
         n_workers: usize,
         noise_seed: u64,
     ) -> SimOutput {
-        execute(
-            workflow,
-            n_workers,
-            self.cores_per_worker,
-            &self.resolved(noise_seed),
-        )
+        let mut model = resolve(EMULATED, &self.calibration());
+        if let OverheadModel::Condor { post, .. } = &mut model.overhead {
+            *post = self.post_overhead;
+        }
+        model.noise = Some(NoiseModel {
+            compute_sigma: self.compute_sigma,
+            overhead_jitter: self.overhead_jitter,
+            sched_jitter: self.sched_jitter,
+            seed: noise_seed,
+        });
+        execute(workflow, n_workers, self.cores_per_worker, &model)
     }
 }
 

@@ -16,7 +16,7 @@ use crate::versions::{ComputeModel, NetworkModel, SimulatorVersion, StorageModel
 use crate::workflow::{FileId, TaskId, Workflow};
 use dessim::{ActivityKind, DiskId, Engine, LinkId, Platform};
 use numeric::{lognormal, rng_from_seed};
-use simcal::prelude::{Calibration, ParamKind};
+use simcal::prelude::{Calibration, Knob, ParamKind};
 use std::collections::VecDeque;
 
 /// Result of simulating one workflow execution.
@@ -86,10 +86,7 @@ pub(crate) struct ResolvedModel {
 /// `knob`, with its range, where the resolved model takes it, and the
 /// order of the calls is the parameter order. A knob the version does not
 /// model keeps its neutral value.
-pub(crate) fn model(
-    version: SimulatorVersion,
-    knob: &mut dyn FnMut(&'static str, ParamKind) -> f64,
-) -> ResolvedModel {
+pub(crate) fn model(version: SimulatorVersion, knob: &mut Knob) -> ResolvedModel {
     let bw = ParamKind::Exponential {
         lo_exp: 20.0,
         hi_exp: 40.0,
@@ -128,20 +125,9 @@ pub(crate) fn model(
     }
 }
 
-/// Map a calibration in `version`'s space to a resolved model. Panics
-/// unless the calibration has one value per parameter.
+/// `version`'s resolved model at `calib`; panics unless there is one value per parameter.
 pub(crate) fn resolve(version: SimulatorVersion, calib: &Calibration) -> ResolvedModel {
-    let (n, mut taken) = (calib.values.len(), 0);
-    let resolved = model(version, &mut |_, _| {
-        taken += 1;
-        calib.values.get(taken - 1).copied().unwrap_or(f64::NAN)
-    });
-    assert!(
-        n == taken,
-        "{}: {n} calibration values for {taken} parameters",
-        version.label()
-    );
-    resolved
+    calib.answer(|| version.label(), |knob| model(version, knob))
 }
 
 /// A calibratable workflow simulator at one level of detail.

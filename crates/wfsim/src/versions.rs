@@ -13,7 +13,7 @@
 //! resolved model uses it.
 
 use serde::{Deserialize, Serialize};
-use simcal::prelude::{ParamKind, ParameterSpace};
+use simcal::prelude::ParameterSpace;
 
 /// Level of detail for simulating the network (Table 2, top).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -123,18 +123,14 @@ impl SimulatorVersion {
     /// The calibration parameter space this version exposes: its knobs
     /// as `simulator::model` asks for them, in that order.
     pub fn parameter_space(&self) -> ParameterSpace {
-        let mut space = ParameterSpace::new();
-        crate::simulator::model(*self, &mut |name, kind: ParamKind| {
-            space.add(name, kind);
-            0.0
-        });
-        space
+        ParameterSpace::declared_by(|knob| crate::simulator::model(*self, knob))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcal::prelude::ParamKind;
 
     #[test]
     fn there_are_twelve_distinct_versions() {
