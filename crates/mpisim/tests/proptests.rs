@@ -12,6 +12,67 @@ fn bits(rates: &[f64]) -> Vec<u64> {
     rates.iter().map(|r| r.to_bits()).collect()
 }
 
+/// The simulator equals the rebuild-everything oracle bit for bit at the
+/// paper's node counts, where a solve runs tens of filling rounds over
+/// hundreds of links: every rate and the simulation work for all 16
+/// versions and 4 benchmarks at three seeded calibrations each, and the
+/// emulator's true rates at one seeded hidden testbed per scenario.
+#[test]
+fn simulator_equals_the_rebuild_oracle_at_paper_scale() {
+    let sizes = message_sizes();
+    let mut rng = numeric::rng_from_seed(0x5ca1e);
+    for version in MpiSimulatorVersion::all() {
+        let space = version.parameter_space();
+        let sim = MpiSimulator::new(version);
+        for _ in 0..3 {
+            let unit: Vec<f64> = (0..space.dim()).map(|_| rng.uniform(0.0, 1.0)).collect();
+            let calib = space.denormalize(&unit);
+            let model = oracle::resolve(version, &calib);
+            for benchmark in BenchmarkKind::ALL {
+                for n_nodes in NODE_COUNTS {
+                    assert_eq!(
+                        bits(&sim.transfer_rates(benchmark, n_nodes, &sizes, &calib)),
+                        bits(&oracle::rates_by_rebuild(
+                            &model, benchmark, n_nodes, &sizes
+                        )),
+                        "{} {} n={n_nodes}",
+                        version.label(),
+                        benchmark.name()
+                    );
+                    assert_eq!(
+                        sim.simulation_work(benchmark, n_nodes, &sizes),
+                        oracle::work_by_rebuild(&model, benchmark, n_nodes, &sizes),
+                        "{} {} n={n_nodes}",
+                        version.label(),
+                        benchmark.name()
+                    );
+                }
+            }
+        }
+    }
+    for benchmark in BenchmarkKind::ALL {
+        for n_nodes in NODE_COUNTS {
+            let cfg = MpiEmulatorConfig {
+                scale_exponent: rng.uniform(0.0, 1.0),
+                link_lat: rng.uniform(0.0, 1e-4),
+                pcie_bw: rng.uniform(1e9, 1e11),
+                ..Default::default()
+            };
+            assert_eq!(
+                bits(&cfg.true_rates(benchmark, n_nodes, &sizes)),
+                bits(&oracle::rates_by_rebuild(
+                    &oracle::emulator_model(&cfg),
+                    benchmark,
+                    n_nodes,
+                    &sizes
+                )),
+                "emulator {} n={n_nodes}",
+                benchmark.name()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
