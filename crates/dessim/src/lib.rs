@@ -54,4 +54,4 @@ pub mod sharing;
 pub use engine::{ActivityId, ActivityKind, Completion, Engine, KernelCounters};
 pub use platform::{Disk, DiskId, Host, HostId, Link, LinkId, Platform};
 pub use reference::ReferenceEngine;
-pub use sharing::{max_min_fair_share, Frontier, Workspace};
+pub use sharing::{max_min_fair_share, Frontier, SharingProblem, SharingScratch, Workspace};

@@ -3,23 +3,25 @@
 //!
 //! Like SMPI, the model is fluid: every concurrently-active message flow
 //! receives a max-min fair share of the links along its route (computed by
-//! [`dessim::max_min_fair_share`]), the adaptive MPI protocol scales the
+//! [`dessim::SharingProblem::solve`]), the adaptive MPI protocol scales the
 //! achievable rate by a message-size-dependent factor, and a flow's
 //! transfer time is `latency + size / (factor * allocated_bandwidth)`.
 //! The reported metric — as in the IMB logs the ground truth consists of —
 //! is the data transfer rate per flow, averaged over flows.
 //!
 //! Only link capacities, link latencies and the protocol depend on the
-//! calibration. The flows, the links and every route are compiled once per
-//! scenario into a plan, which an [`MpiSimulator`] keeps for its own
-//! lifetime; an evaluation prices the plan's links, solves, and computes
-//! rates (DESIGN.md, "What one mpisim evaluation costs").
+//! calibration. The flows, the links, every route and the fair-sharing
+//! problem they make are compiled once per scenario into a plan, which an
+//! [`MpiSimulator`] keeps for its own lifetime; an evaluation prices the
+//! plan's links, re-solves the plan's problem under those capacities, and
+//! sums every flow's rate for all message sizes in one pass (DESIGN.md,
+//! "What one mpisim evaluation costs").
 
 use crate::benchmarks::{BenchmarkKind, RANKS_PER_NODE};
 use crate::versions::{
     MpiSimulatorVersion, NodeModel, ProtocolModel, TopologyModel, FIXED_CHANGEPOINTS_LOG2,
 };
-use dessim::Workspace;
+use dessim::{SharingProblem, SharingScratch};
 use simcal::prelude::{Calibration, Knob, ParamKind};
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -208,7 +210,7 @@ impl Routes {
 }
 
 /// Everything about one scenario that no calibration changes: the role of
-/// every link and the route of every flow.
+/// every link, the route of every flow and the sharing problem they make.
 #[derive(Debug)]
 struct Plan {
     /// Node count, for the emulator's scale term.
@@ -218,8 +220,10 @@ struct Plan {
     /// Every flow's route in the order the network is built; latencies are
     /// summed in this order.
     paths: Routes,
-    /// The same routes sorted and de-duplicated, as the solver takes them.
-    solver_routes: Routes,
+    /// The same routes as the solver holds them (sorted, de-duplicated and
+    /// threaded onto per-link flow lists); only capacities change per
+    /// evaluation.
+    problem: SharingProblem,
 }
 
 impl Plan {
@@ -369,22 +373,15 @@ impl Plan {
             paths.end_route();
         }
 
-        let mut solver_routes = Routes::default();
-        let mut route = Vec::new();
-        for path in paths.iter() {
-            route.clear();
-            route.extend_from_slice(path);
-            route.sort_unstable();
-            route.dedup();
-            solver_routes.links.extend_from_slice(&route);
-            solver_routes.end_route();
-        }
-
+        let problem = SharingProblem::new(
+            roles.len(),
+            paths.iter().map(|path| path.iter().map(|&l| l as usize)),
+        );
         Plan {
             n_nodes,
             roles,
             paths,
-            solver_routes,
+            problem,
         }
     }
 
@@ -398,15 +395,17 @@ impl Plan {
     /// Per-size data transfer rates (bytes/s) under `model`, each averaged
     /// over the flows.
     fn rates(&self, model: &ResolvedMpi, sizes: &[f64]) -> Vec<f64> {
-        /// Solver buffers plus the per-link and per-flow terms of one
+        /// Solver buffers plus the per-link and per-size terms of one
         /// evaluation.
         #[derive(Default)]
         struct Scratch {
-            ws: Workspace,
+            solver: SharingScratch,
             capacities: Vec<f64>,
             latencies: Vec<f64>,
-            /// Per flow: route latency and allocated bandwidth.
-            flows: Vec<(f64, f64)>,
+            /// Per size: its protocol factor.
+            factors: Vec<f64>,
+            /// Per size: the running sum of the flows' rates.
+            sums: Vec<f64>,
         }
         thread_local! {
             /// Plans are shared by every pool thread evaluating through one
@@ -419,10 +418,11 @@ impl Plan {
         let scale_mult = (128.0 / self.n_nodes as f64).powf(model.scale_exponent);
         SCRATCH.with(|cell| {
             let Scratch {
-                ws,
+                solver,
                 capacities,
                 latencies,
-                flows,
+                factors,
+                sums,
             } = &mut *cell.borrow_mut();
             capacities.clear();
             latencies.clear();
@@ -431,41 +431,28 @@ impl Plan {
                 capacities.push(capacity);
                 latencies.push(latency);
             }
-            ws.load_sorted(
-                capacities,
-                &self.solver_routes.links,
-                &self.solver_routes.ends,
-            );
-            let allocations = ws.solve();
+            let allocations = self.problem.solve(capacities, solver);
 
-            // Neither term depends on the message size.
-            flows.clear();
-            flows.extend(
-                allocations
-                    .iter()
-                    .zip(self.paths.iter())
-                    .map(|(alloc, path)| {
-                        let lat: f64 = path.iter().map(|&l| latencies[l as usize]).sum();
-                        // Memory-copy speed is a universal ceiling on any single
-                        // MPI transfer (and the rate of same-socket exchanges,
-                        // whose route is empty).
-                        let bw = alloc.min(INTRA_NODE_BW) * scale_mult;
-                        (lat, bw.max(1.0))
-                    }),
-            );
-
-            sizes
-                .iter()
-                .map(|&size| {
-                    let factor = model.protocol_factor(size);
-                    let mut sum = 0.0;
-                    for &(lat, bw) in flows.iter() {
-                        let t = lat + size / (factor * bw);
-                        sum += size / t;
-                    }
-                    sum / flows.len() as f64
-                })
-                .collect()
+            factors.clear();
+            factors.extend(sizes.iter().map(|&size| model.protocol_factor(size)));
+            sums.clear();
+            sums.resize(sizes.len(), 0.0);
+            // Flows outside, sizes inside: each size's sum still adds the
+            // flows in flow order, and the sizes' divisions are independent.
+            for (alloc, path) in allocations.iter().zip(self.paths.iter()) {
+                // Neither term depends on the message size.
+                let lat: f64 = path.iter().map(|&l| latencies[l as usize]).sum();
+                // Memory-copy speed is a universal ceiling on any single
+                // MPI transfer (and the rate of same-socket exchanges,
+                // whose route is empty).
+                let bw = (alloc.min(INTRA_NODE_BW) * scale_mult).max(1.0);
+                for ((sum, &size), &factor) in sums.iter_mut().zip(sizes).zip(factors.iter()) {
+                    let t = lat + size / (factor * bw);
+                    *sum += size / t;
+                }
+            }
+            let n_flows = allocations.len() as f64;
+            sums.iter().map(|&sum| sum / n_flows).collect()
         })
     }
 }
