@@ -1025,7 +1025,7 @@ impl Engine {
                     ws.push_sorted_route(
                         routes[start..start + m1[s as usize] as usize]
                             .iter()
-                            .map(|&lu| fr.local[lu as usize]),
+                            .map(|&lu| fr.local[lu as usize] as u32),
                     );
                 }
                 ws.solve();
