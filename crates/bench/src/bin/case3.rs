@@ -7,7 +7,7 @@
 //! middleware's batching behaviour") generalizes to this domain.
 //!
 //! The (version × restart) grid is driven by the lodsel sweep subsystem:
-//! runs fan onto the work-stealing pool, `--ledger PATH` makes the sweep
+//! runs fan onto the thread pool, `--ledger PATH` makes the sweep
 //! resumable (bit-for-bit), and the accuracy-versus-cost recommendation
 //! is reported on stderr alongside the table.
 //!

@@ -5,7 +5,7 @@
 //! simulator with hardware-spec parameter values.
 //!
 //! The (version × application × restart) grid is driven by the lodsel
-//! sweep subsystem: runs fan onto the work-stealing pool, `--ledger PATH`
+//! sweep subsystem: runs fan onto the thread pool, `--ledger PATH`
 //! makes the sweep resumable (an interrupted run picks up from its
 //! checkpoints, bit-for-bit), and the accuracy-versus-cost recommendation
 //! is reported on stderr alongside the figure's table.

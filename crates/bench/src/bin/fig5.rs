@@ -6,7 +6,7 @@
 //! `--uncalibrated`, also reports the §6.4 spec-based baseline.
 //!
 //! The (version × restart) grid is driven by the lodsel sweep subsystem:
-//! runs fan onto the work-stealing pool, `--ledger PATH` makes the sweep
+//! runs fan onto the thread pool, `--ledger PATH` makes the sweep
 //! resumable (bit-for-bit), and the accuracy-versus-cost recommendation
 //! is reported on stderr alongside the figure's table.
 //!

@@ -6,7 +6,7 @@
 //! spec-value baseline beside it. A binary supplies only its family and a
 //! [`SweepFigure`].
 //!
-//! The sweep fans (version × split × restart) runs onto the work-stealing
+//! The sweep fans (version × split × restart) runs onto the thread
 //! pool, `--ledger PATH` makes it resumable bit-for-bit, `--trace PATH`
 //! records it, and the accuracy-versus-cost recommendation goes to stderr.
 

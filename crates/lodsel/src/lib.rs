@@ -8,7 +8,7 @@
 //! [`families::SimFamily`] adapter, for the workflow, MPI, batch-scheduling,
 //! and data-grid case studies — and for any other
 //! [`simcal::prelude::Simulator`] given a [`families::CaseStudy`] spec),
-//! fans the runs onto the work-stealing pool, and reduces the results to an accuracy-versus-cost
+//! fans the runs onto the thread pool, and reduces the results to an accuracy-versus-cost
 //! Pareto front plus a ranked recommendation: *the cheapest version whose
 //! held-out error is within ε of the best*.
 //!

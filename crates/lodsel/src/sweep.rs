@@ -1,6 +1,6 @@
 //! The sweep orchestrator: plan the full (unit × restart) grid, divide the
 //! budget fairly, replay ledger checkpoints, fan the remaining runs onto
-//! the work-stealing pool, and reduce everything to per-version outcomes
+//! the thread pool, and reduce everything to per-version outcomes
 //! plus the Pareto recommendation.
 //!
 //! Determinism contract: with [`simcal::prelude::Budget::Evaluations`]

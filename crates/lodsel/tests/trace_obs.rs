@@ -1,6 +1,6 @@
 //! Observability integration tests: the JSONL trace a real sweep records
 //! (golden schema), the guarantee that tracing never perturbs sweep
-//! results, and span collection under the work-stealing pool.
+//! results, and span collection under the thread pool.
 
 mod common;
 

@@ -1,15 +1,15 @@
 //! # obs — zero-dependency observability for the lodcal workspace
 //!
 //! Structured tracing and metrics for the simulation kernel
-//! (`dessim`), the calibration evaluator (`simcal`), the work-stealing
-//! pool (`rayon`), and the level-of-detail sweep driver (`lodsel`):
+//! (`dessim`), the calibration evaluator (`simcal`), the thread pool
+//! (`rayon`), and the level-of-detail sweep driver (`lodsel`):
 //!
 //! - **Hierarchical spans** — [`span!`] opens a named, monotonic-clock
 //!   timed span; spans nest per thread and can be parented explicitly
 //!   across pool threads with [`SpanGuard::enter_under`].
 //! - **Typed counters** — the closed [`Counter`] enum names every
 //!   counter in the workspace (kernel events, heap re-inserts, sharing
-//!   re-solves, evaluator cache hits/misses, pool steals/parks).
+//!   re-solves, evaluator cache hits/misses, pool parks).
 //! - **Histograms** — [`Hist`] names fixed log-spaced-bucket latency
 //!   histograms (per-evaluation latency).
 //!
@@ -81,7 +81,7 @@ pub type SpanId = u64;
 
 /// Sink for spans, counters, and histogram observations.
 ///
-/// Implementations must be thread-safe: the work-stealing pool calls
+/// Implementations must be thread-safe: the thread pool calls
 /// into the recorder from every worker thread concurrently. The
 /// workspace ships one real implementation, [`TraceRecorder`]; the
 /// default (nothing installed) is a no-op.

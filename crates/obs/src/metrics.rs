@@ -30,11 +30,7 @@ pub enum Counter {
     /// Objective invocations that returned a non-finite loss and were
     /// quarantined.
     EvalNonfinite,
-    /// Successful steals from another worker's deque in the
-    /// work-stealing pool.
-    PoolSteals,
-    /// Times a pool worker parked (timed wait) because no work was
-    /// available anywhere.
+    /// Times a pool thread slept because the queue was empty.
     PoolParks,
     /// Transient I/O errors on an append-only log (lodsel ledger, loss
     /// cache, calibd job log) that were retried (with backoff) before
@@ -66,7 +62,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in trace-emission order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 20] = [
         Counter::KernelEvents,
         Counter::KernelHeapReinserts,
         Counter::KernelSharingResolves,
@@ -77,7 +73,6 @@ impl Counter {
         Counter::EvalCacheMisses,
         Counter::EvalPanics,
         Counter::EvalNonfinite,
-        Counter::PoolSteals,
         Counter::PoolParks,
         Counter::LedgerRetries,
         Counter::DiskCacheHits,
@@ -103,7 +98,6 @@ impl Counter {
             Counter::EvalCacheMisses => "eval_cache_misses",
             Counter::EvalPanics => "eval_panics",
             Counter::EvalNonfinite => "eval_nonfinite",
-            Counter::PoolSteals => "pool_steals",
             Counter::PoolParks => "pool_parks",
             Counter::LedgerRetries => "ledger_retries",
             Counter::DiskCacheHits => "disk_cache_hits",

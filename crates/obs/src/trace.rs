@@ -388,7 +388,7 @@ mod tests {
         rec.span_end(a);
         let open = rec.span_start("still-open", None, &[]);
         let _ = open;
-        rec.add(Counter::PoolSteals, 4);
+        rec.add(Counter::PoolParks, 4);
         rec.observe(Hist::EvalLatency, 0.25);
         let text = rec.to_jsonl();
         let mut lines = text.lines();
@@ -398,7 +398,7 @@ mod tests {
         );
         assert!(text.contains("\\\"hi\\\"\\n"));
         assert!(text.contains("\"open\":true"));
-        assert!(text.contains("{\"event\":\"counter\",\"name\":\"pool_steals\",\"value\":4}"));
+        assert!(text.contains("{\"event\":\"counter\",\"name\":\"pool_parks\",\"value\":4}"));
         assert!(text.contains("\"name\":\"eval_latency_secs\",\"count\":1,\"sum_secs\":0.25"));
         // One meta + two spans + all counters + all histograms.
         assert_eq!(

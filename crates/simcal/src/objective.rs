@@ -15,7 +15,7 @@ use crate::param::{Calibration, ParameterSpace};
 ///
 /// Implementations must be `Sync`: the calibrator evaluates batches of
 /// points in parallel (the paper's framework parallelizes over cores with
-/// `multiprocessing`; here it is a persistent work-stealing pool).
+/// `multiprocessing`; here it is a persistent thread pool).
 pub trait Objective: Sync {
     /// The domain of the calibration problem.
     fn space(&self) -> &ParameterSpace;
