@@ -73,6 +73,55 @@ fn simulator_equals_the_rebuild_oracle_at_paper_scale() {
     }
 }
 
+/// Two calls on one thread whose link capacities and latencies are bit for
+/// bit the same but whose protocol factors differ: the second must not
+/// reuse anything the first priced. On a backbone every PingPong flow
+/// between two nodes prices alike, so the first flow of each call looks
+/// like the last flow of the call before it.
+#[test]
+fn consecutive_calls_never_reuse_terms() {
+    let sizes = message_sizes();
+    let mut rng = numeric::rng_from_seed(0xfac7);
+    for version in MpiSimulatorVersion::all() {
+        let space = version.parameter_space();
+        let sim = MpiSimulator::new(version);
+        let unit: Vec<f64> = (0..space.dim()).map(|_| rng.uniform(0.0, 1.0)).collect();
+        let first = space.denormalize(&unit);
+        let mut second = first.clone();
+        for (name, factor) in [
+            ("factor_small", 0.55),
+            ("factor_medium", 0.85),
+            ("factor_large", 1.25),
+        ] {
+            let i = space
+                .index_of(name)
+                .expect("every version has protocol factors");
+            assert_ne!(first.values[i].to_bits(), f64::to_bits(factor));
+            second.values[i] = factor;
+        }
+        for (benchmark, n_nodes) in [
+            (BenchmarkKind::PingPong, 2),
+            (BenchmarkKind::PingPing, 2),
+            (BenchmarkKind::PingPong, 128),
+        ] {
+            for calib in [&first, &second, &first] {
+                assert_eq!(
+                    bits(&sim.transfer_rates(benchmark, n_nodes, &sizes, calib)),
+                    bits(&oracle::rates_by_rebuild(
+                        &oracle::resolve(version, calib),
+                        benchmark,
+                        n_nodes,
+                        &sizes
+                    )),
+                    "{} {} n={n_nodes}",
+                    version.label(),
+                    benchmark.name()
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
