@@ -169,8 +169,9 @@ pub fn evaluate_on<C: CaseStudy>(
 
 /// The paper family `name` names — `wf`, `mpi`, `batch` or `grid` — on
 /// its paper dataset (shrunken under `fast`), as the command line and the
-/// calibd daemon look families up.
-pub fn paper(name: &str, fast: bool, seed: u64) -> Result<Box<dyn VersionFamily>, String> {
+/// calibd daemon look families up. It is `Send`, so the daemon can build
+/// it at admission and run it on a worker thread.
+pub fn paper(name: &str, fast: bool, seed: u64) -> Result<Box<dyn VersionFamily + Send>, String> {
     Ok(match name {
         "wf" => Box::new(wf::WfFamily::paper(fast, seed)),
         "mpi" => Box::new(mpi::MpiFamily::paper(fast, seed)),
