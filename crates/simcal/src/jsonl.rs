@@ -8,8 +8,12 @@
 //! - **One record per line.** [`JsonlLog::append`] writes the serialised
 //!   record and its newline in one `write_all` and flushes it.
 //! - **A torn tail heals on open.** A kill mid-append leaves a final line
-//!   with no newline; [`JsonlLog::open`] terminates it, so the next record
-//!   starts on a line of its own instead of being glued to the fragment.
+//!   with no newline. When [`JsonlLog::open`] finds such a fragment, or
+//!   any other line that is not a record, it compacts the log: it writes
+//!   the record lines alone to a temporary file beside it and renames that
+//!   into place, so the next record starts on a line of its own and no
+//!   later open re-reads the fragment. A kill during compaction leaves the
+//!   log as it was.
 //! - **A retried append starts on a fresh line**, so a partial first
 //!   attempt cannot corrupt the record that follows it.
 //! - **Reads are lenient.** Blank lines and lines that are not a record
@@ -36,26 +40,33 @@ pub struct JsonlLog {
 impl JsonlLog {
     /// Open the log at `path` for appending, creating the file and its
     /// directory if absent, and return it with every record already in
-    /// it. A torn final line is terminated first.
+    /// it. A log holding anything but whole record lines is compacted
+    /// first.
     pub fn open<T: Deserialize>(path: &Path) -> io::Result<(JsonlLog, Vec<T>)> {
         retry_transient(|| {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir)?;
             }
-            // The one place that opens a file for append.
-            #[allow(clippy::disallowed_methods)]
-            let mut file = OpenOptions::new()
-                .create(true)
-                .read(true)
-                .append(true)
-                .open(path)?;
+            let mut file = open_for_append(path)?;
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes)?;
-            if bytes.last().is_some_and(|&b| b != b'\n') {
-                file.write_all(b"\n")?;
-                file.flush()?;
+            let records: Vec<T> = parse(&bytes);
+            // Whole record lines only: one newline per record, and one
+            // closing the file.
+            let newlines = bytes.iter().filter(|&&b| b == b'\n').count();
+            if newlines != records.len() || bytes.last().is_some_and(|&b| b != b'\n') {
+                let mut kept = Vec::with_capacity(bytes.len());
+                for line in lines(&bytes).filter(|line| record::<T>(line).is_some()) {
+                    kept.extend_from_slice(line.as_bytes());
+                    kept.push(b'\n');
+                }
+                let mut temp = path.as_os_str().to_owned();
+                temp.push(".compact");
+                std::fs::write(&temp, &kept)?;
+                std::fs::rename(&temp, path)?;
+                file = open_for_append(path)?;
             }
-            Ok((JsonlLog { file }, parse(&bytes)))
+            Ok((JsonlLog { file }, records))
         })
     }
 
@@ -94,12 +105,31 @@ pub fn read<T: Deserialize>(path: &Path) -> io::Result<Vec<T>> {
 /// The records in `bytes`, one per line; lines that are not a record are
 /// skipped.
 pub fn parse<T: Deserialize>(bytes: &[u8]) -> Vec<T> {
+    lines(bytes).filter_map(record).collect()
+}
+
+/// The non-blank UTF-8 lines of `bytes`.
+fn lines(bytes: &[u8]) -> impl Iterator<Item = &str> {
     bytes
         .split(|&b| b == b'\n')
         .filter_map(|line| std::str::from_utf8(line).ok())
         .filter(|line| !line.trim().is_empty())
-        .filter_map(|line| serde_json::from_str(line).ok())
-        .collect()
+}
+
+/// The record `line` holds, if it is one.
+fn record<T: Deserialize>(line: &str) -> Option<T> {
+    serde_json::from_str(line).ok()
+}
+
+/// `path` opened for reading and appending, created if absent.
+fn open_for_append(path: &Path) -> io::Result<File> {
+    // The one place that opens a file for append.
+    #[allow(clippy::disallowed_methods)]
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)
 }
 
 /// Backoff before each retry of a transient I/O error.
@@ -248,6 +278,43 @@ mod tests {
                 "append after a cut at byte {k}"
             );
         }
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn an_open_after_a_cut_leaves_a_clean_log_of_the_whole_records() {
+        let path = tmp_log("compact");
+        let notes = [note(1, "plain"), note(2, "two\nlines"), note(3, "café")];
+        {
+            let (mut log, _) = JsonlLog::open::<Note>(&path).unwrap();
+            for n in &notes {
+                log.append(n).unwrap();
+            }
+        }
+        let full = std::fs::read(&path).unwrap();
+        let ends: Vec<usize> = (0..full.len()).filter(|&i| full[i] == b'\n').collect();
+        for k in 0..=full.len() {
+            std::fs::write(&path, &full[..k]).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= k).count();
+            drop(JsonlLog::open::<Note>(&path).unwrap());
+            // A clean log of the same records: what appending them to an
+            // empty log writes.
+            let clean = ends[..whole].last().map_or(0, |&end| end + 1);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                full[..clean],
+                "open after a cut at byte {k}"
+            );
+        }
+        // A fragment healed by an older open, followed by a record, goes
+        // too.
+        let mut healed = full[..ends[0] + 4].to_vec();
+        healed.push(b'\n');
+        healed.extend_from_slice(&full[ends[0] + 1..]);
+        std::fs::write(&path, &healed).unwrap();
+        let (_, loaded) = JsonlLog::open::<Note>(&path).unwrap();
+        assert_eq!(loaded, notes);
+        assert_eq!(std::fs::read(&path).unwrap(), full);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }
