@@ -15,29 +15,18 @@ use super::SearchAlgorithm;
 use crate::budget::Evaluator;
 use numeric::rng_from_seed;
 
-/// Random-restart finite-difference gradient descent in the unit cube.
-#[derive(Clone, Debug)]
-pub struct GradientDescent {
-    /// Finite-difference step (unit-cube coordinates).
-    pub fd_step: f64,
-    /// Initial step size of a descent.
-    pub initial_step: f64,
-    /// A descent is converged once its step size shrinks below this.
-    pub min_step: f64,
-    /// Maximum descent iterations before a forced restart.
-    pub max_iters_per_start: usize,
-}
+/// Finite-difference step (unit-cube coordinates).
+const FD_STEP: f64 = 1e-3;
+/// Initial step size of a descent.
+const INITIAL_STEP: f64 = 0.1;
+/// A descent is converged once its step size shrinks below this.
+const MIN_STEP: f64 = 1e-4;
+/// Maximum descent iterations before a forced restart.
+const MAX_ITERS_PER_START: usize = 60;
 
-impl Default for GradientDescent {
-    fn default() -> Self {
-        Self {
-            fd_step: 1e-3,
-            initial_step: 0.1,
-            min_step: 1e-4,
-            max_iters_per_start: 60,
-        }
-    }
-}
+/// Random-restart finite-difference gradient descent in the unit cube.
+#[derive(Clone, Copy, Debug)]
+pub struct GradientDescent;
 
 impl SearchAlgorithm for GradientDescent {
     fn name(&self) -> &'static str {
@@ -53,13 +42,13 @@ impl SearchAlgorithm for GradientDescent {
                 Some(v) => v,
                 None => return,
             };
-            let mut step = self.initial_step;
-            for _ in 0..self.max_iters_per_start {
+            let mut step = INITIAL_STEP;
+            for _ in 0..MAX_ITERS_PER_START {
                 // Forward-difference gradient, evaluated as one parallel batch.
                 let probes: Vec<Vec<f64>> = (0..dim)
                     .map(|d| {
                         let mut p = x.clone();
-                        p[d] = (p[d] + self.fd_step).min(1.0);
+                        p[d] = (p[d] + FD_STEP).min(1.0);
                         p
                     })
                     .collect();
@@ -84,7 +73,7 @@ impl SearchAlgorithm for GradientDescent {
 
                 // Backtracking line search along -grad.
                 let mut advanced = false;
-                while step >= self.min_step {
+                while step >= MIN_STEP {
                     let cand: Vec<f64> = x
                         .iter()
                         .zip(&grad)
@@ -132,7 +121,7 @@ mod tests {
     fn descends_to_interior_minimum() {
         let obj = shifted_sphere(3, 0.7);
         let ev = Evaluator::new(&obj, Budget::Evaluations(600));
-        GradientDescent::default().search(&ev, 3);
+        GradientDescent.search(&ev, 3);
         let (loss, _, calib) = ev.best().unwrap();
         assert!(loss < 1e-3, "loss {loss}");
         for v in &calib.values {
@@ -145,7 +134,7 @@ mod tests {
         // Minimum at the boundary (all ones).
         let obj = shifted_sphere(2, 1.0);
         let ev = Evaluator::new(&obj, Budget::Evaluations(400));
-        GradientDescent::default().search(&ev, 5);
+        GradientDescent.search(&ev, 5);
         let (loss, _, _) = ev.best().unwrap();
         assert!(loss < 0.01, "loss {loss}");
     }
@@ -155,7 +144,7 @@ mod tests {
         let obj = shifted_sphere(2, 0.4);
         let run = |seed| {
             let ev = Evaluator::new(&obj, Budget::Evaluations(100));
-            GradientDescent::default().search(&ev, seed);
+            GradientDescent.search(&ev, seed);
             (ev.evaluations(), ev.best().unwrap().0)
         };
         let (n1, l1) = run(11);

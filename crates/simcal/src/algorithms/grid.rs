@@ -3,34 +3,18 @@
 //!
 //! The paper omits GRID from its result tables because it "performed
 //! poorly in preliminary experiments"; it is implemented here both for
-//! completeness and so the `algorithms_ablation` bench can reproduce that
+//! completeness and so the `ablations` binary can reproduce that
 //! preliminary comparison.
 
 use super::SearchAlgorithm;
 use crate::budget::Evaluator;
 
-/// Iteratively-refined exhaustive grid search.
-#[derive(Clone, Debug)]
-pub struct GridSearch {
-    /// Points per parallel evaluation batch.
-    pub batch_size: usize,
-    /// Initial number of levels per dimension (doubled per iteration).
-    pub initial_resolution: usize,
-}
+/// Levels per dimension of the first sweep (doubled per sweep).
+const INITIAL_RESOLUTION: usize = 2;
 
-impl Default for GridSearch {
-    /// Batch size scales with the thread pool so wide machines stay
-    /// saturated. This cannot change the search trajectory under an
-    /// evaluation-count budget: the grid is enumerated in a fixed order
-    /// and the evaluated points are always a prefix of that enumeration,
-    /// regardless of how they are batched.
-    fn default() -> Self {
-        Self {
-            batch_size: 16.max(2 * rayon::current_num_threads()),
-            initial_resolution: 2,
-        }
-    }
-}
+/// Iteratively-refined exhaustive grid search.
+#[derive(Clone, Copy, Debug)]
+pub struct GridSearch;
 
 impl GridSearch {
     /// Grid coordinates for `level` of `resolution` levels: endpoints
@@ -51,12 +35,13 @@ impl SearchAlgorithm for GridSearch {
 
     fn search(&self, evaluator: &Evaluator<'_>, _seed: u64) {
         let dim = evaluator.space().dim();
-        let mut resolution = self.initial_resolution.max(2);
+        let batch_size = super::pool_batch_size();
+        let mut resolution = INITIAL_RESOLUTION;
         loop {
             // Enumerate the full factorial grid in mixed-radix order,
             // streaming batches to the evaluator.
             let mut counter = vec![0usize; dim];
-            let mut batch: Vec<Vec<f64>> = Vec::with_capacity(self.batch_size);
+            let mut batch: Vec<Vec<f64>> = Vec::with_capacity(batch_size);
             'grid: loop {
                 batch.push(
                     counter
@@ -64,7 +49,7 @@ impl SearchAlgorithm for GridSearch {
                         .map(|&l| Self::coord(l, resolution))
                         .collect(),
                 );
-                if batch.len() == self.batch_size {
+                if batch.len() == batch_size {
                     if evaluator.eval_batch(&batch).is_none() {
                         return;
                     }
@@ -111,7 +96,7 @@ mod tests {
     fn refinement_converges_on_1d_quadratic() {
         let obj = quadratic_1d(0.3);
         let ev = Evaluator::new(&obj, Budget::Evaluations(200));
-        GridSearch::default().search(&ev, 0);
+        GridSearch.search(&ev, 0);
         let (loss, _, calib) = ev.best().unwrap();
         assert!(loss < 1e-3, "loss {loss}");
         assert!(
@@ -131,7 +116,7 @@ mod tests {
             (c.values[0] - 1.0).abs() + (c.values[1] - 1.0).abs()
         });
         let ev = Evaluator::new(&obj, Budget::Evaluations(4));
-        GridSearch::default().search(&ev, 0);
+        GridSearch.search(&ev, 0);
         let (loss, _, _) = ev.best().unwrap();
         assert_eq!(loss, 0.0);
     }
@@ -152,7 +137,7 @@ mod tests {
         }
         let obj = FnObjective::new(space, |c: &Calibration| c.values.iter().sum());
         let ev = Evaluator::new(&obj, Budget::Evaluations(100));
-        GridSearch::default().search(&ev, 0);
+        GridSearch.search(&ev, 0);
         assert_eq!(ev.evaluations(), 100);
     }
 }

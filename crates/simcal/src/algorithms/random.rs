@@ -6,23 +6,8 @@ use crate::budget::Evaluator;
 use numeric::rng_from_seed;
 
 /// Uniform random search.
-#[derive(Clone, Debug)]
-pub struct RandomSearch {
-    /// Points evaluated per parallel batch.
-    pub batch_size: usize,
-}
-
-impl Default for RandomSearch {
-    /// Batch size scales with the thread pool so wide machines stay
-    /// saturated. This cannot change the search trajectory under an
-    /// evaluation-count budget: the evaluated points are always a prefix
-    /// of the seeded rng stream, regardless of how they are batched.
-    fn default() -> Self {
-        Self {
-            batch_size: 16.max(2 * rayon::current_num_threads()),
-        }
-    }
-}
+#[derive(Clone, Copy, Debug)]
+pub struct RandomSearch;
 
 impl SearchAlgorithm for RandomSearch {
     fn name(&self) -> &'static str {
@@ -31,9 +16,10 @@ impl SearchAlgorithm for RandomSearch {
 
     fn search(&self, evaluator: &Evaluator<'_>, seed: u64) {
         let dim = evaluator.space().dim();
+        let batch_size = super::pool_batch_size();
         let mut rng = rng_from_seed(seed);
         while !evaluator.exhausted() {
-            let batch: Vec<Vec<f64>> = (0..self.batch_size)
+            let batch: Vec<Vec<f64>> = (0..batch_size)
                 .map(|_| (0..dim).map(|_| rng.unit()).collect())
                 .collect();
             if evaluator.eval_batch(&batch).is_none() {
@@ -67,7 +53,7 @@ mod tests {
     fn finds_a_reasonable_minimum_on_the_sphere() {
         let obj = sphere(2);
         let ev = Evaluator::new(&obj, Budget::Evaluations(400));
-        RandomSearch::default().search(&ev, 1);
+        RandomSearch.search(&ev, 1);
         let (loss, _, _) = ev.best().unwrap();
         assert!(
             loss < 0.1,
@@ -81,7 +67,7 @@ mod tests {
         let obj = sphere(3);
         let run = |seed| {
             let ev = Evaluator::new(&obj, Budget::Evaluations(64));
-            RandomSearch::default().search(&ev, seed);
+            RandomSearch.search(&ev, seed);
             ev.best().unwrap().0
         };
         assert_eq!(run(7), run(7));
@@ -92,7 +78,7 @@ mod tests {
     fn respects_budget_exactly() {
         let obj = sphere(2);
         let ev = Evaluator::new(&obj, Budget::Evaluations(33));
-        RandomSearch { batch_size: 10 }.search(&ev, 0);
+        RandomSearch.search(&ev, 0);
         assert_eq!(ev.evaluations(), 33);
     }
 }

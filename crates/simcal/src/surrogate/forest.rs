@@ -8,33 +8,45 @@ use super::tree::{RegressionTree, SplitStrategy, TreeConfig};
 use super::Surrogate;
 use numeric::rng_from_seed;
 
+/// Trees per ensemble.
+const N_TREES: usize = 25;
+
+/// Growth limits of a random-forest tree; `fit` sets the features
+/// examined per split to the ceiling of the square root of the
+/// dimension.
+const RF_TREE: TreeConfig = TreeConfig {
+    max_depth: 9,
+    min_leaf: 2,
+    max_features: None,
+    strategy: SplitStrategy::Exhaustive,
+};
+
+/// Growth limits of an extra-trees tree (every feature at each split).
+const ET_TREE: TreeConfig = TreeConfig {
+    max_depth: 9,
+    min_leaf: 2,
+    max_features: None,
+    strategy: SplitStrategy::RandomThreshold,
+};
+
 fn ensemble_predict(trees: &[RegressionTree], x: &[f64]) -> (f64, f64) {
     let preds: Vec<f64> = trees.iter().map(|t| t.predict(x)).collect();
     (numeric::mean(&preds), numeric::std_dev(&preds))
 }
 
-/// Bagged regression trees with per-split feature subsampling.
+/// Bagged regression trees with per-split feature subsampling: 25 trees
+/// of depth at most 9, each split over the square root of the dimension
+/// (rounded up) features.
 pub struct RandomForest {
-    /// Number of trees.
-    pub n_trees: usize,
-    /// Growth limits for each tree.
-    pub config: TreeConfig,
     seed: u64,
     trees: Vec<RegressionTree>,
 }
 
 impl RandomForest {
-    /// A forest with default hyperparameters (25 trees, depth 9,
-    /// sqrt-features per split).
+    /// An unfitted forest whose bootstraps and feature subsets draw from
+    /// `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
-            n_trees: 25,
-            config: TreeConfig {
-                max_depth: 9,
-                min_leaf: 2,
-                max_features: None, // resolved to sqrt(d) at fit time
-                strategy: SplitStrategy::Exhaustive,
-            },
             seed,
             trees: Vec::new(),
         }
@@ -45,13 +57,12 @@ impl Surrogate for RandomForest {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
-        let dim = x[0].len();
-        let mut config = self.config;
-        if config.max_features.is_none() {
-            config.max_features = Some(((dim as f64).sqrt().ceil() as usize).max(1));
-        }
+        let config = TreeConfig {
+            max_features: Some(((x[0].len() as f64).sqrt().ceil() as usize).max(1)),
+            ..RF_TREE
+        };
         let mut rng = rng_from_seed(self.seed);
-        self.trees = (0..self.n_trees)
+        self.trees = (0..N_TREES)
             .map(|_| {
                 // Bootstrap resample.
                 let (bx, by): (Vec<Vec<f64>>, Vec<f64>) = (0..x.len())
@@ -72,27 +83,16 @@ impl Surrogate for RandomForest {
 }
 
 /// Extremely-randomized trees: no bootstrap, one random threshold per
-/// candidate feature.
+/// candidate feature; 25 trees of depth at most 9.
 pub struct ExtraTrees {
-    /// Number of trees.
-    pub n_trees: usize,
-    /// Growth limits for each tree.
-    pub config: TreeConfig,
     seed: u64,
     trees: Vec<RegressionTree>,
 }
 
 impl ExtraTrees {
-    /// An ensemble with default hyperparameters (25 trees, depth 9).
+    /// An unfitted ensemble whose thresholds draw from `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
-            n_trees: 25,
-            config: TreeConfig {
-                max_depth: 9,
-                min_leaf: 2,
-                max_features: None,
-                strategy: SplitStrategy::RandomThreshold,
-            },
             seed,
             trees: Vec::new(),
         }
@@ -104,8 +104,8 @@ impl Surrogate for ExtraTrees {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
         let mut rng = rng_from_seed(self.seed);
-        self.trees = (0..self.n_trees)
-            .map(|_| RegressionTree::fit(x, y, &self.config, &mut rng))
+        self.trees = (0..N_TREES)
+            .map(|_| RegressionTree::fit(x, y, &ET_TREE, &mut rng))
             .collect();
     }
 

@@ -9,6 +9,19 @@ use super::tree::{RegressionTree, SplitStrategy, TreeConfig};
 use super::Surrogate;
 use numeric::rng_from_seed;
 
+/// Trees per quantile ensemble.
+const N_TREES: usize = 40;
+/// Shrinkage applied to each tree's contribution, in units of the
+/// target spread.
+const LEARNING_RATE: f64 = 0.2;
+/// Growth limits of the (shallow) boosted trees.
+const TREE: TreeConfig = TreeConfig {
+    max_depth: 3,
+    min_leaf: 3,
+    max_features: None,
+    strategy: SplitStrategy::Exhaustive,
+};
+
 /// One boosted ensemble for a single quantile.
 struct QuantileEnsemble {
     base: f64,
@@ -17,20 +30,12 @@ struct QuantileEnsemble {
 }
 
 impl QuantileEnsemble {
-    fn fit(
-        x: &[Vec<f64>],
-        y: &[f64],
-        q: f64,
-        n_trees: usize,
-        learning_rate: f64,
-        config: &TreeConfig,
-        seed: u64,
-    ) -> Self {
+    fn fit(x: &[Vec<f64>], y: &[f64], q: f64, learning_rate: f64, seed: u64) -> Self {
         let mut rng = rng_from_seed(seed);
         let base = numeric::quantile(y, q);
         let mut pred = vec![base; y.len()];
-        let mut trees = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
+        let mut trees = Vec::with_capacity(N_TREES);
+        for _ in 0..N_TREES {
             // Negative gradient of the pinball loss at the current fit:
             // q where under-predicting, q - 1 where over-predicting.
             let residuals: Vec<f64> = y
@@ -38,7 +43,7 @@ impl QuantileEnsemble {
                 .zip(&pred)
                 .map(|(yi, pi)| if yi > pi { q } else { q - 1.0 })
                 .collect();
-            let tree = RegressionTree::fit(x, &residuals, config, &mut rng);
+            let tree = RegressionTree::fit(x, &residuals, &TREE, &mut rng);
             for (pi, xi) in pred.iter_mut().zip(x) {
                 *pi += learning_rate * tree.predict(xi);
             }
@@ -56,31 +61,11 @@ impl QuantileEnsemble {
     }
 }
 
-/// Gradient boosting with quantile loss at q = {0.16, 0.50, 0.84}.
+/// Gradient boosting with quantile loss at q = {0.16, 0.50, 0.84}: 40
+/// trees of depth at most 3 per quantile, learning rate 0.2.
+#[derive(Default)]
 pub struct GradientBoostingQuantile {
-    /// Trees per quantile ensemble.
-    pub n_trees: usize,
-    /// Shrinkage applied to each tree's contribution.
-    pub learning_rate: f64,
-    /// Growth limits for the (shallow) boosted trees.
-    pub config: TreeConfig,
     ensembles: Option<[QuantileEnsemble; 3]>,
-}
-
-impl Default for GradientBoostingQuantile {
-    fn default() -> Self {
-        Self {
-            n_trees: 40,
-            learning_rate: 0.2,
-            config: TreeConfig {
-                max_depth: 3,
-                min_leaf: 3,
-                max_features: None,
-                strategy: SplitStrategy::Exhaustive,
-            },
-            ensembles: None,
-        }
-    }
 }
 
 impl Surrogate for GradientBoostingQuantile {
@@ -91,20 +76,8 @@ impl Surrogate for GradientBoostingQuantile {
         // the target's units via the target spread so convergence does not
         // depend on the loss magnitude.
         let spread = (numeric::max(y) - numeric::min(y)).max(1e-12);
-        let cfg = self.config;
-        let fit_q = |q: f64, seed: u64| {
-            let mut e = QuantileEnsemble::fit(
-                x,
-                y,
-                q,
-                self.n_trees,
-                self.learning_rate * spread,
-                &cfg,
-                seed,
-            );
-            e.learning_rate = self.learning_rate * spread;
-            e
-        };
+        let fit_q =
+            |q: f64, seed: u64| QuantileEnsemble::fit(x, y, q, LEARNING_RATE * spread, seed);
         self.ensembles = Some([fit_q(0.16, 101), fit_q(0.50, 102), fit_q(0.84, 103)]);
     }
 

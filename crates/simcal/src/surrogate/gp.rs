@@ -10,7 +10,7 @@
 //! points `0..=i`, so a fit keeps the rows of the longest prefix its
 //! point list shares with the previous one and factors only the rest —
 //! bit for bit what factoring everything again would give. BO histories
-//! only grow, so below `max_points` each fit factors just the new batch;
+//! only grow, so below [`MAX_POINTS`] each fit factors just the new batch;
 //! above it the best-half/recent-half subsample reshuffles early
 //! positions nearly every fit and almost everything is factored again.
 
@@ -22,17 +22,19 @@ use numeric::Cholesky;
 /// columns (`points x W` values) stays in L1.
 const W: usize = 8;
 
+/// Candidate RBF length scales (unit-cube coordinates).
+const LENGTH_SCALES: [f64; 5] = [0.05, 0.1, 0.2, 0.5, 1.0];
+/// Observation-noise variance added to the kernel diagonal.
+const NOISE: f64 = 1e-6;
+/// Cap on training points; the best and the most recent are kept.
+const MAX_POINTS: usize = 200;
+
 /// Gaussian process with kernel
-/// `k(a, b) = exp(-||a - b||^2 / (2 l^2)) + noise * 1{a == b}` over
-/// standardized targets.
-#[derive(Clone, Debug)]
+/// `k(a, b) = exp(-||a - b||^2 / (2 l^2)) + 1e-6 * 1{a == b}` over
+/// standardized targets; each fit picks `l` from 0.05, 0.1, 0.2, 0.5 and
+/// 1.0, and keeps at most 200 training points.
+#[derive(Clone, Debug, Default)]
 pub struct GaussianProcess {
-    /// Candidate RBF length scales (unit-cube coordinates).
-    pub length_scales: Vec<f64>,
-    /// Observation-noise variance added to the kernel diagonal.
-    pub noise: f64,
-    /// Cap on training points; the most recent and best points are kept.
-    pub max_points: usize,
     model: Option<Model>,
 }
 
@@ -40,11 +42,6 @@ pub struct GaussianProcess {
 /// and the points and factors the next fit may build on.
 #[derive(Clone, Debug)]
 struct Model {
-    /// The hyperparameters the factors were built with; a fit under any
-    /// other values starts from nothing.
-    length_scales: Vec<f64>,
-    noise: f64,
-    max_points: usize,
     /// Training points (after subsampling).
     x: Vec<Vec<f64>>,
     /// One factor per length scale over the kernel matrix of `x`; a
@@ -58,13 +55,16 @@ struct Model {
     y_std: f64,
 }
 
-impl Default for GaussianProcess {
+impl Default for Model {
+    /// No points yet, and one empty factor per length scale.
     fn default() -> Self {
         Self {
-            length_scales: vec![0.05, 0.1, 0.2, 0.5, 1.0],
-            noise: 1e-6,
-            max_points: 200,
-            model: None,
+            x: Vec::new(),
+            factors: vec![Cholesky::default(); LENGTH_SCALES.len()],
+            best: 0,
+            alpha: Vec::new(),
+            y_mean: 0.0,
+            y_std: 1.0,
         }
     }
 }
@@ -77,53 +77,30 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Indices (ascending) of the training data kept under [`MAX_POINTS`]:
+/// the `MAX_POINTS / 2` best (lowest-y) points plus the most recent
+/// remainder. BO cares most about modelling the promising region and the
+/// frontier.
+fn subsample(y: &[f64]) -> Vec<usize> {
+    if y.len() <= MAX_POINTS {
+        return (0..y.len()).collect();
+    }
+    let keep_best = MAX_POINTS / 2;
+    let mut order: Vec<usize> = (0..y.len()).collect();
+    order.sort_by(|&a, &b| y[a].partial_cmp(&y[b]).unwrap_or(std::cmp::Ordering::Equal));
+    let mut selected: Vec<usize> = order[..keep_best].to_vec();
+    let recent_start = y.len() - (MAX_POINTS - keep_best);
+    for i in recent_start..y.len() {
+        if !selected.contains(&i) {
+            selected.push(i);
+        }
+    }
+    selected.sort_unstable();
+    selected.truncate(MAX_POINTS);
+    selected
+}
+
 impl GaussianProcess {
-    /// Indices (ascending) of the training data kept under `max_points`:
-    /// the `max_points / 2` best (lowest-y) points plus the most recent
-    /// remainder. BO cares most about modelling the promising region and
-    /// the frontier.
-    fn subsample(&self, y: &[f64]) -> Vec<usize> {
-        if y.len() <= self.max_points {
-            return (0..y.len()).collect();
-        }
-        let keep_best = self.max_points / 2;
-        let mut order: Vec<usize> = (0..y.len()).collect();
-        order.sort_by(|&a, &b| y[a].partial_cmp(&y[b]).unwrap_or(std::cmp::Ordering::Equal));
-        let mut selected: Vec<usize> = order[..keep_best].to_vec();
-        let recent_start = y.len() - (self.max_points - keep_best);
-        for i in recent_start..y.len() {
-            if !selected.contains(&i) {
-                selected.push(i);
-            }
-        }
-        selected.sort_unstable();
-        selected.truncate(self.max_points);
-        selected
-    }
-
-    /// The model of the previous fit if its factors are valid under the
-    /// current hyperparameters, else one with no points and empty factors.
-    fn reusable_model(&mut self) -> Model {
-        self.model
-            .take()
-            .filter(|m| {
-                same_bits(&m.length_scales, &self.length_scales)
-                    && m.noise.to_bits() == self.noise.to_bits()
-                    && m.max_points == self.max_points
-            })
-            .unwrap_or_else(|| Model {
-                length_scales: self.length_scales.clone(),
-                noise: self.noise,
-                max_points: self.max_points,
-                x: Vec::new(),
-                factors: vec![Cholesky::default(); self.length_scales.len()],
-                best: 0,
-                alpha: Vec::new(),
-                y_mean: 0.0,
-                y_std: 1.0,
-            })
-    }
-
     /// Posterior mean and standard deviation at `N` queries at once: one
     /// pass over the training points for the kernel columns and the means,
     /// one block forward substitution, one pass for the variances.
@@ -142,7 +119,7 @@ impl GaussianProcess {
         k: &mut Vec<[f64; N]>,
     ) -> [(f64, f64); N] {
         let m = self.model.as_ref().expect("predict before fit");
-        let l = m.length_scales[m.best];
+        let l = LENGTH_SCALES[m.best];
         let two_l2 = 2.0 * l * l;
         qt.clear();
         qt.extend((0..queries[0].len()).map(|c| queries.map(|q| q[c])));
@@ -169,7 +146,7 @@ impl GaussianProcess {
             }
         }
         std::array::from_fn(|w| {
-            let var = (1.0 + self.noise - explained[w]).max(0.0);
+            let var = (1.0 + NOISE - explained[w]).max(0.0);
             (m.y_mean + m.y_std * mean[w], m.y_std * var.sqrt())
         })
     }
@@ -179,9 +156,9 @@ impl Surrogate for GaussianProcess {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
-        let selected = self.subsample(y);
+        let selected = subsample(y);
         let n = selected.len();
-        let mut m = self.reusable_model();
+        let mut m = self.model.take().unwrap_or_default();
 
         // Keep the longest prefix of training points that is bitwise the
         // same as last time, and the factor rows that belong to it.
@@ -207,13 +184,13 @@ impl Surrogate for GaussianProcess {
         for i in first..n {
             dist.clear();
             dist.extend(m.x[..=i].iter().map(|xj| sq_dist(&m.x[i], xj)));
-            for (factor, &l) in m.factors.iter_mut().zip(&m.length_scales) {
+            for (factor, l) in m.factors.iter_mut().zip(LENGTH_SCALES) {
                 if factor.dim() != i {
                     continue;
                 }
                 row.clear();
                 row.extend(dist.iter().map(|d| (-d / (2.0 * l * l)).exp()));
-                row[i] += m.noise + 1e-10;
+                row[i] += NOISE + 1e-10;
                 factor.push_row(&row);
             }
         }
@@ -303,14 +280,10 @@ mod tests {
 
     #[test]
     fn subsampling_keeps_best_points() {
-        let gp = GaussianProcess {
-            max_points: 10,
-            ..Default::default()
-        };
-        // Minimum at index 7.
-        let y: Vec<f64> = (0..50).map(|i| ((i as f64) - 7.0).abs()).collect();
-        let kept = gp.subsample(&y);
-        assert_eq!(kept.len(), 10);
+        // Minimum at index 7, far from the recent half of the history.
+        let y: Vec<f64> = (0..250).map(|i| ((i as f64) - 7.0).abs()).collect();
+        let kept = subsample(&y);
+        assert_eq!(kept.len(), MAX_POINTS);
         assert!(kept.contains(&7), "best point must survive subsampling");
     }
 
@@ -358,36 +331,13 @@ mod tests {
                 predict_bits(&fresh, dim),
                 "n = {n}"
             );
-            let selected = kept.subsample(&y[..n]);
+            let selected = subsample(&y[..n]);
             dropped_early |= (0..16).any(|i| !selected.contains(&i));
         }
         assert!(
             dropped_early,
             "no step dropped a point of the initial design"
         );
-    }
-
-    #[test]
-    fn mutated_hyperparameters_never_meet_a_stale_factor() {
-        // The public fields may change between fits; whatever a model
-        // kept from earlier fits must not leak into the next one.
-        let dim = 2;
-        let (x, y) = random_history(60, dim, 3);
-        let mutations: [fn(&mut GaussianProcess); 3] = [
-            |gp| gp.length_scales = vec![0.3, 0.07],
-            |gp| gp.noise = 1e-3,
-            |gp| gp.max_points = 24,
-        ];
-        for mutate in mutations {
-            let mut reused = GaussianProcess::default();
-            reused.fit(&x[..40], &y[..40]);
-            mutate(&mut reused);
-            reused.fit(&x, &y);
-            let mut fresh = GaussianProcess::default();
-            mutate(&mut fresh);
-            fresh.fit(&x, &y);
-            assert_eq!(predict_bits(&reused, dim), predict_bits(&fresh, dim));
-        }
     }
 
     #[test]
@@ -424,14 +374,14 @@ mod tests {
     /// value and every sum as an iterator computes it.
     fn reference_predict(gp: &GaussianProcess, q: &[f64]) -> (f64, f64) {
         let m = gp.model.as_ref().unwrap();
-        let l = m.length_scales[m.best];
+        let l = LENGTH_SCALES[m.best];
         let k: Vec<f64> =
             m.x.iter()
                 .map(|xi| (-sq_dist(xi, q) / (2.0 * l * l)).exp())
                 .collect();
         let mean: f64 = k.iter().zip(&m.alpha).map(|(k, a)| k * a).sum();
         let v = m.factors[m.best].solve_lower(&k);
-        let var = (1.0 + gp.noise - v.iter().map(|v| v * v).sum::<f64>()).max(0.0);
+        let var = (1.0 + NOISE - v.iter().map(|v| v * v).sum::<f64>()).max(0.0);
         (m.y_mean + m.y_std * mean, m.y_std * var.sqrt())
     }
 

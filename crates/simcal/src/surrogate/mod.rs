@@ -15,7 +15,6 @@ mod tree;
 pub use forest::{ExtraTrees, RandomForest};
 pub use gbrt::GradientBoostingQuantile;
 pub use gp::GaussianProcess;
-pub use tree::RegressionTree;
 
 /// A regressor usable as a Bayesian-optimization surrogate.
 pub trait Surrogate: Send + Sync {

@@ -10,7 +10,7 @@ use numeric::Rng;
 
 /// How split thresholds are chosen at each node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SplitStrategy {
+pub(crate) enum SplitStrategy {
     /// Try the midpoint between every pair of consecutive sorted values
     /// (classic CART).
     Exhaustive,
@@ -21,15 +21,15 @@ pub enum SplitStrategy {
 
 /// Tree growth limits.
 #[derive(Clone, Copy, Debug)]
-pub struct TreeConfig {
+pub(crate) struct TreeConfig {
     /// Maximum depth (root = depth 0).
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Minimum samples a leaf may hold.
-    pub min_leaf: usize,
+    pub(crate) min_leaf: usize,
     /// Number of features examined per split (`None` = all).
-    pub max_features: Option<usize>,
+    pub(crate) max_features: Option<usize>,
     /// Threshold selection strategy.
-    pub strategy: SplitStrategy,
+    pub(crate) strategy: SplitStrategy,
 }
 
 impl Default for TreeConfig {
@@ -58,7 +58,7 @@ enum Node {
 
 /// A fitted regression tree.
 #[derive(Clone, Debug)]
-pub struct RegressionTree {
+pub(crate) struct RegressionTree {
     nodes: Vec<Node>,
 }
 
@@ -68,7 +68,7 @@ impl RegressionTree {
     ///
     /// # Panics
     /// Panics if `x` is empty or `x.len() != y.len()`.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], config: &TreeConfig, rng: &mut Rng) -> Self {
+    pub(crate) fn fit(x: &[Vec<f64>], y: &[f64], config: &TreeConfig, rng: &mut Rng) -> Self {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit a tree on no data");
         let mut tree = Self { nodes: Vec::new() };
@@ -78,7 +78,7 @@ impl RegressionTree {
     }
 
     /// Predicted value at `x`.
-    pub fn predict(&self, x: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, x: &[f64]) -> f64 {
         let mut i = 0;
         loop {
             match &self.nodes[i] {
@@ -100,7 +100,8 @@ impl RegressionTree {
     }
 
     /// Number of nodes (leaves + splits).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
