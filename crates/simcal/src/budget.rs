@@ -26,15 +26,13 @@ pub enum Budget {
     Evaluations(usize),
     /// Stop once this much wall-clock time has elapsed.
     WallClock(Duration),
-    /// Stop at whichever bound is reached first.
-    Either(usize, Duration),
 }
 
 impl Budget {
     /// The evaluation bound, if any.
     pub fn max_evaluations(&self) -> Option<usize> {
         match self {
-            Budget::Evaluations(n) | Budget::Either(n, _) => Some(*n),
+            Budget::Evaluations(n) => Some(*n),
             Budget::WallClock(_) => None,
         }
     }
@@ -42,7 +40,7 @@ impl Budget {
     /// The wall-clock bound, if any.
     pub fn max_elapsed(&self) -> Option<Duration> {
         match self {
-            Budget::WallClock(d) | Budget::Either(_, d) => Some(*d),
+            Budget::WallClock(d) => Some(*d),
             Budget::Evaluations(_) => None,
         }
     }
@@ -77,10 +75,6 @@ impl Serialize for Budget {
             Budget::WallClock(d) => {
                 Value::Object(vec![("WallClock".to_string(), duration_to_value(d))])
             }
-            Budget::Either(n, d) => Value::Object(vec![(
-                "Either".to_string(),
-                Value::Array(vec![n.to_value(), duration_to_value(d)]),
-            )]),
         }
     }
 }
@@ -96,13 +90,6 @@ impl Deserialize for Budget {
         match tag.as_str() {
             "Evaluations" => usize::from_value(inner).map(Budget::Evaluations),
             "WallClock" => duration_from_value(inner).map(Budget::WallClock),
-            "Either" => match inner {
-                Value::Array(items) if items.len() == 2 => Ok(Budget::Either(
-                    usize::from_value(&items[0])?,
-                    duration_from_value(&items[1])?,
-                )),
-                other => Err(DeError::expected("[evaluations, duration] pair", other)),
-            },
             other => Err(DeError(format!("unknown variant `{other}` for Budget"))),
         }
     }
@@ -219,9 +206,6 @@ pub struct Evaluator<'a> {
     /// failure that quarantined it.
     cache: RwLock<HashMap<Vec<u64>, Result<f64, EvalFailure>>>,
     hits: AtomicUsize,
-    misses: AtomicUsize,
-    panics: AtomicUsize,
-    nonfinite: AtomicUsize,
     failures: Mutex<Vec<(usize, EvalFailure)>>,
 }
 
@@ -247,9 +231,6 @@ impl<'a> Evaluator<'a> {
             }),
             cache: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            panics: AtomicUsize::new(0),
-            nonfinite: AtomicUsize::new(0),
             failures: Mutex::new(Vec::new()),
         }
     }
@@ -348,7 +329,7 @@ impl<'a> Evaluator<'a> {
 
     /// Settle `outcome`, fresh or replayed from disk, as the next budget
     /// evaluation. A finite loss may become the incumbent; a failure
-    /// bumps its counter and joins [`Evaluator::failures`], leaving the
+    /// joins [`Evaluator::failures`] (and its trace counter), leaving the
     /// incumbent and trace untouched. A keyed point memoizes the result,
     /// so a re-proposal never re-invokes the objective.
     fn settle(
@@ -373,12 +354,10 @@ impl<'a> Evaluator<'a> {
                 Ok(loss)
             }
             CachedOutcome::Panic { message } => {
-                self.panics.fetch_add(1, Ordering::Relaxed);
                 obs::counter(obs::Counter::EvalPanics, 1);
                 Err(EvalFailure::Panic { message })
             }
             CachedOutcome::NonFinite { loss_bits } => {
-                self.nonfinite.fetch_add(1, Ordering::Relaxed);
                 obs::counter(obs::Counter::EvalNonfinite, 1);
                 Err(EvalFailure::NonFinite {
                     loss: f64::from_bits(loss_bits),
@@ -462,7 +441,6 @@ impl<'a> Evaluator<'a> {
             }
             let hits = window.len() - slots.len();
             self.hits.fetch_add(hits, Ordering::Relaxed);
-            self.misses.fetch_add(slots.len(), Ordering::Relaxed);
             // Slot `s` settles as evaluation `base + s`. Exact as long as
             // one thread drives the evaluator (every shipped algorithm
             // does), which is what makes fault targeting by index
@@ -585,23 +563,28 @@ impl<'a> Evaluator<'a> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Memoization misses: proposals that consumed a budget evaluation
-    /// (always equals [`Evaluator::evaluations`]; failed evaluations and
-    /// disk-cache replays count too — they consumed budget, even though a
-    /// replay skips the objective invocation itself).
+    /// Memoization misses: proposals that consumed a budget evaluation,
+    /// which is [`Evaluator::evaluations`] by definition. Failed
+    /// evaluations and disk-cache replays count too — they consumed
+    /// budget, even though a replay skips the objective invocation itself.
     pub fn cache_misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.evaluations()
     }
 
     /// Evaluations whose objective invocation panicked (isolated and
     /// quarantined rather than crashing the calibration).
     pub fn eval_panics(&self) -> usize {
-        self.panics.load(Ordering::Relaxed)
+        self.count_failures(|f| matches!(f, EvalFailure::Panic { .. }))
     }
 
     /// Evaluations whose objective returned a non-finite loss.
     pub fn eval_nonfinite(&self) -> usize {
-        self.nonfinite.load(Ordering::Relaxed)
+        self.count_failures(|f| matches!(f, EvalFailure::NonFinite { .. }))
+    }
+
+    fn count_failures(&self, kind: impl Fn(&EvalFailure) -> bool) -> usize {
+        let failures = self.failures.lock().expect("failure list lock");
+        failures.iter().filter(|(_, f)| kind(f)).count()
     }
 
     /// Every failed evaluation as `(evaluation index, failure)`, in the
@@ -697,14 +680,6 @@ mod tests {
         assert!(ev.exhausted());
         assert!(ev.eval(&[0.5, 0.5]).is_none());
         assert!(ev.best().is_none());
-    }
-
-    #[test]
-    fn either_budget_takes_tighter_bound() {
-        let obj = sphere();
-        let ev = Evaluator::new(&obj, Budget::Either(1, Duration::from_secs(3600)));
-        assert!(ev.eval(&[0.5, 0.5]).is_some());
-        assert!(ev.eval(&[0.5, 0.5]).is_none());
     }
 
     #[test]
@@ -807,7 +782,6 @@ mod tests {
         for budget in [
             Budget::Evaluations(150),
             Budget::WallClock(Duration::new(3, 141_592_653)),
-            Budget::Either(usize::MAX, Duration::from_nanos(1)),
         ] {
             let json = serde_json::to_string(&budget).expect("serialize");
             let back: Budget = serde_json::from_str(&json).expect("parse");
