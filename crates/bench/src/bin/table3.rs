@@ -25,8 +25,10 @@ fn main() {
     // One arbitrary-but-interior reference calibration, as in the paper
     // (one synthetic-benchmarking pass). Interior values keep every
     // simulated component exercised and identifiable.
-    let patterns: [(f64, f64); 1] = [(0.35, 0.65)];
-    let mut refs: Vec<(Calibration, Vec<WfScenario>)> = Vec::new();
+    let reference_unit: Vec<f64> = (0..space.dim())
+        .map(|i| if i % 2 == 0 { 0.35 } else { 0.65 })
+        .collect();
+    let reference = space.denormalize(&reference_unit);
     let opts = DatasetOptions {
         repetitions: 1,
         seed: args.seed,
@@ -41,74 +43,59 @@ fn main() {
     } else {
         vec![AppKind::Genome1000]
     };
-    for &(even, odd) in &patterns {
-        let reference_unit: Vec<f64> = (0..space.dim())
-            .map(|i| if i % 2 == 0 { even } else { odd })
-            .collect();
-        let reference = space.denormalize(&reference_unit);
-        let mut scenarios: Vec<WfScenario> = Vec::new();
-        for record in wfsim::prelude::dataset(&apps, &opts) {
-            let workflow = generate(&record.spec);
-            let out = sim.simulate(&workflow, record.n_workers, &reference);
-            scenarios.push(WfScenario {
-                workflow,
-                n_workers: record.n_workers,
-                gt_makespan: out.makespan,
-                gt_task_times: out.task_times,
-            });
-        }
-        refs.push((reference, scenarios));
-    }
+    let scenarios = WfScenario::synthetic(&sim, &dataset(&apps, &opts), &reference);
     eprintln!(
-        "synthetic ground truth: {} references x {} scenarios, {}-parameter space",
-        refs.len(),
-        refs[0].1.len(),
+        "synthetic ground truth: {} scenarios, {}-parameter space",
+        scenarios.len(),
         space.dim()
     );
 
-    let algorithms = [AlgorithmKind::Random, AlgorithmKind::BoGp];
+    let calibrators: Vec<(String, Calibrator)> = [AlgorithmKind::Random, AlgorithmKind::BoGp]
+        .into_iter()
+        .map(|algorithm| {
+            let calibrator = Calibrator {
+                algorithm,
+                budget: args.budget,
+                seed: args.seed,
+            };
+            (algorithm.name().to_string(), calibrator)
+        })
+        .collect();
     let losses = StructuredLoss::paper_set();
+    let objectives: Vec<_> = losses
+        .iter()
+        .map(|loss| {
+            (
+                loss.name().to_string(),
+                objective(&sim, &scenarios, loss.clone()),
+            )
+        })
+        .collect();
+    let cells = synthetic_benchmark(&calibrators, &objectives, &reference);
 
     let mut header = vec!["Alg".to_string()];
     header.extend(losses.iter().map(|l| l.name().to_string()));
     let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-
-    let mut best: Option<(f64, String, String)> = None;
-    for alg in algorithms {
-        let mut cells = vec![alg.name().to_string()];
-        for loss in &losses {
-            let mut errs = Vec::new();
-            for (reference, scenarios) in &refs {
-                let obj = objective(&sim, scenarios, loss.clone());
-                let result = Calibrator {
-                    algorithm: alg,
-                    budget: args.budget,
-                    seed: args.seed,
-                }
-                .calibrate(&obj);
-                errs.push(calibration_error(&space, &result.calibration, reference));
-            }
-            let err = numeric::mean(&errs);
-            if best.as_ref().is_none_or(|(b, _, _)| err < *b) {
-                best = Some((err, alg.name().to_string(), loss.name().to_string()));
-            }
-            cells.push(fnum(err));
+    for row in cells.chunks(losses.len()) {
+        let mut line = vec![row[0].algorithm.clone()];
+        for cell in row {
+            line.push(fnum(cell.calibration_error));
             eprintln!(
                 "  {} / {}: calibration error {:.2}",
-                alg.name(),
-                loss.name(),
-                err
+                cell.algorithm, cell.loss_name, cell.calibration_error
             );
         }
-        table.row(cells);
+        table.row(line);
     }
 
     println!("Table 3: calibration error vs. algorithm and loss function (lower is better)\n");
     println!("{}", table.render());
-    let (err, alg, loss) = best.expect("at least one cell");
+    let best = best_pair(&cells).expect("at least one cell");
     println!(
-        "best pair: {alg} with {loss} (calibration error {})",
-        fnum(err)
+        "best pair: {} with {} (calibration error {})",
+        best.algorithm,
+        best.loss_name,
+        fnum(best.calibration_error)
     );
     args.maybe_write_tsv(&table);
 }

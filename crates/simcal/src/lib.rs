@@ -104,7 +104,5 @@ pub mod prelude {
     pub use crate::objective::{FnObjective, Objective, SimulationObjective, Simulator};
     pub use crate::param::{Calibration, Knob, ParamDef, ParamKind, ParameterSpace};
     pub use crate::surrogate::{Surrogate, SurrogateKind};
-    pub use crate::synthetic::{
-        best_pair, calibration_error, midpoint_reference, synthetic_benchmark, SyntheticCell,
-    };
+    pub use crate::synthetic::{best_pair, calibration_error, synthetic_benchmark, SyntheticCell};
 }

@@ -85,21 +85,19 @@ pub fn synthetic_benchmark<O: Objective>(
 /// [`f64::total_cmp`] over the finite cells first, falling back to the
 /// full slice (still totally ordered) only when *no* cell is finite.
 pub fn best_pair(cells: &[SyntheticCell]) -> Option<&SyntheticCell> {
-    let by_error = |a: &&SyntheticCell, b: &&SyntheticCell| {
-        a.calibration_error.total_cmp(&b.calibration_error)
-    };
-    cells
-        .iter()
-        .filter(|c| c.calibration_error.is_finite())
-        .min_by(by_error)
-        .or_else(|| cells.iter().min_by(by_error))
+    lowest_finite(cells, |c| c.calibration_error)
 }
 
-/// Reference-calibration helper: the midpoint of every parameter's range
-/// (in unit space), a reasonable "arbitrary" θ\* for synthetic
-/// benchmarking that is guaranteed to be in-range.
-pub fn midpoint_reference(space: &ParameterSpace) -> Calibration {
-    space.denormalize(&vec![0.5; space.dim()])
+/// The first item with the lowest `key` under [`f64::total_cmp`] among
+/// those whose key is finite, or among all items when none is: the rule
+/// of [`best_pair`], for tables that rank cells by another metric.
+pub fn lowest_finite<T>(items: &[T], key: impl Fn(&T) -> f64) -> Option<&T> {
+    let by_key = |a: &&T, b: &&T| key(a).total_cmp(&key(b));
+    items
+        .iter()
+        .filter(|item| key(item).is_finite())
+        .min_by(by_key)
+        .or_else(|| items.iter().min_by(by_key))
 }
 
 #[cfg(test)]
@@ -193,13 +191,6 @@ mod tests {
             assert!(c.result.loss.is_finite());
             assert!(c.calibration_error >= 0.0);
         }
-    }
-
-    #[test]
-    fn midpoint_reference_is_in_range() {
-        let s = space();
-        let m = midpoint_reference(&s);
-        assert_eq!(m.values, vec![5.0, 5.0]);
     }
 
     #[test]

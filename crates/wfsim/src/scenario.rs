@@ -39,6 +39,29 @@ impl WfScenario {
     pub fn from_records(records: &[GroundTruthRecord]) -> Vec<WfScenario> {
         records.iter().map(Self::from_record).collect()
     }
+
+    /// Synthetic ground truth (paper §3): each record's workflow and
+    /// worker count, observed as `simulator` executes them at
+    /// `reference`, which is therefore the known best calibration.
+    pub fn synthetic(
+        simulator: &WorkflowSimulator,
+        records: &[GroundTruthRecord],
+        reference: &Calibration,
+    ) -> Vec<WfScenario> {
+        records
+            .iter()
+            .map(|record| {
+                let workflow = generate(&record.spec);
+                let out = simulator.simulate(&workflow, record.n_workers, reference);
+                WfScenario {
+                    workflow,
+                    n_workers: record.n_workers,
+                    gt_makespan: out.makespan,
+                    gt_task_times: out.task_times,
+                }
+            })
+            .collect()
+    }
 }
 
 impl Simulator for WorkflowSimulator {

@@ -136,18 +136,8 @@ fn synthetic_benchmarking_identifies_a_decent_calibration() {
     let sim = WorkflowSimulator::new(version);
     let reference = space.denormalize(&vec![0.4; space.dim()]);
 
-    let opts = small_options();
-    let mut scenarios = Vec::new();
-    for record in dataset_for(AppKind::Forkjoin, &opts) {
-        let workflow = generate(&record.spec);
-        let out = sim.simulate(&workflow, record.n_workers, &reference);
-        scenarios.push(WfScenario {
-            workflow,
-            n_workers: record.n_workers,
-            gt_makespan: out.makespan,
-            gt_task_times: out.task_times,
-        });
-    }
+    let records = dataset_for(AppKind::Forkjoin, &small_options());
+    let scenarios = WfScenario::synthetic(&sim, &records, &reference);
     let obj = objective(
         &sim,
         &scenarios,
